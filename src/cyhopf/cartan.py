@@ -57,7 +57,7 @@ class CartanMatrix:
     def from_json(obj) -> CartanMatrix:
         try:
             return CartanMatrix(tuple(tuple(int(a) for a in row) for row in obj))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"malformed Cartan matrix: {obj!r}") from exc
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cartan import beta_sequence, longest_word, positive_roots_closure
@@ -28,28 +27,11 @@ from .io import (
 )
 from .lie import check_cy_lie_smash
 from .smash import (
-    DEFAULT_DEGREE_BOUND,
     check_local_confluence,
     nakayama_automorphism,
     verify_double_antipode,
     verify_hopf_axioms,
 )
-
-ENV_BOUND = "CY_HOPF_DEGREE_BOUND"
-
-
-def _default_bound() -> int:
-    raw = os.environ.get(ENV_BOUND)
-    if raw is None:
-        return DEFAULT_DEGREE_BOUND
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{ENV_BOUND} must be an integer, got {raw!r}") from exc
-    if bound < 1:
-        raise InputError(f"{ENV_BOUND} must be >= 1, got {bound}")
-    return bound
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -79,19 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(verb, parents=[common], help=help_text)
     return parser
-
-
-def _resolve_bound(args, file_obj: dict | None = None) -> int:
-    if args.degree_bound is not None:
-        if args.degree_bound < 1:
-            raise InputError(f"--degree-bound must be >= 1, got {args.degree_bound}")
-        return args.degree_bound
-    if file_obj is not None and "degree_bound" in file_obj:
-        try:
-            return int(file_obj["degree_bound"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad degree_bound {file_obj['degree_bound']!r}") from exc
-    return _default_bound()
 
 
 def _envelope(args, bound: int | None, report: dict) -> dict:
@@ -170,9 +139,8 @@ def run(args) -> int:
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     # remaining verbs consume a presentation file
-    obj = load_json_file(args.input)
-    bound = _resolve_bound(args, obj)
-    algebra, xi = parse_presentation(obj, degree_bound=bound)
+    algebra, xi = parse_presentation(load_json_file(args.input), degree_bound=args.degree_bound)
+    bound = algebra.degree_bound
 
     if args.verb == "verify-hopf":
         report = verify_hopf_axioms(algebra)

@@ -93,12 +93,6 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_index(m: int) -> dict[tuple[int, ...], int]:
-    """Inverse of the power table on 0 <= k < m, for fast root-of-unity detection."""
-    return {rep: k for k, rep in reversed(list(enumerate(_power_table(m)[:m])))}
-
-
-@lru_cache(maxsize=None)
 def _signed_power_index(m: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """Map reduced vectors of +-zeta_m^k to (sign, k); positives win collisions."""
     out: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -349,7 +343,7 @@ class CycloNumber:
         try:
             order = int(obj["order"])
             coeffs = [Fraction(int(n), int(d)) for n, d in obj["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed cyclotomic number: {obj!r}") from exc
         return CycloNumber(order, coeffs)
 

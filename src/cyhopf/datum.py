@@ -8,12 +8,14 @@ q_ij q_ji = q_ii^{a_ij}.
 
 The verdicts computed here are exact character computations:
 
-* the integral character, the product of chi_beta over the ordered positive
-  roots derived from a reduced longest word;
+* the integral character xi, the product of chi_beta over the positive roots
+  derived from a reduced longest word, i.e. prod_j chi_j^{(2 rho)_j} with
+  2 rho the sum of the positive roots;
 * the smash-product CY check: integral character trivial plus an exhaustive
   inner-automorphism witness search for the squared antipode;
 * the braided-factor CY check: triviality of the diagonal
-  c_k = prod_{i != j_k} chi_{beta_i}(g_k), reported as the Nakayama diagonal;
+  c_k = prod_{i != j_k} chi_{beta_i}(g_k) = xi(g_k) chi_k(g_k)^{-1}, reported
+  as the Nakayama diagonal;
 * for type A1 x ... x A1, the quantum-affine-space specializations: the
   homological determinant g -> prod chi_i(g^{-1}) and the balance criterion
   q_{1i}...q_{(i-1)i} = q_{i(i+1)}...q_{it}.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import CartanMatrix, Root, beta_sequence, longest_word, simple_root
+from .cartan import CartanMatrix, Root, beta_sequence, longest_word
 from .cyclotomic import CycloNumber, one
 from .errors import InputError, InternalError, InvalidDatum, NegativeRoot, WrongCartanType
 from .groups import AbelianGroup, Character, GroupElement
@@ -145,16 +147,18 @@ def chi_beta(datum: CartanDatum, root: Root) -> Character:
     return out
 
 
-def _betas(datum: CartanDatum, tie_break: str) -> tuple[Root, ...]:
-    return beta_sequence(datum.cartan, longest_word(datum.cartan, tie_break))
+def _root_data(datum: CartanDatum, tie_break: str) -> tuple[int, Character]:
+    """Positive-root count p and integral character xi of the datum, from one
+    reduced longest word.  xi = prod_beta chi_beta = prod_j chi_j^{(2 rho)_j},
+    2 rho the sum of the positive roots, so the word's order does not matter."""
+    betas = beta_sequence(datum.cartan, longest_word(datum.cartan, tie_break))
+    two_rho = Root(tuple(map(sum, zip(*(b.coeffs for b in betas)))))
+    return len(betas), chi_beta(datum, two_rho)
 
 
 def integral_character(datum: CartanDatum, tie_break: str = "min") -> Character:
     """Character of the homological integral on the group: prod of chi_beta."""
-    out = datum.group.trivial_character()
-    for beta in _betas(datum, tie_break):
-        out = out * chi_beta(datum, beta)
-    return out
+    return _root_data(datum, tie_break)[1]
 
 
 def hdet_quantum_affine(datum: CartanDatum) -> Character:
@@ -188,25 +192,15 @@ def quantum_affine_balance(datum: CartanDatum) -> tuple[bool, tuple[CycloNumber,
     return all(r.is_one() for r in residuals), tuple(residuals)
 
 
+def _nakayama_diag(datum: CartanDatum, xi: Character) -> tuple[CycloNumber, ...]:
+    return tuple((xi * c.inverse())(g) for g, c in zip(datum.g, datum.chi))
+
+
 def braided_nakayama_diag(datum: CartanDatum, tie_break: str = "min") -> tuple[CycloNumber, ...]:
     """Diagonal c_k = prod_{i != j_k} chi_{beta_i}(g_k) of the braided factor's
-    Nakayama automorphism, j_k the position of alpha_k in the beta sequence."""
-    betas = _betas(datum, tie_break)
-    t = datum.rank
-    m = datum.group.exponent
-    diag = []
-    for k in range(t):
-        alpha = simple_root(datum.cartan, k)
-        try:
-            j_k = betas.index(alpha)
-        except ValueError as exc:  # cannot happen for a reduced longest word
-            raise InternalError(f"simple root {alpha} missing from beta sequence") from exc
-        c = one(m)
-        for i, beta in enumerate(betas):
-            if i != j_k:
-                c = c * chi_beta(datum, beta)(datum.g[k])
-        diag.append(c)
-    return tuple(diag)
+    Nakayama automorphism, j_k the position of alpha_k in the beta sequence.
+    alpha_k occurs exactly once among the betas, so c_k = xi(g_k) chi_k(g_k)^{-1}."""
+    return _nakayama_diag(datum, integral_character(datum, tie_break))
 
 
 def check_cy_braided(datum: CartanDatum, tie_break: str = "min") -> tuple[bool, tuple[CycloNumber, ...]]:
@@ -244,41 +238,46 @@ def check_cy_smash(
     search).  Returns (verdict, integral character, witness, root count p).
     The verdict does not depend on the linking parameters.
     """
-    betas = _betas(datum, tie_break)
-    xi = integral_character(datum, tie_break)
+    p, xi = _root_data(datum, tie_break)
     witness = inner_witness_search(datum, squared_antipode_diag(datum))
-    return xi.is_trivial() and witness is not None, xi, witness, len(betas)
+    return xi.is_trivial() and witness is not None, xi, witness, p
+
+
+def _listing(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _witness_criterion(name: str, witness) -> CriterionResult:
+    return CriterionResult(
+        name, witness is not None, f"witness {witness[1]}" if witness else "no group-like witness"
+    )
+
+
+def _quantum_affine_criteria(datum: CartanDatum) -> tuple[Character, tuple[CriterionResult, ...]]:
+    """hdet and the balance and hdet-trivial criteria of an A1 x ... x A1 datum."""
+    balanced, residuals = quantum_affine_balance(datum)
+    hdet = hdet_quantum_affine(datum)
+    return hdet, (
+        CriterionResult("quantum-affine-balance", balanced, "residuals " + _listing(residuals)),
+        CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
+    )
 
 
 def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
     A1 x ... x A1 data, the quantum-affine-space specializations."""
     cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
-    cy_r, diag = check_cy_braided(datum, tie_break)
+    diag = _nakayama_diag(datum, xi)
+    cy_r = all(c.is_one() for c in diag)
     criteria = [
         CriterionResult("integral-character-trivial", xi.is_trivial(), str(xi)),
-        CriterionResult(
-            "squared-antipode-inner",
-            witness is not None,
-            f"witness {witness[1]}" if witness else "no group-like witness",
-        ),
-        CriterionResult(
-            "braided-nakayama-trivial", cy_r, "diag (" + ", ".join(str(c) for c in diag) + ")"
-        ),
+        _witness_criterion("squared-antipode-inner", witness),
+        CriterionResult("braided-nakayama-trivial", cy_r, "diag " + _listing(diag)),
     ]
-    notes = [UNIT_GROUP_NOTE, _shift_note(p)]
     hdet = None
     if datum.cartan.is_a1_power():
-        hdet = hdet_quantum_affine(datum)
-        balanced, residuals = quantum_affine_balance(datum)
-        criteria.append(
-            CriterionResult(
-                "quantum-affine-balance",
-                balanced,
-                "residuals (" + ", ".join(str(r) for r in residuals) + ")",
-            )
-        )
-        criteria.append(CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)))
+        hdet, affine = _quantum_affine_criteria(datum)
+        criteria.extend(affine)
     return CyReport(
         cy_R=cy_r,
         cy_smash=cy_smash,
@@ -288,7 +287,7 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
         nakayama_diag=diag,
         inner_witness=witness,
         criteria=tuple(criteria),
-        notes=tuple(notes),
+        notes=(UNIT_GROUP_NOTE, _shift_note(p)),
     )
 
 
@@ -302,27 +301,13 @@ def quantum_affine_report(datum: CartanDatum) -> CyReport:
     """
     if not datum.cartan.is_a1_power():
         raise WrongCartanType("quantum-affine report needs a Cartan matrix of type A1 x ... x A1")
-    balanced, residuals = quantum_affine_balance(datum)
-    hdet = hdet_quantum_affine(datum)
+    hdet, affine = _quantum_affine_criteria(datum)
     diag = squared_antipode_diag(datum)
     witness = inner_witness_search(datum, diag)
-    criteria = (
-        CriterionResult(
-            "quantum-affine-balance",
-            balanced,
-            "residuals (" + ", ".join(str(r) for r in residuals) + ")",
-        ),
-        CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
-        CriterionResult(
-            "nakayama-inner",
-            witness is not None,
-            f"witness {witness[1]}" if witness else "no group-like witness",
-        ),
-    )
-    both = balanced and hdet.is_trivial() and witness is not None
+    criteria = affine + (_witness_criterion("nakayama-inner", witness),)
     return CyReport(
-        cy_R=balanced,
-        cy_smash=both,
+        cy_R=affine[0].satisfied,
+        cy_smash=all(c.satisfied for c in criteria),
         cy_dimension=datum.rank,
         integral_character=hdet,
         hdet=hdet,

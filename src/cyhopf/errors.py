@@ -57,7 +57,3 @@ class InvalidPresentation(InputError):
 
 class DegreeBoundExceeded(InputError):
     """Requested computation leaves the configured degree bound."""
-
-
-class NonConfluent(CyHopfError):
-    """Raised only on explicit request; engines normally flag instead."""

@@ -9,6 +9,7 @@ rejected, every quantity in the system is exact.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from .cartan import CartanMatrix
@@ -20,6 +21,7 @@ from .lie import GroupActionData, LieAlgebraData
 from .smash import DEFAULT_DEGREE_BOUND, PresentedAlgebra, parse_word
 
 SCHEMA = "cy-hopf/1"
+ENV_BOUND = "CY_HOPF_DEGREE_BOUND"
 
 
 def load_json_file(path: str) -> dict:
@@ -45,7 +47,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational {value!r}") from exc
     raise InputError(f"bad rational {value!r}")
 
@@ -81,11 +83,33 @@ def parse_datum(obj: dict) -> CartanDatum:
     return CartanDatum(group=group, g=g, chi=chi, cartan=cartan, linking=tuple(linking))
 
 
+def _degree_bound(obj: dict, override: int | None) -> int:
+    if override is not None:
+        name, raw = "--degree-bound", override
+    elif "degree_bound" in obj:
+        name, raw = "degree_bound", obj["degree_bound"]
+    elif ENV_BOUND in os.environ:
+        name, raw = ENV_BOUND, os.environ[ENV_BOUND]
+    else:
+        return DEFAULT_DEGREE_BOUND
+    try:
+        bound = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+    if bound < 1:
+        raise InputError(f"{name} must be >= 1, got {bound}")
+    return bound
+
+
 def parse_presentation(
     obj: dict, degree_bound: int | None = None
 ) -> tuple[PresentedAlgebra, Character | None]:
     """Build a PresentedAlgebra from a presentation file; returns the algebra
-    and the optional winding character under the "xi" key."""
+    and the optional winding character under the "xi" key.
+
+    The degree bound is degree_bound if given, else the file's "degree_bound",
+    else the CY_HOPF_DEGREE_BOUND environment variable, else the default."""
+    bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])
         t = int(obj["generators"])
@@ -93,6 +117,8 @@ def parse_presentation(
         actions = tuple(character_from_json(group, c) for c in obj["actions"])
     except KeyError as exc:
         raise InputError(f"presentation file missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed presentation: {exc}") from exc
     if len(degrees) != t or len(actions) != t:
         raise InputError(f"presentation declares {t} generators but lists "
                          f"{len(degrees)} degrees / {len(actions)} actions")
@@ -109,13 +135,6 @@ def parse_presentation(
         if lhs in rules:
             raise InputError(f"duplicate rule for {entry['lhs']!r}")
         rules[lhs] = rhs
-    if degree_bound is not None:
-        bound = degree_bound
-    else:
-        try:
-            bound = int(obj.get("degree_bound", DEFAULT_DEGREE_BOUND))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad degree_bound {obj.get('degree_bound')!r}") from exc
     algebra = PresentedAlgebra(group, degrees, actions, rules, bound)
     xi = character_from_json(group, obj["xi"]) if "xi" in obj else None
     return algebra, xi

@@ -11,7 +11,7 @@ from the roots of unity of order gcd(n_i, n_j).
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 
 from .cartan import CartanMatrix
 from .datum import CartanDatum
@@ -46,10 +46,10 @@ def random_a1t_datum(
     else:
         ns = [2, 2, 2]
     # optional spectator factor not hit by any g_i
-    room = max_order // _prod(ns)
-    extras = [k for k in (2, 3, 4) if k <= room] if heavy or _prod(ns) <= 8 else []
+    room = max_order // prod(ns)
+    extras = [k for k in (2, 3, 4) if k <= room] if heavy or prod(ns) <= 8 else []
     if not heavy:
-        extras = [k for k in extras if _prod(ns) * k <= 12]
+        extras = [k for k in extras if prod(ns) * k <= 12]
     extra = rng.choice([1] * max(1, len(extras)) + extras)
     factors = tuple(ns) + ((extra,) if extra > 1 else ())
     group = AbelianGroup(factors)
@@ -88,13 +88,6 @@ def random_a1t_datum(
 def _set_q(exps, ns, i, j, value) -> None:
     """Record q_ij = zeta_{n_i}^value as the exponent of chi_j on factor i."""
     exps[j][i] = value % ns[i]
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def quantum_affine_from_datum(datum: CartanDatum, degree_bound: int = 4) -> PresentedAlgebra:

@@ -20,6 +20,7 @@ normal monomials up to the degree bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycloNumber, one, root_of_unity, zero
 from .errors import (
@@ -92,6 +93,10 @@ class CheckEntry:
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
+
+
+def _entry(check: str, failure: str | None) -> CheckEntry:
+    return CheckEntry(check, "fail" if failure else "pass", failure)
 
 
 @dataclass
@@ -261,38 +266,55 @@ class PresentedAlgebra:
 
     # -- rewriting -----------------------------------------------------------------
 
-    def _find_redex(self, word: Word) -> tuple[int, Word] | None:
+    def _redexes(self, word: Word):
+        """(position, lhs) of every rule occurrence in word, leftmost first and,
+        at one position, in graded-lex order of the left-hand sides."""
         n = len(word)
         for pos in range(n):
             for lhs in self._by_first.get(word[pos], ()):
                 end = pos + len(lhs)
                 if end <= n and word[pos:end] == lhs:
-                    return pos, lhs
-        return None
+                    yield pos, lhs
+
+    def _find_redex(self, word: Word) -> tuple[int, Word] | None:
+        return next(self._redexes(word), None)
+
+    def _rewrite_at(self, word: Word, pos: int, lhs: Word) -> list[tuple[Word, CycloNumber]]:
+        """The words, with their rule scalars, that replace lhs at pos."""
+        head, tail = word[:pos], word[pos + len(lhs):]
+        return [(head + rhs_word + tail, rc) for rhs_word, rc in self.rules[lhs]]
 
     def _normal_combination(self, word: Word) -> tuple[tuple[Word, CycloNumber], ...]:
-        """Normal form of a pure word as a combination of normal words."""
+        """Normal form of a pure word as a combination of normal words.
+
+        Rewrites the leftmost redex and memoizes every intermediate word.  Works
+        on an explicit stack, so long rewrite chains cannot hit the
+        interpreter's recursion limit."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        redex = self._find_redex(word)
-        if redex is None:
-            result = ((word, one(self.order)),)
-        else:
-            pos, lhs = redex
-            head, tail = word[:pos], word[pos + len(lhs):]
+        cache = self._nf_cache
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in cache:
+                stack.pop()
+                continue
+            redex = self._find_redex(w)
+            if redex is None:
+                cache[w] = ((w, one(self.order)),)
+                continue
+            children = self._rewrite_at(w, *redex)
+            pending = [cw for cw, _rc in children if cw not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
             acc: dict[Word, CycloNumber] = {}
-            for rhs_word, rc in self.rules[lhs]:
-                for nw, nc in self._normal_combination(head + rhs_word + tail):
-                    prev = acc.get(nw)
-                    val = nc * rc if prev is None else prev + nc * rc
-                    acc[nw] = val
-            result = tuple(
-                (w, c) for w, c in sorted(acc.items(), key=lambda kv: graded_lex_key(kv[0]))
-                if not c.is_zero()
-            )
-        self._nf_cache[word] = result
-        return result
+            for cw, rc in children:
+                for nw, nc in cache[cw]:
+                    _accumulate(acc, nw, nc * rc)
+            cache[w] = tuple(sorted(acc.items(), key=lambda kv: graded_lex_key(kv[0])))
+        return cache[word]
 
     def is_normal(self, word: Word) -> bool:
         return self._find_redex(word) is None
@@ -337,22 +359,13 @@ class PresentedAlgebra:
         stack: list[tuple[Word, CycloNumber]] = [(tuple(word), one(self.order))]
         while stack:
             w, c = stack.pop()
-            redexes = []
-            n = len(w)
-            for pos in range(n):
-                for lhs in self._by_first.get(w[pos], ()):
-                    if pos + len(lhs) <= n and w[pos:pos + len(lhs)] == lhs:
-                        redexes.append((pos, lhs))
+            redexes = list(self._redexes(w))
             if not redexes:
                 _accumulate(acc, w, c)
                 continue
-            pos, lhs = choose(redexes)
-            for rhs_word, rc in self.rules[lhs]:
-                stack.append((w[:pos] + rhs_word + w[pos + len(lhs):], c * rc))
-        return tuple(
-            (w, c) for w, c in sorted(acc.items(), key=lambda kv: graded_lex_key(kv[0]))
-            if not c.is_zero()
-        )
+            for nw, rc in self._rewrite_at(w, *choose(redexes)):
+                stack.append((nw, c * rc))
+        return tuple(sorted(acc.items(), key=lambda kv: graded_lex_key(kv[0])))
 
     # -- monomial multiplication ----------------------------------------------------
 
@@ -467,6 +480,11 @@ class PresentedAlgebra:
                 scalar = self._char_value(sw, g_inv)
                 _accumulate(terms, (sw, g_inv * sg), c * sc * scalar)
         return SmashElement(self, terms)
+
+    @cached_property
+    def s2_generators(self) -> tuple[SmashElement, ...]:
+        """S^2(x_i) for each generator, computed once per algebra."""
+        return tuple(self.antipode(self.antipode(self.generator(i))) for i in range(self.t))
 
     def counit(self, elem: SmashElement) -> CycloNumber:
         total = None
@@ -655,9 +673,9 @@ class TensorElement:
             return SmashElement(alg, {k[0]: c for k, c in out.items()})
         return TensorElement(alg, self.arity - 1, out)
 
-    def fold_with(self, left_map=None) -> SmashElement:
-        """Multiply the two legs of an arity-2 tensor, optionally mapping the
-        left leg first (used for the antipode axioms)."""
+    def fold_with(self, left_map=None, right_map=None) -> SmashElement:
+        """Multiply the two legs of an arity-2 tensor, optionally mapping
+        either leg first (used for the antipode axioms)."""
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
         alg = self.algebra
@@ -667,6 +685,8 @@ class TensorElement:
             if left_map is not None:
                 left = left_map(left)
             right = SmashElement(alg, {(w2, g2): c})
+            if right_map is not None:
+                right = right_map(right)
             total = total + left * right
         return total
 
@@ -743,9 +763,8 @@ class ConfluenceReport:
 
 def _apply_rule_at(algebra: PresentedAlgebra, word: Word, lhs: Word, pos: int) -> dict:
     acc: dict[Word, CycloNumber] = {}
-    head, tail = word[:pos], word[pos + len(lhs):]
-    for rhs_word, rc in algebra.rules[lhs]:
-        for nw, nc in algebra._normal_combination(head + rhs_word + tail):
+    for rewritten, rc in algebra._rewrite_at(word, pos, lhs):
+        for nw, nc in algebra._normal_combination(rewritten):
             _accumulate(acc, nw, rc * nc)
     return acc
 
@@ -824,56 +843,37 @@ def verify_hopf_axioms(algebra: PresentedAlgebra, max_degree: int | None = None)
     Each family reports its first counterexample, if any.
     """
     bound = algebra.degree_bound if max_degree is None else min(max_degree, algebra.degree_bound)
-    monos = list(algebra.normal_monomials(bound))
-    entries = []
-
-    def first_failure(name, failure):
-        entries.append(
-            CheckEntry(name, "fail" if failure else "pass", failure if failure else None)
-        )
-
-    failure = None
-    for w, g in monos:
+    checks = {
+        "coassociativity": lambda elem, t2: t2.coproduct_on_leg(0) == t2.coproduct_on_leg(1),
+        "counit": lambda elem, t2: t2.counit_on_leg(0) == elem and t2.counit_on_leg(1) == elem,
+        "antipode-left": lambda elem, t2: (
+            t2.fold_with(left_map=algebra.antipode) == _counit_unit(algebra, elem)
+        ),
+        "antipode-right": lambda elem, t2: (
+            t2.fold_with(right_map=algebra.antipode) == _counit_unit(algebra, elem)
+        ),
+    }
+    failures: dict[str, str] = {}
+    # One pass: each monomial is comultiplied once for every family that has
+    # not failed yet, so each family still reports its first counterexample.
+    for w, g in algebra.normal_monomials(bound):
+        if len(failures) == len(checks):
+            break
         elem = SmashElement(algebra, {(w, g): one(algebra.order)})
         t2 = algebra.comultiply(elem)
-        if t2.coproduct_on_leg(0) != t2.coproduct_on_leg(1):
-            failure = format_monomial(w, g)
-            break
-    first_failure("coassociativity", failure)
-
-    failure = None
-    for w, g in monos:
-        elem = SmashElement(algebra, {(w, g): one(algebra.order)})
-        t2 = algebra.comultiply(elem)
-        if t2.counit_on_leg(0) != elem or t2.counit_on_leg(1) != elem:
-            failure = format_monomial(w, g)
-            break
-    first_failure("counit", failure)
-
-    for name, left_side in (("antipode-left", True), ("antipode-right", False)):
-        failure = None
-        for w, g in monos:
-            elem = SmashElement(algebra, {(w, g): one(algebra.order)})
-            expected = algebra.one_element().scale(algebra.counit(elem))
-            t2 = algebra.comultiply(elem)
-            if left_side:
-                got = t2.fold_with(algebra.antipode)
-            else:
-                got = algebra.zero()
-                for ((w1, g1), (w2, g2)), c in t2.terms.items():
-                    left = SmashElement(algebra, {(w1, g1): c})
-                    right = algebra.antipode(
-                        SmashElement(algebra, {(w2, g2): one(algebra.order)})
-                    )
-                    got = got + left * right
-            if got != expected:
-                failure = format_monomial(w, g)
-                break
-        first_failure(name, failure)
-
-    first_failure("coproduct-multiplicative", _coproduct_multiplicative_failure(algebra, bound))
-
+        for name, holds in checks.items():
+            if name not in failures and not holds(elem, t2):
+                failures[name] = format_monomial(w, g)
+    entries = [_entry(name, failures.get(name)) for name in checks]
+    entries.append(
+        _entry("coproduct-multiplicative", _coproduct_multiplicative_failure(algebra, bound))
+    )
     return CheckReport(entries, notes=confluence_notes(algebra) + (f"degree bound {bound}",))
+
+
+def _counit_unit(algebra: PresentedAlgebra, elem: SmashElement) -> SmashElement:
+    """eps(elem) 1, the right-hand side of both antipode axioms."""
+    return algebra.one_element().scale(algebra.counit(elem))
 
 
 def _coproduct_multiplicative_failure(algebra: PresentedAlgebra, bound: int) -> str | None:
@@ -940,9 +940,7 @@ def verify_double_antipode(algebra: PresentedAlgebra, max_degree: int | None = N
         if lhs != rhs:
             failure = format_monomial(w, algebra.group.identity())
             break
-    entry = CheckEntry(
-        "double-antipode-graded-identity", "fail" if failure else "pass", failure
-    )
+    entry = _entry("double-antipode-graded-identity", failure)
     return CheckReport([entry], notes=confluence_notes(algebra) + (f"degree bound {bound}",))
 
 
@@ -995,9 +993,7 @@ def phi_smash_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
     """The squared smash antipode restricted to the braided factor, computed
     on generators; must come out diagonal with c_i = chi_i(g_i^{-1})."""
     scalars = []
-    for i in range(algebra.t):
-        x = algebra.generator(i)
-        image = algebra.antipode(algebra.antipode(x))
+    for i, image in enumerate(algebra.s2_generators):
         c = _diagonal_coefficient(algebra, image, i)
         expected = algebra.actions[i](algebra.degrees[i].inverse())
         if c != expected:
@@ -1042,17 +1038,14 @@ def nakayama_automorphism(
     entries = []
     scalars = []
     failure = None
-    for i in range(algebra.t):
-        x = algebra.generator(i)
-        image = winding_endomorphism(algebra, xi, algebra.antipode(algebra.antipode(x)))
+    for i, s2x in enumerate(algebra.s2_generators):
+        image = winding_endomorphism(algebra, xi, s2x)
         c = _diagonal_coefficient(algebra, image, i)
         closed = xi(algebra.degrees[i]) * algebra.actions[i](algebra.degrees[i].inverse())
         scalars.append(c)
         if c != closed and failure is None:
             failure = f"x{i + 1}: composed {c}, closed form {closed}"
-    entries.append(
-        CheckEntry("nakayama-generators-closed-form", "fail" if failure else "pass", failure)
-    )
+    entries.append(_entry("nakayama-generators-closed-form", failure))
     failure = None
     for g in algebra.group.elements():
         elem = algebra.group_like(g)
@@ -1060,8 +1053,6 @@ def nakayama_automorphism(
         if image != elem.scale(xi(g)):
             failure = str(g)
             break
-    entries.append(
-        CheckEntry("nakayama-group-likes-closed-form", "fail" if failure else "pass", failure)
-    )
+    entries.append(_entry("nakayama-group-likes-closed-form", failure))
     report = CheckReport(entries, notes=confluence_notes(algebra))
     return DiagonalAutomorphism(algebra, tuple(scalars)), report

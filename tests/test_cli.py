@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cyhopf.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -84,6 +86,35 @@ def test_invalid_input_is_exit_one(tmp_path, capsys):
     )
     assert main(["check-cy", str(invalid)]) == 1
     capsys.readouterr()
+
+
+A1A1_Z2Z2 = {
+    "group": {"invariant_factors": [2, 2]},
+    "g": [{"exp": [1, 0]}, {"exp": [0, 1]}],
+    "chi": [{"exp": [1, 0]}, {"exp": [0, 1]}],
+    "cartan": [[2, 0], [0, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "verb, obj",
+    [
+        ("check-cy", {"group": {"invariant_factors": [2]}, "g": [{"exp": [1]}],
+                      "chi": [{"exp": [1]}], "cartan": [["a"]]}),
+        ("verify-hopf", {"group": {"invariant_factors": [2]}, "generators": "x",
+                         "degrees": [{"exp": [1]}], "actions": [{"exp": [1]}], "rules": []}),
+        ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [
+            {"pair": [1, 2], "value": {"order": 1, "coeffs": [["1", "0"]]}}]})),
+        ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [{"pair": [1, 2], "value": "1/0"}]})),
+    ],
+    ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational"],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_degree_bound_flag_and_env(tmp_path, capsys, monkeypatch):

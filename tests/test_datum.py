@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyhopf.cartan import CartanMatrix, Root
+from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simple_root
 from cyhopf.cyclotomic import one, root_of_unity
 from cyhopf.datum import (
     CartanDatum,
@@ -226,3 +226,51 @@ def test_integral_character_independent_of_tie_break():
         datum = random_cartan_datum(rng)
         assert integral_character(datum, "min") == integral_character(datum, "max")
         assert braided_nakayama_diag(datum, "min") == braided_nakayama_diag(datum, "max")
+
+
+def _product_oracle(datum, tie_break):
+    """xi and the braided diagonal as literal products of chi_beta over the
+    beta sequence: xi = prod_i chi_{beta_i}, c_k = prod_{i != j_k} chi_{beta_i}(g_k)."""
+    betas = beta_sequence(datum.cartan, longest_word(datum.cartan, tie_break))
+    xi = datum.group.trivial_character()
+    for beta in betas:
+        xi = xi * chi_beta(datum, beta)
+    diag = []
+    for k in range(datum.rank):
+        j_k = betas.index(simple_root(datum.cartan, k))
+        c = one(datum.group.exponent)
+        for i, beta in enumerate(betas):
+            if i != j_k:
+                c = c * chi_beta(datum, beta)(datum.g[k])
+        diag.append(c)
+    return xi, tuple(diag)
+
+
+def _twisted_e_datum(n: int, rng: random.Random) -> CartanDatum:
+    """Type E_n on (Z_5)^n: q_ij = q^{a_ij} zeta_5^{b_ij} with b antisymmetric,
+    so the braiding is not symmetric and the diagonal is not forced to 1."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, n)]:
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = -1
+    twist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            twist[i][j] = rng.randrange(5)
+            twist[j][i] = -twist[i][j]
+    group = AbelianGroup((5,) * n)
+    g = tuple(group.generator(i) for i in range(n))
+    chi = tuple(group.character(tuple(rows[i][j] + twist[i][j] for i in range(n)))
+                for j in range(n))
+    return CartanDatum(group, g, chi, CartanMatrix(tuple(map(tuple, rows))))
+
+
+def test_closed_forms_match_products_over_the_beta_sequence():
+    rng = random.Random(2011)
+    data = [random_cartan_datum(rng) for _ in range(40)]
+    data += [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(20)]
+    data += [_twisted_e_datum(n, rng) for n in (6, 7, 8)]
+    for datum in data:
+        for tie_break in ("min", "max"):
+            xi, diag = _product_oracle(datum, tie_break)
+            assert integral_character(datum, tie_break) == xi
+            assert braided_nakayama_diag(datum, tie_break) == diag

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,14 @@ def test_normalize_idempotent_and_strategy_independent():
                 word, lambda redexes: rng.choice(redexes)
             )
             assert random_strategy == reference
+
+
+def test_long_rewrite_chain_needs_no_recursion():
+    # x2^35 x1^35 takes 35 * 35 swaps to reach x1^35 x2^35
+    algebra = qa_algebra(3, bound=70)
+    elem = algebra.monomial((1,) * 35 + (0,) * 35, algebra.group.identity())
+    q12 = algebra.actions[1](algebra.degrees[0])
+    assert elem.terms == {((0,) * 35 + (1,) * 35, algebra.group.identity()): q12 ** -1225}
 
 
 def test_degree_bound_enforced():
@@ -478,6 +487,21 @@ def test_divergent_overlap_detected_and_flagged():
     assert report.divergent[0].to_json()["word"] == "x2^2*x1^2"
     hopf = verify_hopf_axioms(algebra, 3)
     assert any("NonConfluent at bound 4" in note for note in hopf.notes)
+
+
+def test_nonconfluent_presentation_pins_first_counterexamples():
+    from cyhopf.io import load_json_file, parse_presentation
+
+    path = Path(__file__).resolve().parent.parent / "data" / "presentation_nonconfluent.json"
+    algebra, _xi = parse_presentation(load_json_file(str(path)), degree_bound=4)
+    report = verify_hopf_axioms(algebra)
+    assert [(e.check, e.counterexample) for e in report.entries] == [
+        ("coassociativity", "x2*x1*x2*x1#e"),
+        ("counit", None),
+        ("antipode-left", "x1^2*x2^2#e"),
+        ("antipode-right", "x1^2*x2^2#e"),
+        ("coproduct-multiplicative", "x2#e , x1^2#e"),
+    ]
 
 
 def test_rendering_of_monomials():
