@@ -2,8 +2,9 @@
 
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
-invalid input, 2 internal invariant violation.  JSON mode emits exactly one
-report object; text mode renders the same data.
+invalid input, 2 internal invariant violation or any other unexpected
+exception, each error reported as one stderr line.  JSON mode emits exactly
+one report object; text mode renders the same data.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("hdet", "quantum-affine homological determinant and balance report"),
         ("nakayama", "winding-twisted squared antipode of a presentation"),
         ("roots", "positive roots and longest-word data of a Cartan matrix"),
-        ("verify-hopf", "exhaustive Hopf-axiom sweep for a presentation"),
+        ("verify-hopf", "Hopf-axiom sweep over monomials x^w#e; other group tails "
+                        "follow by Gamma-equivariance"),
         ("verify-s2", "graded squared-antipode identity sweep"),
         ("confluence", "diamond-lemma overlap report for a presentation"),
         ("lie-check", "CY report for an enveloping-algebra smash product"),
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
         return 1
     except InternalError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # any other failure is a bug in the checker, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

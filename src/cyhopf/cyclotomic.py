@@ -20,6 +20,9 @@ from .errors import InputError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Most integers a power table may hold (rows times phi(m)).  Orders up to 200
+# need at most 78210; the smallest order over the budget is 1451.
+POWER_TABLE_BUDGET = 2**22
 
 
 def euler_phi(m: int) -> int:
@@ -74,10 +77,15 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
 def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """Reduced representations of zeta_m^k mod Phi_m for 0 <= k < max(m, 2*phi(m)-1)."""
     phi = euler_phi(m)
+    size = max(m, 2 * phi - 1)
+    if size * phi > POWER_TABLE_BUDGET:
+        raise InputError(
+            f"cyclotomic order {m} needs a power table of {size * phi} entries, "
+            f"over the budget of {POWER_TABLE_BUDGET}"
+        )
     poly = cyclotomic_coeffs(m)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
     top = tuple(-c for c in poly[:phi])
-    size = max(m, 2 * phi - 1)
     table = []
     cur = [0] * phi
     cur[0] = 1

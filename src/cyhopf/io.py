@@ -83,6 +83,16 @@ def parse_datum(obj: dict) -> CartanDatum:
     return CartanDatum(group=group, g=g, chi=chi, cartan=cartan, linking=tuple(linking))
 
 
+def _integer(name: str, raw) -> int:
+    """An int, or a decimal string of one; booleans and floats are rejected."""
+    if isinstance(raw, (bool, float)):
+        raise InputError(f"{name} must be an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+
+
 def _degree_bound(obj: dict, override: int | None) -> int:
     if override is not None:
         name, raw = "--degree-bound", override
@@ -92,10 +102,7 @@ def _degree_bound(obj: dict, override: int | None) -> int:
         name, raw = ENV_BOUND, os.environ[ENV_BOUND]
     else:
         return DEFAULT_DEGREE_BOUND
-    try:
-        bound = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+    bound = _integer(name, raw)
     if bound < 1:
         raise InputError(f"{name} must be >= 1, got {bound}")
     return bound
@@ -112,7 +119,7 @@ def parse_presentation(
     bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])
-        t = int(obj["generators"])
+        t = _integer("generators", obj["generators"])
         degrees = tuple(element_from_json(group, e) for e in obj["degrees"])
         actions = tuple(character_from_json(group, c) for c in obj["actions"])
     except KeyError as exc:

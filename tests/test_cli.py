@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cyhopf import cli
 from cyhopf.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -95,6 +96,14 @@ A1A1_Z2Z2 = {
     "cartan": [[2, 0], [0, 2]],
 }
 
+PRES_Z2 = {
+    "group": {"invariant_factors": [2]},
+    "generators": 2,
+    "degrees": [{"exp": [1]}, {"exp": [1]}],
+    "actions": [{"exp": [1]}, {"exp": [1]}],
+    "rules": [],
+}
+
 
 @pytest.mark.parametrize(
     "verb, obj",
@@ -106,8 +115,15 @@ A1A1_Z2Z2 = {
         ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [
             {"pair": [1, 2], "value": {"order": 1, "coeffs": [["1", "0"]]}}]})),
         ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [{"pair": [1, 2], "value": "1/0"}]})),
+        ("verify-hopf", dict(PRES_Z2, degree_bound=2.9)),
+        ("verify-hopf", dict(PRES_Z2, degree_bound=True)),
+        ("verify-hopf", dict(PRES_Z2, generators=2.0)),
+        ("check-cy", {"group": {"invariant_factors": [10001]}, "g": [{"exp": [1]}],
+                      "chi": [{"exp": [1]}], "cartan": [[2]]}),
     ],
-    ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational"],
+    ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
+         "degree-bound-float", "degree-bound-bool", "generators-float",
+         "order-over-power-table-budget"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -115,6 +131,16 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     assert main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
+    def broken(_algebra):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_local_confluence", broken)
+    assert main(["confluence", str(DATA / "presentation_a2_z2z2.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: boom"]
 
 
 def test_degree_bound_flag_and_env(tmp_path, capsys, monkeypatch):

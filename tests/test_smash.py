@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cyhopf.cyclotomic import CycloNumber, one, root_of_unity
+from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
 from cyhopf.errors import (
     DegreeBoundExceeded,
     InputError,
@@ -14,6 +14,7 @@ from cyhopf.sampling import quantum_affine_from_datum, random_a1t_datum
 from cyhopf.smash import (
     DiagonalAutomorphism,
     PresentedAlgebra,
+    TensorElement,
     check_local_confluence,
     format_monomial,
     format_word,
@@ -310,6 +311,97 @@ def test_corrupted_rule_fails_with_counterexample():
     failures = {e.check: e for e in report.entries if e.status == "fail"}
     assert "coproduct-multiplicative" in failures
     assert failures["coproduct-multiplicative"].counterexample
+
+
+def _full_tail_hopf_sweep(algebra: PresentedAlgebra) -> list[tuple[str, str | None]]:
+    """First counterexample of each Hopf family over every normal monomial
+    x^w # g, every tail g included, and over every pair of them.
+
+    A test-only oracle for the tail reduction in verify_hopf_axioms: it uses
+    nothing of the engine but comultiply, *, antipode and counit.
+    """
+    alg = algebra
+    monos = [(w, format_monomial(w, g), alg.monomial(w, g)) for w, g in alg.normal_monomials()]
+
+    def legs(m):
+        """Delta(m) as (left monomial key, right monomial key, coefficient)."""
+        return [(ka, kb, c) for (ka, kb), c in alg.comultiply(m).terms.items()]
+
+    def coassociative(m):
+        left, right = {}, {}
+        for ka, kb, c in legs(m):
+            for k1, k2, c1 in legs(alg.monomial(*ka)):
+                left[k1, k2, kb] = left.get((k1, k2, kb), zero(alg.order)) + c * c1
+            for k1, k2, c2 in legs(alg.monomial(*kb)):
+                right[ka, k1, k2] = right.get((ka, k1, k2), zero(alg.order)) + c * c2
+        return TensorElement(alg, 3, left) == TensorElement(alg, 3, right)
+
+    def counit(m):
+        left, right = alg.zero(), alg.zero()
+        for ka, kb, c in legs(m):
+            a, b = alg.monomial(*ka), alg.monomial(*kb)
+            left = left + b.scale(c * alg.counit(a))
+            right = right + a.scale(c * alg.counit(b))
+        return left == m and right == m
+
+    def antipode(m, side):
+        total = alg.zero()
+        for ka, kb, c in legs(m):
+            a, b = alg.monomial(*ka), alg.monomial(*kb)
+            folded = alg.antipode(a) * b if side == "left" else a * alg.antipode(b)
+            total = total + folded.scale(c)
+        return total == alg.one_element().scale(alg.counit(m))
+
+    def first_pair_failure():
+        for w1, label1, m1 in monos:
+            for w2, label2, m2 in monos:
+                if len(w1) + len(w2) > alg.degree_bound:
+                    continue
+                if alg.comultiply(m1 * m2) != alg.comultiply(m1) * alg.comultiply(m2):
+                    return f"{label1} , {label2}"
+        return None
+
+    families = {
+        "coassociativity": coassociative,
+        "counit": counit,
+        "antipode-left": lambda m: antipode(m, "left"),
+        "antipode-right": lambda m: antipode(m, "right"),
+    }
+    first = {}
+    for _w, label, m in monos:
+        for name, holds in families.items():
+            if name not in first and not holds(m):
+                first[name] = label
+    return [(name, first.get(name)) for name in families] + [
+        ("coproduct-multiplicative", first_pair_failure())
+    ]
+
+
+def _nonconfluent_presentation() -> PresentedAlgebra:
+    from cyhopf.io import load_json_file, parse_presentation
+
+    path = Path(__file__).resolve().parent.parent / "data" / "presentation_nonconfluent.json"
+    return parse_presentation(load_json_file(str(path)), degree_bound=4)[0]
+
+
+def _q12_squared_control() -> PresentedAlgebra:
+    datum = a1a1_znzn_datum(3)
+    q12 = datum.chi[1](datum.g[0])
+    rules = {(1, 0): (((0, 1), (q12 * q12).inverse()),)}
+    return PresentedAlgebra(datum.group, datum.g, datum.chi, rules, 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_nonconfluent_presentation, _q12_squared_control, lambda: qa_algebra(3, 3),
+     lambda: a2_algebra(3)],
+    ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3"],
+)
+def test_tail_reduced_sweep_matches_full_tail_oracle(build):
+    algebra = build()
+    report = verify_hopf_axioms(algebra)
+    assert [(e.check, e.counterexample) for e in report.entries] == _full_tail_hopf_sweep(algebra)
+    assert "group tails reduced to e by Gamma-equivariance" in report.notes
 
 
 def test_double_antipode_identity_and_phi():
