@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, InputError, InternalError, NotFiniteType, NotReduced
+from .errors import IndexOutOfRange, InputError, InternalError, NotFiniteType, NotReduced, read_ints
 
 CLOSURE_BOUND = 10_000
 
@@ -30,9 +30,9 @@ class CartanMatrix:
         t = len(rows)
         if t == 0:
             raise InputError("Cartan matrix must have rank >= 1")
+        if any(len(row) != t for row in rows):
+            raise InputError("Cartan matrix must be square")
         for i, row in enumerate(rows):
-            if len(row) != t:
-                raise InputError("Cartan matrix must be square")
             if row[i] != 2:
                 raise InputError(f"diagonal entry a_{i + 1}{i + 1} must be 2, got {row[i]}")
             for j, a in enumerate(row):
@@ -55,10 +55,9 @@ class CartanMatrix:
 
     @staticmethod
     def from_json(obj) -> CartanMatrix:
-        try:
-            return CartanMatrix(tuple(tuple(int(a) for a in row) for row in obj))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed Cartan matrix: {obj!r}") from exc
+        if not isinstance(obj, list):
+            raise InputError(f"malformed Cartan matrix: {obj!r}")
+        return CartanMatrix(tuple(read_ints("Cartan matrix row", row) for row in obj))
 
 
 @dataclass(frozen=True)

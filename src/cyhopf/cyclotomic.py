@@ -7,7 +7,9 @@ is exact.  Every scalar in this package (character values, braiding
 coefficients, rewrite-rule coefficients) is a CycloNumber.
 
 Mixed-order arithmetic lifts both operands to the lcm of their orders; the
-coercion is explicit in the code, never silent precision loss.
+coercion is explicit in the code, never silent precision loss.  Products and
+inverses of signed roots of unity +-zeta_m^k are table lookups; other inverses
+come from extended Euclid against Phi_m.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, read_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,6 +30,8 @@ POWER_TABLE_BUDGET = 2**22
 def euler_phi(m: int) -> int:
     if m < 1:
         raise InputError(f"order must be positive, got {m}")
+    if m > POWER_TABLE_BUDGET:  # its power table would hold at least m entries
+        raise InputError(f"cyclotomic order {m} exceeds {POWER_TABLE_BUDGET}")
     result = m
     n = m
     p = 2
@@ -152,13 +156,6 @@ class CycloNumber:
             self._signed = _signed_power_index(self.order).get(self.coeffs)
         return self._signed
 
-    def root_power(self) -> int | None:
-        """Exponent k with self == zeta_order^k, or None."""
-        signed = self.signed_root_power()
-        if signed is not None and signed[0] == 1:
-            return signed[1]
-        return None
-
     # -- coercion ----------------------------------------------------------
 
     def lift(self, order: int) -> CycloNumber:
@@ -282,12 +279,9 @@ class CycloNumber:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r0 is a nonzero constant multiple of gcd = 1
         lead = next(c for c in reversed(r0) if c)
+        # deg s0 < phi(m), so padding is the only reduction needed
         inv = [c / lead for c in s0]
-        phi = len(self.coeffs)
-        inv = (inv + [_ZERO] * phi)[:phi] if len(inv) < phi else inv
-        if len(inv) > phi:  # reduce, defensively
-            return CycloNumber(self.order, _reduce_mod_phi(inv, self.order))
-        return CycloNumber(self.order, inv)
+        return CycloNumber(self.order, inv + [_ZERO] * (len(self.coeffs) - len(inv)))
 
     # -- predicates ----------------------------------------------------------
 
@@ -349,8 +343,9 @@ class CycloNumber:
     @staticmethod
     def from_json(obj: dict) -> CycloNumber:
         try:
-            order = int(obj["order"])
-            coeffs = [Fraction(int(n), int(d)) for n, d in obj["coeffs"]]
+            order = read_int("cyclotomic order", obj["order"])
+            coeffs = [Fraction(read_int("numerator", n), read_int("denominator", d))
+                      for n, d in obj["coeffs"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed cyclotomic number: {obj!r}") from exc
         return CycloNumber(order, coeffs)
@@ -395,13 +390,6 @@ def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
         for j, bj in enumerate(b):
             a[i - len(b) + 1 + j] -= c * bj
     return _poly_trim(q), _poly_trim(a)
-
-
-def _reduce_mod_phi(p: list[Fraction], m: int) -> list[Fraction]:
-    phi_poly = [Fraction(c) for c in cyclotomic_coeffs(m)]
-    _, r = _poly_divmod_frac(p, phi_poly)
-    phi = euler_phi(m)
-    return (r + [_ZERO] * phi)[:phi]
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer readers every
+parser of an input file goes through.
 
 Input-side problems (bad files, invalid data, out-of-range requests) derive
 from InputError and map to CLI exit code 1.  Violations of internal
@@ -57,3 +58,21 @@ class InvalidPresentation(InputError):
 
 class DegreeBoundExceeded(InputError):
     """Requested computation leaves the configured degree bound."""
+
+
+def read_int(name: str, raw) -> int:
+    """An integer read from an input file: an int, or a decimal string of one.
+    Booleans, floats and anything else raise InputError instead of truncating."""
+    if isinstance(raw, (bool, float)):
+        raise InputError(f"{name} must be an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+def read_ints(name: str, raw) -> tuple[int, ...]:
+    """A JSON list of integers, each read by read_int."""
+    if not isinstance(raw, list):
+        raise InputError(f"{name} must be a list of integers, got {raw!r}")
+    return tuple(read_int(f"{name} entry", x) for x in raw)

@@ -5,16 +5,18 @@ are both stored as exponent vectors reduced mod n_i, which makes equality
 canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
+The order and exponent are computed once.  from_json takes only lists of
+integers (errors.read_ints): a float or boolean exponent is an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import lcm, prod
 from typing import Iterator
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import GroupMismatch, GroupTooLarge, InputError
+from .errors import GroupMismatch, GroupTooLarge, InputError, read_ints
 
 ENUMERATION_BOUND = 10**6
 
@@ -26,7 +28,10 @@ class AbelianGroup:
     def __post_init__(self):
         if any(n < 1 for n in self.invariant_factors):
             raise InputError(f"invariant factors must be >= 1: {self.invariant_factors}")
-        object.__setattr__(self, "invariant_factors", tuple(int(n) for n in self.invariant_factors))
+        factors = tuple(int(n) for n in self.invariant_factors)
+        object.__setattr__(self, "invariant_factors", factors)
+        object.__setattr__(self, "order", prod(factors))
+        object.__setattr__(self, "exponent", lcm(*factors))
         object.__setattr__(self, "_interned", {})  # exponent tuple -> GroupElement
         object.__setattr__(self, "_mul_cache", {})  # (exp, exp) -> GroupElement
 
@@ -34,25 +39,14 @@ class AbelianGroup:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-    @property
-    def exponent(self) -> int:
-        m = 1
-        for n in self.invariant_factors:
-            m = m * n // gcd(m, n)
-        return m
-
     def identity(self) -> GroupElement:
         return self.element((0,) * self.rank)
 
     def element(self, exponents) -> GroupElement:
         """Interned element constructor; exponents are reduced mod n_i."""
+        if len(exponents) != self.rank:
+            raise InputError(f"element needs {self.rank} exponents, got {len(exponents)}")
         key = tuple(int(e) % n for e, n in zip(exponents, self.invariant_factors))
-        if len(key) != self.rank:
-            raise InputError(f"element needs {self.rank} exponents, got {len(key)}")
         got = self._interned.get(key)
         if got is None:
             got = GroupElement(self, key)
@@ -62,7 +56,7 @@ class AbelianGroup:
     def generator(self, i: int) -> GroupElement:
         exps = [0] * self.rank
         exps[i] = 1
-        return GroupElement(self, tuple(exps))
+        return self.element(exps)
 
     def character(self, exponents) -> Character:
         return Character(self, tuple(exponents))
@@ -95,9 +89,10 @@ class AbelianGroup:
     @staticmethod
     def from_json(obj: dict) -> AbelianGroup:
         try:
-            return AbelianGroup(tuple(int(n) for n in obj["invariant_factors"]))
+            factors = obj["invariant_factors"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed group: {obj!r}") from exc
+        return AbelianGroup(read_ints("invariant_factors", factors))
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -148,15 +143,7 @@ class GroupElement:
         return not any(self.exp)
 
     def __str__(self) -> str:
-        if self.is_identity():
-            return "e"
-        parts = []
-        for i, e in enumerate(self.exp):
-            if e == 1:
-                parts.append(f"y{i + 1}")
-            elif e:
-                parts.append(f"y{i + 1}^{e}")
-        return "*".join(parts)
+        return _render_exponents(self.exp, "y", "e")
 
     def to_json(self) -> dict:
         return {"exp": list(self.exp)}
@@ -201,32 +188,32 @@ class Character:
         return not any(self.exp)
 
     def __str__(self) -> str:
-        if self.is_trivial():
-            return "1"
-        parts = []
-        for i, a in enumerate(self.exp):
-            if a == 1:
-                parts.append(f"chi{i + 1}")
-            elif a:
-                parts.append(f"chi{i + 1}^{a}")
-        return "*".join(parts)
+        return _render_exponents(self.exp, "chi", "1")
 
     def to_json(self) -> dict:
         return {"exp": list(self.exp)}
 
 
-def element_from_json(group: AbelianGroup, obj: dict) -> GroupElement:
+def _render_exponents(exp: tuple[int, ...], symbol: str, unit: str) -> str:
+    """Multiplicative notation, symbol1^a1*symbol2^a2..., or unit if all a_i = 0."""
+    parts = [f"{symbol}{i + 1}" + (f"^{a}" if a != 1 else "") for i, a in enumerate(exp) if a]
+    return "*".join(parts) or unit
+
+
+def _exp_from_json(kind: str, obj) -> tuple[int, ...]:
     try:
-        return GroupElement(group, tuple(int(e) for e in obj["exp"]))
+        exp = obj["exp"]
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed group element: {obj!r}") from exc
+        raise InputError(f"malformed {kind}: {obj!r}") from exc
+    return read_ints(f"{kind} exp", exp)
+
+
+def element_from_json(group: AbelianGroup, obj: dict) -> GroupElement:
+    return GroupElement(group, _exp_from_json("group element", obj))
 
 
 def character_from_json(group: AbelianGroup, obj: dict) -> Character:
-    try:
-        return Character(group, tuple(int(a) for a in obj["exp"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed character: {obj!r}") from exc
+    return Character(group, _exp_from_json("character", obj))
 
 
 def parse_element(group: AbelianGroup, text: str) -> GroupElement:

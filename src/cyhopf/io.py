@@ -3,7 +3,12 @@
 All files and emitted reports carry a top-level {"schema": "cy-hopf/1"} key.
 Scalars in input files may be integers, exact rational strings "a/b", or
 cyclotomic objects {"order": m, "coeffs": [["num","den"], ...]}; floats are
-rejected, every quantity in the system is exact.
+rejected, every quantity in the system is exact.  Every integer in a file
+(exponents, invariant factors, Cartan entries, indices, counts) is read by
+errors.read_int: an int or a decimal string of one, never a float or a boolean.
+Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
+Lie dimension (lie.MAX_DIMENSION), word length, normal words and pairs
+(smash.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET, PAIR_BUDGET).
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from fractions import Fraction
 from .cartan import CartanMatrix
 from .cyclotomic import CycloNumber
 from .datum import CartanDatum, CyReport, LinkingParameter
-from .errors import InputError
+from .errors import InputError, read_int
 from .groups import AbelianGroup, Character, character_from_json, element_from_json
-from .lie import GroupActionData, LieAlgebraData
-from .smash import DEFAULT_DEGREE_BOUND, PresentedAlgebra, parse_word
+from .lie import MAX_DIMENSION, GroupActionData, LieAlgebraData
+from .smash import DEFAULT_DEGREE_BOUND, MAX_WORD_LENGTH, PresentedAlgebra, parse_word
 
 SCHEMA = "cy-hopf/1"
 ENV_BOUND = "CY_HOPF_DEGREE_BOUND"
@@ -32,6 +37,8 @@ def load_json_file(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top level must be an object")
     if "schema" in obj and obj["schema"] != SCHEMA:
@@ -64,33 +71,29 @@ def parse_group(obj) -> AbelianGroup:
     return AbelianGroup.from_json(obj)
 
 
+def _list(name: str, raw) -> list:
+    if not isinstance(raw, list):
+        raise InputError(f"{name} must be a list, got {raw!r}")
+    return raw
+
+
 def parse_datum(obj: dict) -> CartanDatum:
     try:
         group = parse_group(obj["group"])
         cartan = CartanMatrix.from_json(obj["cartan"])
-        g = tuple(element_from_json(group, e) for e in obj["g"])
-        chi = tuple(character_from_json(group, c) for c in obj["chi"])
+        g = tuple(element_from_json(group, e) for e in _list("g", obj["g"]))
+        chi = tuple(character_from_json(group, c) for c in _list("chi", obj["chi"]))
     except KeyError as exc:
         raise InputError(f"datum file missing key {exc}") from exc
     linking = []
-    for entry in obj.get("lambda", []):
+    for entry in _list("lambda", obj.get("lambda", [])):
         try:
-            i, j = entry["pair"]
+            i, j = _list("pair", entry["pair"])
             value = parse_scalar(entry["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed linking parameter {entry!r}") from exc
-        linking.append(LinkingParameter(int(i) - 1, int(j) - 1, value))
+        linking.append(LinkingParameter(read_int("pair", i) - 1, read_int("pair", j) - 1, value))
     return CartanDatum(group=group, g=g, chi=chi, cartan=cartan, linking=tuple(linking))
-
-
-def _integer(name: str, raw) -> int:
-    """An int, or a decimal string of one; booleans and floats are rejected."""
-    if isinstance(raw, (bool, float)):
-        raise InputError(f"{name} must be an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _degree_bound(obj: dict, override: int | None) -> int:
@@ -102,7 +105,7 @@ def _degree_bound(obj: dict, override: int | None) -> int:
         name, raw = ENV_BOUND, os.environ[ENV_BOUND]
     else:
         return DEFAULT_DEGREE_BOUND
-    bound = _integer(name, raw)
+    bound = read_int(name, raw)
     if bound < 1:
         raise InputError(f"{name} must be >= 1, got {bound}")
     return bound
@@ -119,7 +122,7 @@ def parse_presentation(
     bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])
-        t = _integer("generators", obj["generators"])
+        t = read_int("generators", obj["generators"])
         degrees = tuple(element_from_json(group, e) for e in obj["degrees"])
         actions = tuple(character_from_json(group, c) for c in obj["actions"])
     except KeyError as exc:
@@ -130,7 +133,7 @@ def parse_presentation(
         raise InputError(f"presentation declares {t} generators but lists "
                          f"{len(degrees)} degrees / {len(actions)} actions")
     rules = {}
-    for entry in obj.get("rules", []):
+    for entry in _list("rules", obj.get("rules", [])):
         try:
             lhs = parse_word(entry["lhs"], t)
             rhs = tuple(
@@ -142,21 +145,24 @@ def parse_presentation(
         if lhs in rules:
             raise InputError(f"duplicate rule for {entry['lhs']!r}")
         rules[lhs] = rhs
+    if sum(map(len, rules)) > MAX_WORD_LENGTH:  # overlap enumeration is quadratic in it
+        raise InputError(f"rule left-hand sides longer than {MAX_WORD_LENGTH} letters in all")
     algebra = PresentedAlgebra(group, degrees, actions, rules, bound)
     xi = character_from_json(group, obj["xi"]) if "xi" in obj else None
     return algebra, xi
 
 
 def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
-    try:
-        d = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("lie file needs an integer 'dim'") from exc
+    if "dim" not in obj:
+        raise InputError("lie file needs an integer 'dim'")
+    d = read_int("dim", obj["dim"])
+    if not 0 <= d <= MAX_DIMENSION:
+        raise InputError(f"dim must lie in 0..{MAX_DIMENSION}, got {d}")
     table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for entry in obj.get("brackets", []):
+    for entry in _list("brackets", obj.get("brackets", [])):
         try:
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-            coeffs = [parse_rational(x) for x in entry["coeffs"]]
+            i, j = read_int("bracket i", entry["i"]) - 1, read_int("bracket j", entry["j"]) - 1
+            coeffs = [parse_rational(x) for x in _list("coeffs", entry["coeffs"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed bracket {entry!r}") from exc
         if not (0 <= i < d and 0 <= j < d):
@@ -177,11 +183,14 @@ def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
         try:
             group = parse_group(action_obj["group"])
             matrices = tuple(
-                tuple(tuple(parse_rational(x) for x in row) for row in m)
-                for m in action_obj["matrices"]
+                tuple(tuple(parse_rational(x) for x in _list("matrix row", row))
+                      for row in _list("matrix", m))
+                for m in _list("matrices", action_obj["matrices"])
             )
         except (KeyError, TypeError) as exc:
             raise InputError("malformed action block") from exc
+        if any(len(m) != d for m in matrices):
+            raise InputError(f"action matrices must be {d}x{d}")
         action = GroupActionData(group, matrices)
     return algebra, action
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,9 @@ def test_invalid_input_is_exit_one(tmp_path, capsys):
     wrong_schema = tmp_path / "schema.json"
     wrong_schema.write_text(json.dumps({"schema": "cy-hopf/999", "cartan": [[2]]}))
     assert main(["roots", str(wrong_schema)]) == 1
+    deep = tmp_path / "deep.json"  # deeper than the JSON decoder's recursion limit
+    deep.write_text('{"cartan": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["roots", str(deep)]) == 1
     # structurally valid JSON, invalid datum (q_11 = 1)
     invalid = tmp_path / "datum.json"
     invalid.write_text(
@@ -105,6 +109,20 @@ PRES_Z2 = {
 }
 
 
+def edited(filename: str, path: tuple, value, **extra) -> dict:
+    """A bundled data file with the entry at path replaced by value."""
+    obj = dict(json.loads((DATA / filename).read_text()), **extra)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+DATUM_A2, DATUM_A1A1 = "datum_a2_z2z2.json", "datum_a1a1_z3z3.json"
+PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
+
+
 @pytest.mark.parametrize(
     "verb, obj",
     [
@@ -120,10 +138,35 @@ PRES_Z2 = {
         ("verify-hopf", dict(PRES_Z2, generators=2.0)),
         ("check-cy", {"group": {"invariant_factors": [10001]}, "g": [{"exp": [1]}],
                       "chi": [{"exp": [1]}], "cartan": [[2]]}),
+        ("check-cy", edited(DATUM_A2, ("g", 0, "exp"), "ab")),
+        ("check-cy", edited(DATUM_A2, ("group", "invariant_factors"), ["x", 2])),
+        ("check-cy", edited(DATUM_A2, ("g",), 5)),
+        ("check-cy", edited(DATUM_A1A1, ("lambda",), 5)),
+        ("check-cy", edited(DATUM_A1A1, ("lambda", 0, "pair"), "ab")),
+        ("verify-hopf", edited(PRES_A2, ("rules", 0, "lhs"), 5)),
+        ("nakayama", edited(PRES_A2, ("xi", "exp"), "zz", xi={"exp": [0, 0]})),
+        ("lie-check", edited("lie_sl2_sign.json", ("dim",), 2000)),
+        ("check-cy", edited(DATUM_A2, ("group", "invariant_factors"), [2.9, 2])),
+        ("check-cy", edited(DATUM_A2, ("g", 0, "exp"), [1.7, 0])),
+        ("check-cy", edited(DATUM_A2, ("g", 0, "exp"), [True, 0])),
+        ("check-cy", edited(DATUM_A2, ("cartan", 0, 1), -1.5)),
+        ("check-cy", {"group": {"invariant_factors": [1000000000000000003]},
+                      "g": [{"exp": [1]}], "chi": [{"exp": [1]}], "cartan": [[2]]}),
+        ("verify-hopf", edited(PRES_A2, ("rules", 0, "lhs"), "x1^300000000")),
+        ("confluence", edited(PRES_A2, ("rules",), [{"lhs": "x1^5000", "rhs": []}])),
+        ("confluence", edited(PRES_A2, ("rules",),
+                              [{"lhs": f"x1^{n}", "rhs": []} for n in range(900, 1000)])),
+        ("verify-hopf", edited(PRES_A2, ("degree_bound",), 11)),
+        ("verify-s2", edited(PRES_A1A1, ("degree_bound",), 31)),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
-         "order-over-power-table-budget"],
+         "order-over-power-table-budget", "element-exp-string", "invariant-factor-string",
+         "g-not-list", "lambda-not-list", "pair-string", "rule-word-not-string",
+         "xi-exp-string", "lie-dim-over-cap", "invariant-factor-float", "element-exp-float",
+         "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
+         "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
+         "normal-words-over-budget"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -131,6 +174,21 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     assert main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])
+def test_huge_degree_bound_fails_fast(tmp_path, capsys, monkeypatch, verb):
+    stripped = tmp_path / "pres.json"
+    pres = json.loads((DATA / PRES_A1A1).read_text())
+    del pres["degree_bound"]
+    stripped.write_text(json.dumps(pres))
+    monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", "1000")
+    for argv in ([verb, str(DATA / PRES_A2), "--degree-bound", "1000"], [verb, str(stripped)]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def test_unexpected_exception_is_exit_two(monkeypatch, capsys):

@@ -1,0 +1,48 @@
+"""Guard for the benchmark tracer: every attribute it wraps must exist where
+perfbench/tracing.py looks for it, so that moving one fails here instead of
+breaking a traced benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import cyhopf.cli  # noqa: F401  (imports every module the tracer patches)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def current(modname: str, owner: str | None, attr: str):
+    """The object the tracer replaces: owner.__dict__[attr], or a module attribute."""
+    mod = importlib.import_module(f"cyhopf.{modname}")
+    if owner is None:
+        return getattr(mod, attr)
+    return getattr(mod, owner).__dict__[attr]
+
+
+def test_tracer_resolves_every_point_and_uninstalls():
+    tracing = load_tracing()
+    points = [(name, modname, owner, attr) for name, modname, owner, attr, _kind in tracing.POINTS]
+    originals = {}
+    for point in points:
+        name, modname, owner, attr = point
+        try:
+            originals[point] = current(modname, owner, attr)
+        except (AttributeError, KeyError):
+            where = f"cyhopf.{modname}" + (f".{owner}" if owner else "")
+            raise AssertionError(f"{name}: {where} has no own attribute {attr!r}") from None
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for point in points:
+            assert current(*point[1:]) is not originals[point], f"{point[0]} not wrapped"
+    finally:
+        tracer.uninstall()
+    for point in points:
+        assert current(*point[1:]) is originals[point], f"{point[0]} not restored"
