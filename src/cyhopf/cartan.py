@@ -93,10 +93,10 @@ def simple_reflection(cartan: CartanMatrix, i: int, root: Root) -> Root:
     return Root(tuple(coeffs))
 
 
-def positive_roots_closure(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND) -> frozenset[Root]:
+def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
     """Positive part of the reflection closure of the simple roots.
 
-    Raises NotFiniteType when the closure exceeds max_roots positive roots,
+    Raises NotFiniteType when the closure exceeds CLOSURE_BOUND positive roots,
     which is how non-finite Cartan matrices are rejected everywhere.
     """
     t = cartan.rank
@@ -111,8 +111,8 @@ def positive_roots_closure(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
-        if len(seen) > 2 * max_roots:
-            raise NotFiniteType(f"root closure exceeded {max_roots} positive roots")
+        if len(seen) > 2 * CLOSURE_BOUND:
+            raise NotFiniteType(f"root closure exceeded {CLOSURE_BOUND} positive roots")
         frontier = nxt
     return frozenset(r for r in seen if r.is_positive())
 

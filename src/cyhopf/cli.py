@@ -27,12 +27,7 @@ from .io import (
     render_cy_report_text,
 )
 from .lie import check_cy_lie_smash
-from .smash import (
-    check_local_confluence,
-    nakayama_automorphism,
-    verify_double_antipode,
-    verify_hopf_axioms,
-)
+from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -153,7 +148,7 @@ def run(args) -> int:
         return _emit(args, bound, report.to_json(), _check_report_text(report))
 
     if args.verb == "confluence":
-        report = check_local_confluence(algebra)
+        report = algebra.confluence
         text_lines = [
             f"locally confluent: {str(report.ok).lower()}",
             f"overlaps checked: {report.checked} "

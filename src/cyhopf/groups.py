@@ -5,13 +5,15 @@ are both stored as exponent vectors reduced mod n_i, which makes equality
 canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
-The order and exponent are computed once.  from_json takes only lists of
-integers (errors.read_ints): a float or boolean exponent is an input error.
+The order and exponent are computed once.  Every element is built by the
+interning AbelianGroup.element.  from_json takes only lists of integers
+(errors.read_ints): a float or boolean exponent is an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm, prod
 from typing import Iterator
 
@@ -64,23 +66,15 @@ class AbelianGroup:
     def trivial_character(self) -> Character:
         return Character(self, (0,) * self.rank)
 
-    def elements(self, bound: int = ENUMERATION_BOUND) -> Iterator[GroupElement]:
+    def elements(self) -> Iterator[GroupElement]:
         """All elements exactly once, lexicographic in the exponent vectors."""
-        if self.order > bound:
-            raise GroupTooLarge(f"group order {self.order} exceeds bound {bound}")
-        exps = [0] * self.rank
-        while True:
-            yield self.element(tuple(exps))
-            for i in range(self.rank - 1, -1, -1):
-                exps[i] += 1
-                if exps[i] < self.invariant_factors[i]:
-                    break
-                exps[i] = 0
-            else:
-                return
+        if self.order > ENUMERATION_BOUND:
+            raise GroupTooLarge(f"group order {self.order} exceeds bound {ENUMERATION_BOUND}")
+        for exps in product(*map(range, self.invariant_factors)):
+            yield self.element(exps)
 
-    def characters(self, bound: int = ENUMERATION_BOUND) -> Iterator[Character]:
-        for g in self.elements(bound):
+    def characters(self) -> Iterator[Character]:
+        for g in self.elements():
             yield Character(self, g.exp)
 
     def to_json(self) -> dict:
@@ -107,16 +101,13 @@ def _check_same_group(a, b) -> None:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """Built only by AbelianGroup.element, which reduces exp mod the factors."""
+
     group: AbelianGroup
     exp: tuple[int, ...]
 
     def __post_init__(self):
-        ns = self.group.invariant_factors
-        if len(self.exp) != len(ns):
-            raise InputError(f"element needs {len(ns)} exponents, got {len(self.exp)}")
-        exp = tuple(int(e) % n for e, n in zip(self.exp, ns))
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "_hash", hash((ns, exp)))
+        object.__setattr__(self, "_hash", hash((self.group.invariant_factors, self.exp)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -209,7 +200,7 @@ def _exp_from_json(kind: str, obj) -> tuple[int, ...]:
 
 
 def element_from_json(group: AbelianGroup, obj: dict) -> GroupElement:
-    return GroupElement(group, _exp_from_json("group element", obj))
+    return group.element(_exp_from_json("group element", obj))
 
 
 def character_from_json(group: AbelianGroup, obj: dict) -> Character:
@@ -235,4 +226,4 @@ def parse_element(group: AbelianGroup, text: str) -> GroupElement:
         if not 0 <= idx < group.rank:
             raise InputError(f"generator y{idx + 1} outside rank-{group.rank} group")
         exps[idx] += k
-    return GroupElement(group, tuple(exps))
+    return group.element(exps)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .cyclotomic import one
+from .cyclotomic import euler_phi, one
 from .datum import CriterionResult, CyReport
 from .errors import InputError
 from .groups import AbelianGroup, Character, GroupElement
@@ -23,6 +24,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 # O(d^5): on dense structure constants it took 1.3 s at d = 16 and 11.7 s
 # at d = 24 (Python 3.11, 2-core host).
 MAX_DIMENSION = 16
+# Largest bit size (numerator plus denominator) an entry of a matrix power may
+# reach.  Powers of a finite-order matrix stay as small as the matrix; the cap
+# stops the order check on a dense matrix of infinite order, whose entries
+# double in size with every squaring.
+POWER_BIT_CAP = 4096
 
 
 def _as_matrix(rows, d: int) -> Matrix:
@@ -43,15 +49,34 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _capped(a: Matrix) -> Matrix:
+    if any(x.numerator.bit_length() + x.denominator.bit_length() > POWER_BIT_CAP
+           for row in a for x in row):
+        raise InputError(f"work limit hit: a matrix power has an entry over {POWER_BIT_CAP} bits")
+    return a
+
+
 def mat_pow(a: Matrix, n: int) -> Matrix:
+    """a^n by repeated squaring, within POWER_BIT_CAP."""
     result = mat_identity(len(a))
     base = a
     while n:
         if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
+            result = _capped(mat_mul(result, base))
+        base = _capped(mat_mul(base, base)) if n > 1 else base
         n >>= 1
     return result
+
+
+def finite_order_bound(d: int) -> int:
+    """L_d = lcm{k : phi(k) <= d}, a multiple of the order of every
+    finite-order matrix in GL_d(Q).
+
+    Such a matrix is diagonalizable over C with k-th roots of unity as
+    eigenvalues; a primitive one has minimal polynomial Phi_k over Q, of
+    degree phi(k) <= d.  L_d is also the lcm of the prime powers q with
+    phi(q) <= d, and q <= 2 phi(q), so the search stops at 2d."""
+    return lcm(*(k for k in range(1, 2 * d + 1) if euler_phi(k) <= d))
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -96,29 +121,27 @@ class LieAlgebraData:
                 for k in range(d):
                     if table[i][j][k] != -table[j][i][k]:
                         raise InputError(f"brackets not antisymmetric at ({i + 1},{j + 1})")
+        basis = mat_identity(d)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    if any(self._jacobi(i, j, k)):
+                    # [x_i, [x_j, x_k]] + [x_j, [x_k, x_i]] + [x_k, [x_i, x_j]]
+                    terms = [self.bracket(basis[a], table[b][c])
+                             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+                    if any(map(sum, zip(*terms))):
                         raise InputError(f"Jacobi identity fails on ({i + 1},{j + 1},{k + 1})")
 
-    def _jacobi(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-        d = self.dimension
-
-        def bracket_vec(a: int, vec) -> list[Fraction]:
-            out = [Fraction(0)] * d
-            for b, coeff in enumerate(vec):
-                if coeff:
-                    for c in range(d):
-                        out[c] += coeff * self.brackets[a][b][c]
-            return out
-
-        total = [Fraction(0)] * d
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            term = bracket_vec(a, self.brackets[b][c])
-            for idx in range(d):
-                total[idx] += term[idx]
-        return tuple(total)
+    def bracket(self, u, v) -> tuple[Fraction, ...]:
+        """[u, v] of two coordinate vectors, extended bilinearly."""
+        out = [Fraction(0)] * self.dimension
+        for a, ua in enumerate(u):
+            if ua:
+                for b, vb in enumerate(v):
+                    if vb:
+                        c = ua * vb
+                        for k, x in enumerate(self.brackets[a][b]):
+                            out[k] += c * x
+        return tuple(out)
 
     def ad_matrix(self, i: int) -> Matrix:
         """(ad x_i) in the chosen basis: column j holds the coords of [x_i, x_j]."""
@@ -145,12 +168,14 @@ class GroupActionData:
     def __post_init__(self):
         if len(self.matrices) != self.group.rank:
             raise InputError("one action matrix per group generator required")
-        d = len(self.matrices[0]) if self.matrices else 0
+        d = self.dimension
         mats = tuple(_as_matrix(m, d) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
         ident = mat_identity(d)
+        order_bound = finite_order_bound(d)
         for idx, (m, n) in enumerate(zip(mats, self.group.invariant_factors)):
-            if mat_pow(m, n) != ident:
+            # a finite order divides order_bound, so m^n = I iff m^gcd(n, order_bound) = I
+            if mat_pow(m, gcd(n, order_bound)) != ident:
                 raise InputError(f"action matrix {idx + 1} does not have order dividing {n}")
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
@@ -177,20 +202,11 @@ class GroupActionData:
                 f"action matrices are {self.dimension}x{self.dimension}, algebra has dimension {d}"
             )
         for m in self.matrices:
+            images = tuple(zip(*m))  # images[i] = coords of m(x_i)
             for i in range(d):
                 for j in range(d):
-                    lhs = [
-                        sum(m[k][c] * algebra.brackets[i][j][c] for c in range(d))
-                        for k in range(d)
-                    ]
-                    rhs = [Fraction(0)] * d
-                    for a in range(d):
-                        if m[a][i]:
-                            for b in range(d):
-                                if m[b][j]:
-                                    for k in range(d):
-                                        rhs[k] += m[a][i] * m[b][j] * algebra.brackets[a][b][k]
-                    if lhs != rhs:
+                    lhs = tuple(sum(r[c] * algebra.brackets[i][j][c] for c in range(d)) for r in m)
+                    if lhs != algebra.bracket(images[i], images[j]):
                         raise InputError(
                             f"matrix is not a Lie algebra automorphism at ({i + 1},{j + 1})"
                         )
@@ -201,15 +217,15 @@ def hdet_lie(action: GroupActionData, g: GroupElement) -> Fraction:
     return mat_det(action.matrix_of(g))
 
 
-def _det_character(action: GroupActionData) -> Character:
-    """The determinant homomorphism Gamma -> {1, -1} as a Character.
+def _det_character(action: GroupActionData, dets: list[Fraction]) -> Character:
+    """The determinant homomorphism Gamma -> {1, -1} as a Character, from the
+    determinants of the generator matrices.
 
     Determinants of finite-order rational matrices are rational roots of
     unity, hence +-1; -1 on a generator of order n forces n even and maps to
     the exponent n/2."""
     exps = []
-    for m, n in zip(action.matrices, action.group.invariant_factors):
-        det = mat_det(m)
+    for det, n in zip(dets, action.group.invariant_factors):
         if det == 1:
             exps.append(0)
         elif det == -1:
@@ -229,7 +245,7 @@ def check_cy_lie_smash(algebra: LieAlgebraData, action: GroupActionData) -> CyRe
     unimodular = all(t == 0 for t in traces)
     dets = [mat_det(m) for m in action.matrices]
     special = all(det == 1 for det in dets)
-    det_char = _det_character(action)
+    det_char = _det_character(action, dets)
     m = action.group.exponent
     criteria = (
         CriterionResult(

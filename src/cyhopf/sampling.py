@@ -16,7 +16,6 @@ from math import gcd, prod
 from .cartan import CartanMatrix
 from .datum import CartanDatum
 from .groups import AbelianGroup
-from .smash import PresentedAlgebra, quantum_affine_presentation
 
 
 def _a1t_matrix(t: int) -> CartanMatrix:
@@ -24,18 +23,14 @@ def _a1t_matrix(t: int) -> CartanMatrix:
 
 
 def random_a1t_datum(
-    rng: random.Random,
-    t: int | None = None,
-    balanced: bool = False,
-    max_order: int = 16,
-    heavy: bool = False,
+    rng: random.Random, t: int | None = None, balanced: bool = False
 ) -> CartanDatum:
-    """Random valid datum of type A1 x ... x A1 with |Gamma| <= max_order.
+    """Random valid datum of type A1 x ... x A1 with |Gamma| <= 16.
 
     With balanced=True the braiding satisfies the quantum-affine balance
-    condition (solved in closed form for t <= 3).  With heavy=False the
-    sampler avoids the largest group/rank combinations so that sweeps over
-    many data stay fast; heavy=True allows them.
+    condition (solved in closed form for t <= 3).  A spectator factor is
+    added only to groups of order at most 6, so that sweeps over many data
+    stay fast.
     """
     if t is None:
         t = rng.choice([1, 2, 3])
@@ -46,10 +41,7 @@ def random_a1t_datum(
     else:
         ns = [2, 2, 2]
     # optional spectator factor not hit by any g_i
-    room = max_order // prod(ns)
-    extras = [k for k in (2, 3, 4) if k <= room] if heavy or prod(ns) <= 8 else []
-    if not heavy:
-        extras = [k for k in extras if prod(ns) * k <= 12]
+    extras = [k for k in (2, 3, 4) if prod(ns) * k <= 12]
     extra = rng.choice([1] * max(1, len(extras)) + extras)
     factors = tuple(ns) + ((extra,) if extra > 1 else ())
     group = AbelianGroup(factors)
@@ -88,10 +80,6 @@ def random_a1t_datum(
 def _set_q(exps, ns, i, j, value) -> None:
     """Record q_ij = zeta_{n_i}^value as the exponent of chi_j on factor i."""
     exps[j][i] = value % ns[i]
-
-
-def quantum_affine_from_datum(datum: CartanDatum, degree_bound: int = 4) -> PresentedAlgebra:
-    return quantum_affine_presentation(datum.group, datum.g, datum.chi, degree_bound)
 
 
 _SYMMETRIZABLE = {

@@ -18,7 +18,7 @@ S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 The identity checks sweep the normal words, enumerated once up to the degree
 bound; the Hopf-axiom sweep takes only the group tail e and covers every other
 tail by Gamma-equivariance (see verify_hopf_axioms).  MAX_WORD_LENGTH,
-NORMAL_WORD_BUDGET and PAIR_BUDGET refuse oversized work before it starts.
+NORMAL_WORD_BUDGET and PAIR_COST_BUDGET refuse oversized work before it starts.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ DEFAULT_DEGREE_BOUND = 4
 # runs has 50 normal words and 399 pairs (A2 at degree bound 6).
 MAX_WORD_LENGTH = 1000
 NORMAL_WORD_BUDGET = 500
-PAIR_BUDGET = 4000
+# Limit on the cost of the coproduct-multiplicative family: the sum of
+# |Delta(m1)| * |Delta(m2)| over the checked pairs, in terms.  verify-hopf
+# time grows linearly in it, at 32-51 us per unit (Python 3.11, 2-core
+# host); the largest test sweep costs 6805 units (A2 at degree bound 6).
+PAIR_COST_BUDGET = 100_000
 
 
 def graded_lex_key(word: Word) -> tuple[int, Word]:
@@ -383,10 +387,6 @@ class PresentedAlgebra:
 
     # -- normal monomial enumeration ----------------------------------------------------
 
-    def degree_limit(self, max_degree: int | None = None) -> int:
-        """max_degree clamped to the degree bound; None means the bound."""
-        return self.degree_bound if max_degree is None else min(max_degree, self.degree_bound)
-
     @cached_property
     def _all_normal_words(self) -> tuple[Word, ...]:
         """Normal words up to the degree bound, by degree, within NORMAL_WORD_BUDGET."""
@@ -405,7 +405,8 @@ class PresentedAlgebra:
         return tuple(words)
 
     def normal_words(self, max_degree: int | None = None) -> list[Word]:
-        bound = self.degree_limit(max_degree)
+        """Normal words of degree at most max_degree, clamped to the degree bound."""
+        bound = self.degree_bound if max_degree is None else min(max_degree, self.degree_bound)
         return [w for w in self._all_normal_words if len(w) <= bound]
 
     def normal_monomials(self, max_degree: int | None = None):
@@ -625,17 +626,13 @@ class TensorElement(_Combination):
                 _accumulate(out, expanded, c * tc)
         return TensorElement(alg, self.arity + 1, out)
 
-    def counit_on_leg(self, leg: int) -> TensorElement | SmashElement:
-        alg = self.algebra
+    def counit_on_leg(self, leg: int) -> SmashElement:
+        """Apply the counit to one leg of an arity-2 tensor."""
         out: dict = {}
         for key, c in self.terms.items():
-            w, _g = key[leg]
-            if w:
-                continue
-            _accumulate(out, key[:leg] + key[leg + 1:], c)
-        if self.arity == 2:
-            return SmashElement(alg, {k[0]: c for k, c in out.items()})
-        return TensorElement(alg, self.arity - 1, out)
+            if not key[leg][0]:
+                _accumulate(out, key[1 - leg], c)
+        return SmashElement(self.algebra, out)
 
     def fold_with(self, left_map=None, right_map=None) -> SmashElement:
         """Multiply the two legs of an arity-2 tensor, optionally mapping
@@ -792,12 +789,14 @@ def confluence_notes(algebra: PresentedAlgebra) -> tuple[str, ...]:
 # -- verification sweeps ---------------------------------------------------------
 
 
-def verify_hopf_axioms(algebra: PresentedAlgebra, max_degree: int | None = None) -> CheckReport:
+def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     """Check of the Hopf axioms on the normal monomials x^w # e up to the bound.
 
     Families: coassociativity, the counit axiom, both antipode axioms, and
     Delta(m1 m2) = Delta(m1) Delta(m2) on all pairs with |w1| + |w2| <= bound.
-    Each family reports its first counterexample, if any.
+    Each family reports its first counterexample, if any.  The pair family
+    must fit PAIR_COST_BUDGET, checked while the monomials are comultiplied,
+    before any family runs.
 
     Group tails are reduced to e by Gamma-equivariance, an argument about the
     engine's own maps that holds for non-confluent systems too:
@@ -810,18 +809,23 @@ def verify_hopf_axioms(algebra: PresentedAlgebra, max_degree: int | None = None)
     exactly when it fails at e.  AbelianGroup.elements() yields e first, so the
     first counterexample is the one a sweep over all tails reports.
     """
-    bound = algebra.degree_limit(max_degree)
-    words = algebra.normal_words(bound)
-    lengths = Counter(len(w) for w in words)
-    pairs = sum(lengths[a] * lengths[b] for a in lengths for b in lengths if a + b <= bound)
-    if pairs > PAIR_BUDGET:
-        raise InputError(f"{pairs} monomial pairs at degree bound {bound}, over the "
-                         f"budget of {PAIR_BUDGET}; lower the degree bound")
+    bound = algebra.degree_bound
     e = algebra.group.identity()
     sweep = []
-    for w in words:
+    delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
+    cost = 0  # sum of |Delta(m1)| * |Delta(m2)| over the pairs among those words
+    for w in algebra.normal_words():
         elem = algebra.monomial(w, e)
-        sweep.append((w, elem, algebra.comultiply(elem)))
+        delta = algebra.comultiply(elem)
+        sweep.append((w, elem, delta))
+        size = len(delta.terms)
+        delta_terms[len(w)] += size
+        # pairs of w with the earlier words and with itself, in both orders
+        partners = sum(n for degree, n in delta_terms.items() if len(w) + degree <= bound)
+        cost += size * (2 * partners - (size if 2 * len(w) <= bound else 0))
+        if cost > PAIR_COST_BUDGET:
+            raise InputError(f"pair check costs over {PAIR_COST_BUDGET} coproduct term "
+                             f"products at degree bound {bound}; lower the degree bound")
 
     def unit(elem):  # eps(elem) 1, the right-hand side of both antipode axioms
         return algebra.one_element().scale(algebra.counit(elem))
@@ -850,21 +854,21 @@ def verify_hopf_axioms(algebra: PresentedAlgebra, max_degree: int | None = None)
     return CheckReport(entries, notes=confluence_notes(algebra) + notes)
 
 
-def verify_double_antipode(algebra: PresentedAlgebra, max_degree: int | None = None) -> CheckReport:
+def verify_double_antipode(algebra: PresentedAlgebra) -> CheckReport:
     """Check S^2(r) = (deg r)^{-1}-action of S_R^2(r) on homogeneous monomials.
 
     S_R is recovered from the smash antipode by clearing the group tail, so
     both sides are computed inside the engine.
     """
-    bound = algebra.degree_limit(max_degree)
     failure = None
-    for w in algebra.normal_words(bound):
+    for w in algebra.normal_words():
         elem = algebra.monomial(w, algebra.group.identity())
         if algebra.antipode(algebra.antipode(elem)) != _graded_double_antipode(algebra, elem):
             failure = format_monomial(w, algebra.group.identity())
             break
     entry = _entry("double-antipode-graded-identity", failure)
-    return CheckReport([entry], notes=confluence_notes(algebra) + (f"degree bound {bound}",))
+    notes = confluence_notes(algebra) + (f"degree bound {algebra.degree_bound}",)
+    return CheckReport([entry], notes=notes)
 
 
 def _graded_double_antipode(algebra: PresentedAlgebra, elem: SmashElement) -> SmashElement:

@@ -22,12 +22,13 @@ from cyhopf.datum import (
 )
 from cyhopf.groups import AbelianGroup
 from cyhopf.lie import GroupActionData, LieAlgebraData, check_cy_lie_smash
-from cyhopf.sampling import quantum_affine_from_datum, random_a1t_datum, random_cartan_datum
+from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from cyhopf.smash import (
     PresentedAlgebra,
     nakayama_automorphism,
     phi_graded_formula,
     phi_smash_formula,
+    quantum_affine_presentation,
     verify_double_antipode,
     verify_hopf_axioms,
     winding_endomorphism,
@@ -71,7 +72,7 @@ def seeded_family():
     )
     data.append(heavy)
     assert all(d.group.order <= 16 and d.rank <= 3 for d in data)
-    algebras = [quantum_affine_from_datum(d, 4) for d in data]
+    algebras = [quantum_affine_presentation(d.group, d.g, d.chi, 4) for d in data]
     return data, algebras
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -158,6 +159,15 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
                               [{"lhs": f"x1^{n}", "rhs": []} for n in range(900, 1000)])),
         ("verify-hopf", edited(PRES_A2, ("degree_bound",), 11)),
         ("verify-s2", edited(PRES_A1A1, ("degree_bound",), 31)),
+        ("lie-check", edited("lie_sl2_sign.json", ("action",), {
+            "group": {"invariant_factors": [10000000000]},
+            "matrices": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]})),
+        ("lie-check", {"dim": 16, "action": {
+            "group": {"invariant_factors": [24504480]},
+            "matrices": [[[random.Random(i).randint(-3, 3) for _ in range(16)]
+                          for i in range(16)]]}}),
+        ("verify-hopf", dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}],
+                             actions=[{"exp": [0]}], degree_bound=87)),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -166,7 +176,8 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
          "xi-exp-string", "lie-dim-over-cap", "invariant-factor-float", "element-exp-float",
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
          "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
-         "normal-words-over-budget"],
+         "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
+         "pair-cost-over-budget"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -195,8 +206,8 @@ def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
     def broken(_algebra):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "check_local_confluence", broken)
-    assert main(["confluence", str(DATA / "presentation_a2_z2z2.json")]) == 2
+    monkeypatch.setattr(cli, "verify_double_antipode", broken)
+    assert main(["verify-s2", str(DATA / "presentation_a2_z2z2.json")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
 

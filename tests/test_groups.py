@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyhopf.cyclotomic import root_of_unity
 from cyhopf.errors import GroupMismatch, GroupTooLarge, InputError
-from cyhopf.groups import AbelianGroup, parse_element
+from cyhopf.groups import AbelianGroup, element_from_json, parse_element
 
 invariant_factors = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
 
@@ -85,6 +87,9 @@ def test_elements_enumeration():
     assert len(list(AbelianGroup((1,)).elements())) == 1
     seq = [g.exp for g in AbelianGroup((3, 2)).elements()]
     assert seq == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    # the first witness of inner_witness_search is the first in this order
+    seq = [g.exp for g in AbelianGroup((2, 3, 2)).elements()]
+    assert seq == list(product(range(2), range(3), range(2)))
     with pytest.raises(GroupTooLarge):
         list(AbelianGroup((100, 100, 200)).elements())
 
@@ -148,7 +153,9 @@ def test_element_string_round_trip():
     group = AbelianGroup((4, 3, 2))
     g = group.element((2, 0, 1))
     assert str(g) == "y1^2*y3"
-    assert parse_element(group, str(g)) == g
+    assert parse_element(group, str(g)) is g
+    assert parse_element(group, "y1^6*y2^3*y3") is g
+    assert element_from_json(group, {"exp": [6, 3, -1]}) is g
     assert parse_element(group, "e") == group.identity()
     assert str(group.identity()) == "e"
     with pytest.raises(InputError):

@@ -1,7 +1,11 @@
+import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from cyhopf.cyclotomic import euler_phi
 from cyhopf.errors import InputError
 from cyhopf.groups import AbelianGroup
 from cyhopf.lie import (
@@ -9,6 +13,7 @@ from cyhopf.lie import (
     LieAlgebraData,
     adjoint_trace,
     check_cy_lie_smash,
+    finite_order_bound,
     hdet_lie,
     mat_det,
     mat_identity,
@@ -165,3 +170,44 @@ def test_mat_helpers():
     assert mat_det(ident) == 1
     singular = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
     assert mat_det(singular) == 0
+
+
+def test_finite_order_bound():
+    assert finite_order_bound(3) == 12 and finite_order_bound(16) == 24504480
+    # the search cutoff k <= 2d loses nothing: phi(k) >= sqrt(k/2), so every
+    # k with phi(k) <= 16 is below 2000
+    phi = {k: euler_phi(k) for k in range(1, 2000)}
+    for d in range(17):
+        assert finite_order_bound(d) == lcm(*(k for k, f in phi.items() if f <= d))
+
+
+def diagonal(*entries):
+    n = len(entries)
+    return tuple(tuple(Fraction(entries[i]) if i == j else Z for j in range(n)) for i in range(n))
+
+
+def cycle_matrix(d):
+    return tuple(tuple(Fraction(int(j == (i + 1) % d)) for j in range(d)) for i in range(d))
+
+
+@pytest.mark.parametrize(
+    "factor, matrix, message",
+    [
+        (10**10, diagonal(2, 1, 1), "does not have order dividing 10000000000"),
+        (24504480, tuple(tuple(Fraction(random.Random(i).randint(-3, 3)) for _ in range(16))
+                         for i in range(16)), "work limit hit"),
+        (24, cycle_matrix(16), "does not have order dividing 24"),
+        (10**30, diagonal(*[-1] * 16), None),
+        (48, cycle_matrix(16), None),
+    ],
+    ids=["infinite-order-huge-factor", "dense-over-bit-cap", "cycle-order-16-vs-24",
+         "minus-identity-huge-factor", "cycle-order-16-vs-48"],
+)
+def test_order_check_is_bounded(factor, matrix, message):
+    start = time.perf_counter()
+    if message is None:
+        GroupActionData(AbelianGroup((factor,)), (matrix,))
+    else:
+        with pytest.raises(InputError, match=message):
+            GroupActionData(AbelianGroup((factor,)), (matrix,))
+    assert time.perf_counter() - start < 5

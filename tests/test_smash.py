@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cyhopf import smash
 from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
 from cyhopf.errors import (
     DegreeBoundExceeded,
@@ -10,7 +11,7 @@ from cyhopf.errors import (
     InvalidPresentation,
 )
 from cyhopf.groups import AbelianGroup
-from cyhopf.sampling import quantum_affine_from_datum, random_a1t_datum
+from cyhopf.sampling import random_a1t_datum
 from cyhopf.smash import (
     DiagonalAutomorphism,
     PresentedAlgebra,
@@ -435,7 +436,7 @@ def test_double_antipode_on_random_quantum_affine_data():
     rng = random.Random(31337)
     for _ in range(8):
         datum = random_a1t_datum(rng)
-        algebra = quantum_affine_from_datum(datum, 3)
+        algebra = quantum_affine_presentation(datum.group, datum.g, datum.chi, 3)
         assert verify_double_antipode(algebra).passed
 
 
@@ -542,7 +543,7 @@ def test_quantum_affine_rules_always_confluent():
     rng = random.Random(8)
     for _ in range(10):
         datum = random_a1t_datum(rng)
-        algebra = quantum_affine_from_datum(datum, 5)
+        algebra = quantum_affine_presentation(datum.group, datum.g, datum.chi, 5)
         assert algebra.confluence.ok
 
 
@@ -577,8 +578,25 @@ def test_divergent_overlap_detected_and_flagged():
     report = algebra.confluence
     assert not report.ok
     assert report.divergent[0].to_json()["word"] == "x2^2*x1^2"
-    hopf = verify_hopf_axioms(algebra, 3)
+    hopf = verify_hopf_axioms(algebra)
     assert any("NonConfluent at bound 4" in note for note in hopf.notes)
+
+
+def test_pair_cost_budget_is_the_sum_over_checked_pairs(monkeypatch):
+    """The budget bounds the sum of |Delta(m1)| * |Delta(m2)| over the pairs
+    with |w1| + |w2| <= bound: that sum passes, one less is refused."""
+    for make in (lambda: a2_algebra(5), lambda: qa_algebra(3, 4)):
+        algebra = make()
+        e = algebra.group.identity()
+        sizes = [(len(w), len(algebra.comultiply(algebra.monomial(w, e)).terms))
+                 for w in algebra.normal_words()]
+        cost = sum(s1 * s2 for d1, s1 in sizes for d2, s2 in sizes
+                   if d1 + d2 <= algebra.degree_bound)
+        monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost)
+        assert verify_hopf_axioms(make()).passed
+        monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost - 1)
+        with pytest.raises(InputError, match="pair check costs over"):
+            verify_hopf_axioms(make())
 
 
 def test_nonconfluent_presentation_pins_first_counterexamples():
