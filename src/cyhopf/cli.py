@@ -2,15 +2,17 @@
 
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
-invalid input, 2 internal invariant violation or any other unexpected
-exception, each error reported as one stderr line.  JSON mode emits exactly
-one report object; text mode renders the same data.
+invalid input or a standard output closed before the report was written, 2
+internal invariant violation or any other unexpected exception, each error
+reported as one stderr line.  JSON mode emits exactly one report object; text
+mode renders the same data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cartan import beta_sequence, longest_word, positive_roots_closure
@@ -186,7 +188,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE advises: point stdout at devnull,
+        # so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written",
+              file=sys.stderr)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

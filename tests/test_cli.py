@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -168,6 +169,8 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
                           for i in range(16)]]}}),
         ("verify-hopf", dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}],
                              actions=[{"exp": [0]}], degree_bound=87)),
+        ("check-cy", {"group": {"invariant_factors": [2] * 129}, "g": [{"exp": [1] + [0] * 128}],
+                      "chi": [{"exp": [1] * 129}], "cartan": [[2]]}),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -177,7 +180,7 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
          "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
-         "pair-cost-over-budget"],
+         "pair-cost-over-budget", "witness-rank-over-limit"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -254,3 +257,62 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "cy_smash: true" in result.stdout
+
+
+def _a1t_on_factor_one(factors, g_exps, chi_exps) -> dict:
+    """A1 x ... x A1 datum whose g_i and chi_i are trivial off the first factor."""
+    pad = [0] * (len(factors) - 1)
+    t = len(g_exps)
+    return {
+        "group": {"invariant_factors": list(factors)},
+        "g": [{"exp": [a] + pad} for a in g_exps],
+        "chi": [{"exp": [c] + pad} for c in chi_exps],
+        "cartan": [[2 if i == j else 0 for j in range(t)] for i in range(t)],
+    }
+
+
+@pytest.mark.parametrize(
+    "obj, witness",
+    [
+        (_a1t_on_factor_one((2,) * 21, (1,), (1,)), "y1"),
+        # g = (y1, y1^2), chi = (zeta, zeta^4) on Z6: no group-like realizes S^2
+        (_a1t_on_factor_one((6,) * 8, (1, 2), (1, 4)), "none"),
+        # chi nontrivial on all 128 factors, the solver's limit: chi(g) = -1
+        # first holds at y128
+        (dict(_a1t_on_factor_one((2,) * 128, (1,), (1,)), chi=[{"exp": [1] * 128}]), "y128"),
+    ],
+    ids=["a1-on-z2-power-21", "no-witness-on-z6-power-8", "dense-a1-on-z2-power-128"],
+)
+def test_group_order_does_not_limit_check_cy(tmp_path, capsys, obj, witness):
+    """Groups of order over a million: the witness is solved for, not
+    searched, so check-cy and hdet answer."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "check-cy", str(path), "--json")
+    assert code == 0 and time.perf_counter() - start < 5
+    report = json.loads(out)["report"]
+    assert report["cy_smash"] is False
+    assert (report["inner_witness"] is None) == (witness == "none")
+    code, out = run_cli(capsys, "check-cy", str(path))
+    assert code == 0 and f"inner_witness: {witness}" in out
+    code, out = run_cli(capsys, "hdet", str(path))
+    assert code == 0 and "cy_smash: false" in out
+
+
+def test_closed_stdout_is_exit_one():
+    """The reader closes its end of the pipe before the child writes: exit 1
+    with one error line, not an internal error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cyhopf.cli", "check-cy", str(DATA / DATUM_A1A1), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=REPO, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")

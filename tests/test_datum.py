@@ -1,7 +1,9 @@
 import random
+from math import gcd, lcm, prod
 
 import pytest
 
+from cyhopf import datum as datum_module
 from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simple_root
 from cyhopf.cyclotomic import one, root_of_unity
 from cyhopf.datum import (
@@ -18,6 +20,7 @@ from cyhopf.datum import (
     quantum_affine_report,
     squared_antipode_diag,
 )
+from cyhopf.datum import _first_solution
 from cyhopf.errors import InvalidDatum, NegativeRoot, WrongCartanType
 from cyhopf.groups import AbelianGroup
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
@@ -274,3 +277,137 @@ def test_closed_forms_match_products_over_the_beta_sequence():
             xi, diag = _product_oracle(datum, tie_break)
             assert integral_character(datum, tie_break) == xi
             assert braided_nakayama_diag(datum, tie_break) == diag
+
+
+def _enumeration_oracle(datum, diag):
+    """The witness by listing Gamma in lexicographic order (test-only)."""
+    for g in datum.group.elements():
+        if all(datum.chi[k](g) == diag[k] for k in range(datum.rank)):
+            return one(datum.group.exponent), g
+    return None
+
+
+def _no_witness_datum(k: int) -> CartanDatum:
+    """A1 x A1 on (Z6)^k with g = (y1, y1^2), chi = (zeta, zeta^4) on factor 1:
+    valid, but no group-like realizes its squared-antipode diagonal."""
+    group = AbelianGroup((6,) * k)
+    pad = (0,) * (k - 1)
+    return CartanDatum(group, (group.element((1,) + pad), group.element((2,) + pad)),
+                       (group.character((1,) + pad), group.character((4,) + pad)),
+                       CartanMatrix(((2, 0), (0, 2))))
+
+
+def _targets(datum, rng):
+    """Diagonals to search for: 3 random vectors of N-th roots of unity, one
+    realized by a random h, and forms of it the solver must read or refuse
+    (-chi(h), a root of order 2N, a lift to Q(zeta_3N), chi(h) + 1)."""
+    m = datum.group.exponent
+    out = [tuple(root_of_unity(rng.randrange(m), m) for _ in range(datum.rank)) for _ in range(3)]
+    h = datum.group.element([rng.randrange(n) for n in datum.group.invariant_factors])
+    planted = tuple(c(h) for c in datum.chi)
+    out.append(planted)
+    out.append(tuple(-v for v in planted))
+    out.append(tuple(v * root_of_unity(1, 2 * m) for v in planted))
+    out.append(tuple(v.lift(3 * m) for v in planted))
+    out.append(tuple(v + 1 for v in planted))
+    return out
+
+
+def test_witness_solver_matches_enumeration():
+    rng = random.Random(1111)
+    data = [random_cartan_datum(rng) for _ in range(60)]
+    data += [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(40)]
+    data += [_no_witness_datum(k) for k in (1, 2, 3, 4)]
+    searches = found = 0
+    for datum in data:
+        assert datum.group.order <= 10**4
+        for tie_break in ("min", "max"):
+            report = check_cy(datum, tie_break)
+            want = _enumeration_oracle(datum, squared_antipode_diag(datum))
+            got = report.inner_witness
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[1] is want[1] and got[0].is_one()
+        for diag in _targets(datum, rng):
+            want = _enumeration_oracle(datum, diag)
+            got = inner_witness_search(datum, diag)
+            assert (got and got[1]) == (want and want[1]), (datum.group, diag)
+            searches += 1
+            found += want is not None
+    assert 0 < found < searches  # both outcomes occur
+    for k in (1, 2, 3, 4):
+        assert check_cy(_no_witness_datum(k)).inner_witness is None
+
+
+def _substitutes(ns, rows, targets, m, x) -> bool:
+    return all(0 <= xi < n for xi, n in zip(x, ns)) and all(
+        (sum(c * xi for c, xi in zip(row, x)) - d) % m == 0 for row, d in zip(rows, targets))
+
+
+def test_witness_solver_on_planted_systems_over_huge_groups():
+    """Random characters on groups of order up to about 10^40, with targets
+    from a planted solution: the result substitutes, and is lexicographically
+    no later than the planted one."""
+    rng = random.Random(4201)
+    largest = refused = 0
+    for trial in range(200):
+        r = rng.randint(1, 4)
+        if trial % 2:
+            ns = [rng.randint(2, 10**rng.randint(1, 10)) for _ in range(r)]
+        else:  # smooth factors (some of them 1), so that the characters have large kernels
+            ns = [rng.choice((2, 3, 4, 6, 12)) ** rng.randint(0, 12) for _ in range(r)]
+        m = lcm(*ns)
+        largest = max(largest, prod(ns))
+        t = rng.randint(1, 4)
+        chars = [[rng.randrange(n) if rng.random() < 0.7 else 0 for n in ns] for _ in range(t)]
+        rows = [[a * (m // n) for a, n in zip(chi, ns)] for chi in chars]
+        planted = [rng.randrange(n) for n in ns]
+        targets = [sum(c * x for c, x in zip(row, planted)) % m for row in rows]
+        x = _first_solution(ns, rows, targets, m)
+        assert x is not None and _substitutes(ns, rows, targets, m, x)
+        assert x <= planted
+        # row k only reaches multiples of gcd(row k, m), so target + 1 is out of reach
+        k = rng.randrange(t)
+        if gcd(*rows[k], m) > 1:
+            bumped = targets[:k] + [targets[k] + 1] + targets[k + 1:]
+            assert _first_solution(ns, rows, bumped, m) is None
+            refused += 1
+    assert refused > 50
+    assert largest > 10**30
+
+
+def test_witness_solver_on_large_groups_with_small_exponent():
+    """(Z2)^21 and (Z6)^8 are out of reach of enumeration; the solver agrees
+    with the closed-form answer."""
+    group = AbelianGroup((2,) * 21)
+    d = CartanDatum(group, (group.generator(0),), (group.character((1,) + (0,) * 20),),
+                    CartanMatrix(((2,),)))
+    assert inner_witness_search(d, squared_antipode_diag(d))[1] is group.generator(0)
+    assert inner_witness_search(_no_witness_datum(8), squared_antipode_diag(_no_witness_datum(8))) is None
+    # chi = product of all characters: the first g with chi(g) = -1 is y21
+    chi = group.character((1,) * 21)
+    assert inner_witness_search(
+        CartanDatum(group, (group.generator(0),), (chi,), CartanMatrix(((2,),))),
+        (root_of_unity(1, 2),),
+    )[1] is group.generator(20)
+
+
+def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
+    calls = []
+
+    def counting_longest_word(cartan, tie_break="min"):
+        calls.append((cartan, tie_break))
+        return longest_word(cartan, tie_break)
+
+    datum_module._root_counts.cache_clear()
+    monkeypatch.setattr(datum_module, "longest_word", counting_longest_word)
+    rng = random.Random(77)
+    data = [random_cartan_datum(rng) for _ in range(30)] + [random_a1t_datum(rng) for _ in range(30)]
+    for datum in data:
+        for tie_break in ("min", "max"):
+            check_cy(datum, tie_break)
+            integral_character(datum, tie_break)
+    pairs = {(d.cartan, tb) for d in data for tb in ("min", "max")}
+    assert sorted(calls, key=repr) == sorted(pairs, key=repr)
+    assert len(calls) == len(pairs) < 2 * len(data)
+    datum_module._root_counts.cache_clear()
