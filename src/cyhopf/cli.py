@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("hdet", "quantum-affine homological determinant and balance report"),
         ("nakayama", "winding-twisted squared antipode of a presentation"),
         ("roots", "positive roots and longest-word data of a Cartan matrix"),
-        ("verify-hopf", "Hopf-axiom sweep over monomials x^w#e; other group tails "
-                        "follow by Gamma-equivariance"),
+        ("verify-hopf", "Hopf axioms, decided on generators and rules (in every degree) "
+                        "when the rewriting system is confluent, else by a sweep over "
+                        "monomials x^w#e; other group tails follow by Gamma-equivariance"),
         ("verify-s2", "graded squared-antipode identity sweep"),
         ("confluence", "diamond-lemma overlap report for a presentation"),
         ("lie-check", "CY report for an enveloping-algebra smash product"),

@@ -15,10 +15,10 @@ pushed to the right tail through g x_i = chi_i(g) x_i g.  The Hopf structure is
 defined on generators -- Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
-The identity checks sweep the normal words, enumerated once up to the degree
-bound; the Hopf-axiom sweep takes only the group tail e and covers every other
-tail by Gamma-equivariance (see verify_hopf_axioms).  MAX_WORD_LENGTH,
-NORMAL_WORD_BUDGET and PAIR_COST_BUDGET refuse oversized work before it starts.
+The identity checks sweep the normal words up to the degree bound at tail e;
+Gamma-equivariance covers the other tails, and confluence every degree (see
+verify_hopf_axioms).  MAX_WORD_LENGTH, NORMAL_WORD_BUDGET and PAIR_COST_BUDGET
+refuse oversized work before it starts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycloNumber, one, root_of_unity, zero
+from .cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from .errors import (
     DegreeBoundExceeded,
     IndexOutOfRange,
@@ -44,10 +44,9 @@ DEFAULT_DEGREE_BOUND = 4
 # runs has 50 normal words and 399 pairs (A2 at degree bound 6).
 MAX_WORD_LENGTH = 1000
 NORMAL_WORD_BUDGET = 500
-# Limit on the cost of the coproduct-multiplicative family: the sum of
-# |Delta(m1)| * |Delta(m2)| over the checked pairs, in terms.  verify-hopf
-# time grows linearly in it, at 32-51 us per unit (Python 3.11, 2-core
-# host); the largest test sweep costs 6805 units (A2 at degree bound 6).
+# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)| (32-51 us a term
+# on a 2-core host; A2 at bound 6: 6805), and on the rule path's template terms
+# times phi(N).
 PAIR_COST_BUDGET = 100_000
 
 
@@ -190,19 +189,14 @@ class PresentedAlgebra:
             for word, coeff in rhs:
                 word = tuple(word)
                 self._check_indices(word)
-                if graded_lex_key(word) >= lhs_key:
-                    raise InvalidPresentation(
-                        f"rule {format_word(lhs)} -> {format_word(word)} does not decrease "
-                        f"the graded-lex order"
-                    )
-                if self._degree_of(word) != lhs_deg:
-                    raise InvalidPresentation(
-                        f"rule {format_word(lhs)} -> {format_word(word)} is not Gamma-homogeneous"
-                    )
-                if self._char_of(word) != lhs_chi:
-                    raise InvalidPresentation(
-                        f"rule {format_word(lhs)} -> {format_word(word)} is not chi-equivariant"
-                    )
+                for broken, what in (
+                    (graded_lex_key(word) >= lhs_key, "does not decrease the graded-lex order"),
+                    (self._degree_of(word) != lhs_deg, "is not Gamma-homogeneous"),
+                    (self._char_of(word) != lhs_chi, "is not chi-equivariant"),
+                ):
+                    if broken:
+                        rule = f"rule {format_word(lhs)} -> {format_word(word)}"
+                        raise InvalidPresentation(f"{rule} {what}")
                 if not isinstance(coeff, CycloNumber):
                     coeff = CycloNumber.from_rational(coeff)
                 coeff = coeff.lift(self.order) if self.order % coeff.order == 0 else None
@@ -355,30 +349,10 @@ class PresentedAlgebra:
             _accumulate(terms, (nw, tail), nc * c)
         return SmashElement(self, terms)
 
-    def normalize_with_strategy(self, word: Word, choose) -> tuple[tuple[Word, CycloNumber], ...]:
-        """Uncached rewriting with a caller-chosen redex strategy.
-
-        choose receives the nonempty list of (position, lhs) redexes of the
-        current word and returns one of them.  Used to confirm that normal
-        forms do not depend on the rewrite order for confluent systems.
-        """
-        acc: dict[Word, CycloNumber] = {}
-        stack: list[tuple[Word, CycloNumber]] = [(tuple(word), one(self.order))]
-        while stack:
-            w, c = stack.pop()
-            redexes = list(self._redexes(w))
-            if not redexes:
-                _accumulate(acc, w, c)
-                continue
-            for nw, rc in self._rewrite_at(w, *choose(redexes)):
-                stack.append((nw, c * rc))
-        return tuple(sorted(acc.items(), key=lambda kv: graded_lex_key(kv[0])))
-
     # -- monomial multiplication ----------------------------------------------------
 
-    def _mul_mono(
-        self, w1: Word, g1: GroupElement, w2: Word, g2: GroupElement
-    ) -> list[tuple[Word, GroupElement, CycloNumber]]:
+    def _mul_mono(self, w1: Word, g1: GroupElement, w2: Word,
+                  g2: GroupElement) -> list[tuple[Word, GroupElement, CycloNumber]]:
         """(x^{w1} # g1) (x^{w2} # g2) as a normal combination."""
         self._check_degree("product", len(w1) + len(w2))
         scalar = self._char_value(w2, g1)
@@ -409,12 +383,6 @@ class PresentedAlgebra:
         bound = self.degree_bound if max_degree is None else min(max_degree, self.degree_bound)
         return [w for w in self._all_normal_words if len(w) <= bound]
 
-    def normal_monomials(self, max_degree: int | None = None):
-        gs = list(self.group.elements())
-        for w in self.normal_words(max_degree):
-            for g in gs:
-                yield (w, g)
-
     # -- Hopf structure maps -------------------------------------------------------------
 
     def _delta_word(self, word: Word):
@@ -429,13 +397,14 @@ class PresentedAlgebra:
             head, last = word[:-1], word[-1]
             acc: dict[tuple[Word, Word], CycloNumber] = {}
             for u, v, c in self._delta_word(head):
-                # times (x_last (x) 1): left leg (x^u # deg v) x_last
-                c1 = c * self._char_value((last,), self._degree_of(v))
+                # times (x_last (x) 1): left leg (x^u # deg v) x_last; sparse
+                # scalars on the left, as a product loops over those terms
+                chi = self._char_value((last,), self._degree_of(v))
                 for nw, nc in self._normal_combination(u + (last,)):
-                    _accumulate(acc, (nw, v), c1 * nc)
+                    _accumulate(acc, (nw, v), chi * nc * c)
                 # times (g_last (x) x_last): the left tail deg(v) grows implicitly
                 for nw, nc in self._normal_combination(v + (last,)):
-                    _accumulate(acc, (u, nw), c * nc)
+                    _accumulate(acc, (u, nw), nc * c)
             result = tuple((u, v, c) for (u, v), c in acc.items())
         self._delta_cache[word] = result
         return result
@@ -667,12 +636,9 @@ def _accumulate(store: dict, key, value) -> None:
 # -- constructors ----------------------------------------------------------
 
 
-def quantum_affine_presentation(
-    group: AbelianGroup,
-    degrees: tuple[GroupElement, ...],
-    actions: tuple[Character, ...],
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> PresentedAlgebra:
+def quantum_affine_presentation(group: AbelianGroup, degrees: tuple[GroupElement, ...],
+                                actions: tuple[Character, ...],
+                                degree_bound: int = DEFAULT_DEGREE_BOUND) -> PresentedAlgebra:
     """Skew-polynomial presentation x_i x_j = q_ij x_j x_i (i < j), with
     q_ij = chi_j(g_i); rules are oriented as x_j x_i -> q_ij^{-1} x_i x_j."""
     t = len(degrees)
@@ -695,12 +661,8 @@ class OverlapResult:
     resolved: bool
 
     def to_json(self) -> dict:
-        return {
-            "word": format_word(self.word),
-            "first_branch": self.first,
-            "second_branch": self.second,
-            "resolved": self.resolved,
-        }
+        return {"word": format_word(self.word), "first_branch": self.first,
+                "second_branch": self.second, "resolved": self.resolved}
 
 
 @dataclass
@@ -714,12 +676,9 @@ class ConfluenceReport:
         return not self.divergent
 
     def to_json(self) -> dict:
-        return {
-            "locally_confluent": self.ok,
-            "overlaps_checked": self.checked,
-            "overlaps_skipped_over_bound": self.skipped_over_bound,
-            "divergent": [d.to_json() for d in self.divergent],
-        }
+        return {"locally_confluent": self.ok, "overlaps_checked": self.checked,
+                "overlaps_skipped_over_bound": self.skipped_over_bound,
+                "divergent": [d.to_json() for d in self.divergent]}
 
 
 def _apply_rule_at(algebra: PresentedAlgebra, word: Word, lhs: Word, pos: int) -> dict:
@@ -760,14 +719,8 @@ def check_local_confluence(algebra: PresentedAlgebra) -> ConfluenceReport:
         nf1 = _apply_rule_at(algebra, word, r1, p1)
         nf2 = _apply_rule_at(algebra, word, r2, p2)
         if nf1 != nf2:  # both hold nonzero coefficients only
-            divergent.append(
-                OverlapResult(
-                    word=word,
-                    first=_render_combination(nf1),
-                    second=_render_combination(nf2),
-                    resolved=False,
-                )
-            )
+            divergent.append(OverlapResult(word, _render_combination(nf1), _render_combination(nf2),
+                                           resolved=False))
     return ConfluenceReport(checked=checked, skipped_over_bound=skipped, divergent=divergent)
 
 
@@ -790,31 +743,79 @@ def confluence_notes(algebra: PresentedAlgebra) -> tuple[str, ...]:
 
 
 def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
-    """Check of the Hopf axioms on the normal monomials x^w # e up to the bound.
+    """The Hopf axioms of the engine's Delta, eps and S: coassociativity,
+    counit, both antipode axioms, and Delta(m1 m2) = Delta(m1) Delta(m2).
 
-    Families: coassociativity, the counit axiom, both antipode axioms, and
-    Delta(m1 m2) = Delta(m1) Delta(m2) on all pairs with |w1| + |w2| <= bound.
-    Each family reports its first counterexample, if any.  The pair family
-    must fit PAIR_COST_BUDGET, checked while the monomials are comultiplied,
-    before any family runs.
+    Rule path, if every overlap and rule lhs fits the bound and every overlap
+    resolves: the rules decrease the graded-lex order, so by Newman's lemma
+    normal words are a basis of A = F / I in every degree, I the ideal of the
+    r = lhs - rhs in the free F.  Delta, eps and the anti-multiplicative S
+    descend from F if they vanish on each r (Kassel, Quantum Groups, Ch. III).
+    Then the pair family holds, the others compare algebra maps or hold on a
+    subalgebra (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), and degree <= 1
+    decides all.  Delta-descent implies the eps and S checks, which never
+    decide alone: 1 (x) 1 counts the rhs constant twice in Delta(lhs), once
+    in Delta(rhs) (graded-lex induction); a pointed bialgebra with invertible
+    group-likes is Hopf (Montgomery, Hopf Algebras and Their Actions on Rings,
+    5.2.11).
+    Template terms times phi(N) are counted per product before it is formed;
+    past PAIR_COST_BUDGET, or if the path does not run or fails, the sweep runs.
 
-    Group tails are reduced to e by Gamma-equivariance, an argument about the
-    engine's own maps that holds for non-confluent systems too:
-    comultiply(x^w # g) is comultiply(x^w # e) with both tails times g;
-    antipode(x^w # g) is (1 # g^{-1}) antipode(x^w # e); multiplication changes
-    scalars only by character values chi_u(h), multiplicative in h; and the
-    rules are chi-equivariant, so every normal form of x^w has character chi_w.
-    So each identity at (w, g), or at ((w1, g1), (w2, g2)), is the identity at
-    tail e times a unit scalar, with shifted tails: a family fails at some tail
-    exactly when it fails at e.  AbelianGroup.elements() yields e first, so the
-    first counterexample is the one a sweep over all tails reports.
+    Tails reduce to e by Gamma-equivariance of the engine's own maps, true for
+    non-confluent systems too: comultiply(x^w # g) is comultiply(x^w # e) with
+    both tails times g; antipode(x^w # g) = (1 # g^{-1}) antipode(x^w # e);
+    products change scalars only by chi_u(h), multiplicative in h; the rules are
+    chi-equivariant, so normal forms of x^w keep chi_w.  So each identity at
+    tail g is the one at e times a unit scalar, and, e being first in
+    AbelianGroup.elements(), the first counterexample is a full sweep's.
     """
+    words = algebra.normal_words()  # NORMAL_WORD_BUDGET binds both paths
+    if _rules_respected(algebra):
+        report = _hopf_sweep(algebra, [w for w in words if len(w) <= 1])
+        if report.passed:
+            notes = (f"degree bound {algebra.degree_bound}",
+                     "decided on generators and rules: holds in every degree")
+            return CheckReport(report.entries, notes=confluence_notes(algebra) + notes)
+    return _hopf_sweep(algebra, words)
+
+
+def _rules_respected(algebra: PresentedAlgebra) -> bool:
+    """Whether verify_hopf_axioms' rule path runs and the maps descend."""
+    conf, unit, bound = algebra.confluence, one(algebra.order), algebra.degree_bound
+    if not conf.ok or conf.skipped_over_bound or max(map(len, algebra.rules), default=0) > bound:
+        return False
+    words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
+    cost = 0
+    for prefix in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=graded_lex_key):
+        head = prefix[:-1]
+        cost += (2 * len(algebra._delta_word(head)) + len(algebra._antipode_word(head))) \
+            * euler_phi(algebra.order)
+        if cost > PAIR_COST_BUDGET:
+            return False
+
+    def eps(w):  # the counit's template
+        return () if w else (((), (), unit),)
+
+    for lhs, rhs in algebra.rules.items():
+        for template in (algebra._delta_word, eps, algebra._antipode_word):
+            image: dict = {}  # template of lhs - rhs
+            for w, c in ((lhs, unit), *((w, -c) for w, c in rhs)):
+                for a, b, tc in template(w):
+                    _accumulate(image, (a, b), c * tc)
+            if image:
+                return False
+    return True
+
+
+def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
+    """Each family's first counterexample among the x^w # e, w in words, and
+    their pairs with |w1| + |w2| <= bound, within PAIR_COST_BUDGET."""
     bound = algebra.degree_bound
     e = algebra.group.identity()
     sweep = []
     delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
     cost = 0  # sum of |Delta(m1)| * |Delta(m2)| over the pairs among those words
-    for w in algebra.normal_words():
+    for w in words:
         elem = algebra.monomial(w, e)
         delta = algebra.comultiply(elem)
         sweep.append((w, elem, delta))
@@ -840,15 +841,10 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
         _entry(name, next((format_monomial(w, e) for w, m, d in sweep if not holds(m, d)), None))
         for name, holds in families.items()
     ]
-    pair_failure = next(
-        (
-            f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
-            for w1, m1, d1 in sweep
-            for w2, m2, d2 in sweep
-            if len(w1) + len(w2) <= bound and algebra.comultiply(m1 * m2) != d1 * d2
-        ),
-        None,
-    )
+    pair_failure = next((f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
+                         for w1, m1, d1 in sweep for w2, m2, d2 in sweep
+                         if len(w1) + len(w2) <= bound and algebra.comultiply(m1 * m2) != d1 * d2),
+                        None)
     entries.append(_entry("coproduct-multiplicative", pair_failure))
     notes = (f"degree bound {bound}", "group tails reduced to e by Gamma-equivariance")
     return CheckReport(entries, notes=confluence_notes(algebra) + notes)
@@ -891,9 +887,8 @@ class DiagonalAutomorphism:
             lhs_scale = self._word_scale(lhs)
             for word, _c in rhs:
                 if self._word_scale(word) != lhs_scale:
-                    raise InvalidPresentation(
-                        f"diagonal automorphism inconsistent with rule on {format_word(lhs)}"
-                    )
+                    raise InvalidPresentation(f"diagonal automorphism inconsistent with rule "
+                                              f"on {format_word(lhs)}")
 
     def _word_scale(self, word: Word) -> CycloNumber:
         c = one(self.algebra.order)
@@ -902,10 +897,8 @@ class DiagonalAutomorphism:
         return c
 
     def apply(self, elem: SmashElement) -> SmashElement:
-        return SmashElement(
-            self.algebra,
-            {key: c * self._word_scale(key[0]) for key, c in elem.terms.items()},
-        )
+        terms = {key: c * self._word_scale(key[0]) for key, c in elem.terms.items()}
+        return SmashElement(self.algebra, terms)
 
 
 def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashElement) -> SmashElement:
@@ -930,9 +923,8 @@ def phi_smash_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
         c = _diagonal_coefficient(algebra, image, i)
         expected = algebra.actions[i](algebra.degrees[i].inverse())
         if c != expected:
-            raise InternalError(
-                f"squared antipode on x{i + 1} is {c}, expected chi_{i + 1}(g_{i + 1}^-1)"
-            )
+            raise InternalError(f"squared antipode on x{i + 1} is {c}, "
+                                f"expected chi_{i + 1}(g_{i + 1}^-1)")
         scalars.append(c)
     return DiagonalAutomorphism(algebra, tuple(scalars))
 
@@ -947,9 +939,7 @@ def phi_graded_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
         image = _graded_double_antipode(algebra, algebra.generator(i))
         c = _diagonal_coefficient(algebra, image, i)
         if c != smash_version.scalars[i]:
-            raise InternalError(
-                f"graded and smash antipode formulas disagree on x{i + 1}"
-            )
+            raise InternalError(f"graded and smash antipode formulas disagree on x{i + 1}")
         scalars.append(c)
     return DiagonalAutomorphism(algebra, tuple(scalars))
 
@@ -961,11 +951,11 @@ def _diagonal_coefficient(algebra: PresentedAlgebra, elem: SmashElement, i: int)
     return elem.terms[key]
 
 
-def nakayama_automorphism(
-    algebra: PresentedAlgebra, xi: Character
-) -> tuple[DiagonalAutomorphism, CheckReport]:
+def nakayama_automorphism(algebra: PresentedAlgebra,
+                          xi: Character) -> tuple[DiagonalAutomorphism, CheckReport]:
     """psi = [xi] o S^2, computed by composition and cross-checked against the
-    closed form psi(x_i) = xi(g_i) chi_i(g_i^{-1}) x_i, psi(g) = xi(g) g."""
+    closed form psi(x_i) = xi(g_i) chi_i(g_i^{-1}) x_i, psi(g) = xi(g) g, the
+    latter on generators of Gamma (both sides are multiplicative)."""
     entries = []
     scalars = []
     failure = None
@@ -978,7 +968,7 @@ def nakayama_automorphism(
             failure = f"x{i + 1}: composed {c}, closed form {closed}"
     entries.append(_entry("nakayama-generators-closed-form", failure))
     failure = None
-    for g in algebra.group.elements():
+    for g in map(algebra.group.generator, range(algebra.group.rank)):
         elem = algebra.group_like(g)
         image = winding_endomorphism(algebra, xi, algebra.antipode(algebra.antipode(elem)))
         if image != elem.scale(xi(g)):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -8,6 +10,8 @@ from cyhopf import (
     LinkingParameter,
     root_of_unity,
 )
+from cyhopf.sampling import random_a1t_datum
+from cyhopf.smash import quantum_affine_presentation
 
 settings.register_profile(
     "cyhopf",
@@ -49,3 +53,23 @@ def example_a2():
 @pytest.fixture
 def example_a1a1():
     return a1a1_znzn_datum(3)
+
+
+@pytest.fixture(scope="module")
+def seeded_family():
+    """>= 20 seeded quantum affine data (t <= 3, |Gamma| <= 16) plus one
+    pinned heaviest case, shared by acceptance criteria 4, 5 and 8 and by the
+    comparison of the two Hopf-axiom paths."""
+    rng = random.Random(20250810)
+    data = [random_a1t_datum(rng) for _ in range(20)]
+    group = AbelianGroup((4, 4))
+    heavy_g = (group.element((1, 0)), group.element((0, 1)), group.element((1, 1)))
+    heavy_chi = (group.character((1, 0)), group.character((0, 1)), group.character((3, 3)))
+    heavy = CartanDatum(
+        group, heavy_g, heavy_chi,
+        CartanMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 2))),
+    )
+    data.append(heavy)
+    assert all(d.group.order <= 16 and d.rank <= 3 for d in data)
+    algebras = [quantum_affine_presentation(d.group, d.g, d.chi, 4) for d in data]
+    return data, algebras

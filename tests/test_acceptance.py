@@ -8,8 +8,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
-import pytest
-
 from cyhopf.cartan import CartanMatrix, beta_sequence, longest_word, positive_roots_closure
 from cyhopf.cli import main
 from cyhopf.cyclotomic import CycloNumber, one, root_of_unity
@@ -28,13 +26,13 @@ from cyhopf.smash import (
     nakayama_automorphism,
     phi_graded_formula,
     phi_smash_formula,
-    quantum_affine_presentation,
     verify_double_antipode,
     verify_hopf_axioms,
     winding_endomorphism,
 )
 from conftest import a1a1_znzn_datum
 from test_lie import brackets_from_pairs, sl2, sl2_sign_action
+from test_smash import normal_monomials
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -53,27 +51,6 @@ def criterion(capsys, cid: str, limit: float):
     with capsys.disabled():
         print(f"[acceptance] {cid}: {verdict} ({elapsed:.2f}s, limit {limit:g}s)")
     assert elapsed < limit, f"{cid} took {elapsed:.2f}s, limit {limit}s"
-
-
-@pytest.fixture(scope="module")
-def seeded_family():
-    """>= 20 seeded quantum affine data (t <= 3, |Gamma| <= 16) plus one
-    pinned heaviest case, shared by criteria 4, 5 and 8."""
-    rng = random.Random(20250810)
-    data = [random_a1t_datum(rng) for _ in range(20)]
-    group = AbelianGroup((4, 4))
-    heavy_g = (group.element((1, 0)), group.element((0, 1)), group.element((1, 1)))
-    heavy_chi = (group.character((1, 0)), group.character((0, 1)), group.character((3, 3)))
-    from cyhopf.datum import CartanDatum
-
-    heavy = CartanDatum(
-        group, heavy_g, heavy_chi,
-        CartanMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 2))),
-    )
-    data.append(heavy)
-    assert all(d.group.order <= 16 and d.rank <= 3 for d in data)
-    algebras = [quantum_affine_presentation(d.group, d.g, d.chi, 4) for d in data]
-    return data, algebras
 
 
 def run_check_cy_json(path: Path, capsys) -> dict:
@@ -207,7 +184,7 @@ def test_criterion_8_winding_and_nakayama(capsys, seeded_family):
 
             algebra, _ = parse_presentation(load_json_file(str(DATA / path)))
             eps = algebra.group.trivial_character()
-            for w, g in algebra.normal_monomials(4):
+            for w, g in normal_monomials(algebra, 4):
                 m = algebra.monomial(w, g)
                 assert winding_endomorphism(algebra, eps, m) == m
         # composed nakayama equals the closed form on every generator

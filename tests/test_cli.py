@@ -123,6 +123,12 @@ def edited(filename: str, path: tuple, value, **extra) -> dict:
 
 DATUM_A2, DATUM_A1A1 = "datum_a2_z2z2.json", "datum_a1a1_z3z3.json"
 PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
+# The quantum plane's rule coefficient q12^-1 = zeta_3 replaced by q12^-2 = zeta_3^2:
+# the negative control, which no rule check passes, so the sweep decides it.
+ZETA3_SQUARED = {"order": 3, "coeffs": [["-1", "1"], ["-1", "1"]]}
+# One free generator at bound 87: 3916 pairs of 88 normal words, 2672670 cost units.
+ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"exp": [0]}],
+                     degree_bound=87)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +164,8 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
         ("confluence", edited(PRES_A2, ("rules",), [{"lhs": "x1^5000", "rhs": []}])),
         ("confluence", edited(PRES_A2, ("rules",),
                               [{"lhs": f"x1^{n}", "rhs": []} for n in range(900, 1000)])),
-        ("verify-hopf", edited(PRES_A2, ("degree_bound",), 11)),
+        ("verify-hopf", edited(PRES_A1A1, ("rules", 0, "rhs", 0, "coeff"), ZETA3_SQUARED,
+                               degree_bound=13)),
         ("verify-s2", edited(PRES_A1A1, ("degree_bound",), 31)),
         ("lie-check", edited("lie_sl2_sign.json", ("action",), {
             "group": {"invariant_factors": [10000000000]},
@@ -167,8 +174,7 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
             "group": {"invariant_factors": [24504480]},
             "matrices": [[[random.Random(i).randint(-3, 3) for _ in range(16)]
                           for i in range(16)]]}}),
-        ("verify-hopf", dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}],
-                             actions=[{"exp": [0]}], degree_bound=87)),
+        ("verify-hopf", dict(ONE_GENERATOR, rules=[{"lhs": "x1^88", "rhs": []}])),
         ("check-cy", {"group": {"invariant_factors": [2] * 129}, "g": [{"exp": [1] + [0] * 128}],
                       "chi": [{"exp": [1] * 129}], "cartan": [[2]]}),
     ],
@@ -203,6 +209,41 @@ def test_huge_degree_bound_fails_fast(tmp_path, capsys, monkeypatch, verb):
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [edited(PRES_A2, ("degree_bound",), 11), ONE_GENERATOR],
+    ids=["a2-bound-11", "one-free-generator-bound-87"],
+)
+def test_confluent_input_over_pair_budget_gets_a_verdict(tmp_path, capsys, obj):
+    """The sweep refuses these for pair cost; the rule path decides them in
+    every degree."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify-hopf", str(path), "--json")
+    assert code == 0 and time.perf_counter() - start < 5
+    report = json.loads(out)["report"]
+    assert report["passed"] and len(report["entries"]) == 5
+    assert report["notes"][-1].startswith("decided on generators and rules")
+
+
+@pytest.mark.parametrize("order", [50, 100, 200, 499])
+def test_rule_path_work_is_bounded(tmp_path, capsys, order):
+    """x1^L -> 0 over Z_L at bound 2L - 1 fits the word budget, but its
+    templates hold dense q-binomial coefficients: the rule path stops at the
+    cost budget, and the answer comes at once either way."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(dict(
+        PRES_Z2, group={"invariant_factors": [order]}, generators=1, degrees=[{"exp": [1]}],
+        actions=[{"exp": [1]}], rules=[{"lhs": f"x1^{order}", "rhs": []}],
+        degree_bound=2 * order - 1)))
+    start = time.perf_counter()
+    code = main(["verify-hopf", str(path)])
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert code == 0 and not err or code == 1 and len(err.splitlines()) == 1
 
 
 def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
@@ -298,6 +339,21 @@ def test_group_order_does_not_limit_check_cy(tmp_path, capsys, obj, witness):
     assert code == 0 and f"inner_witness: {witness}" in out
     code, out = run_cli(capsys, "hdet", str(path))
     assert code == 0 and "cy_smash: false" in out
+
+
+def test_group_order_does_not_limit_nakayama(tmp_path, capsys):
+    """The group-like check runs on the generators of Gamma, so a group of
+    order 2^21, over the listing bound, gets its report."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(dict(
+        PRES_Z2, group={"invariant_factors": [2] * 21}, generators=1,
+        degrees=[{"exp": [1] + [0] * 20}], actions=[{"exp": [1] + [0] * 20}],
+        xi={"exp": [1] * 21})))
+    code, out = run_cli(capsys, "nakayama", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["checks"]["passed"]
+    assert report["generator_scalars"] == [{"order": 2, "coeffs": [["1", "1"]]}]
 
 
 def test_closed_stdout_is_exit_one():

@@ -46,6 +46,29 @@ def qa_algebra(n=3, bound=4) -> PresentedAlgebra:
     return quantum_affine_presentation(datum.group, datum.g, datum.chi, bound)
 
 
+def normal_monomials(algebra: PresentedAlgebra, max_degree: int | None = None):
+    """Every normal monomial (w, g) of degree at most max_degree, all tails g."""
+    gs = list(algebra.group.elements())
+    return [(w, g) for w in algebra.normal_words(max_degree) for g in gs]
+
+
+def normalize_with_strategy(algebra: PresentedAlgebra, word, choose):
+    """Uncached rewriting with a caller-chosen redex strategy: choose receives
+    the nonempty list of (position, lhs) redexes of the current word and
+    returns one of them."""
+    acc: dict = {}
+    stack = [(tuple(word), one(algebra.order))]
+    while stack:
+        w, c = stack.pop()
+        redexes = list(algebra._redexes(w))
+        if not redexes:
+            smash._accumulate(acc, w, c)
+            continue
+        for nw, rc in algebra._rewrite_at(w, *choose(redexes)):
+            stack.append((nw, c * rc))
+    return tuple(sorted(acc.items(), key=lambda kv: smash.graded_lex_key(kv[0])))
+
+
 # -- words and rule validation ------------------------------------------------
 
 
@@ -139,8 +162,8 @@ def test_normalize_idempotent_and_strategy_independent():
             for nw, _c in reference:
                 assert algebra.is_normal(nw)
                 assert algebra._normal_combination(nw) == ((nw, one(algebra.order)),)
-            random_strategy = algebra.normalize_with_strategy(
-                word, lambda redexes: rng.choice(redexes)
+            random_strategy = normalize_with_strategy(
+                algebra, word, lambda redexes: rng.choice(redexes)
             )
             assert random_strategy == reference
 
@@ -185,7 +208,7 @@ def test_multiply_unital_and_associative_sampled():
     algebra = qa_algebra(4)
     monos = [
         algebra.monomial(w, g)
-        for w, g in algebra.normal_monomials(1)
+        for w, g in normal_monomials(algebra, 1)
     ]
     unit = algebra.one_element()
     for m in monos[:40]:
@@ -256,7 +279,7 @@ def test_antipode_values():
 def test_antipode_antihomomorphism_sampled():
     rng = random.Random(23)
     algebra = qa_algebra(3)
-    monos = [algebra.monomial(w, g) for w, g in algebra.normal_monomials(2)]
+    monos = [algebra.monomial(w, g) for w, g in normal_monomials(algebra, 2)]
     for _ in range(100):
         a, b = rng.choice(monos), rng.choice(monos)
         try:
@@ -322,7 +345,7 @@ def _full_tail_hopf_sweep(algebra: PresentedAlgebra) -> list[tuple[str, str | No
     nothing of the engine but comultiply, *, antipode and counit.
     """
     alg = algebra
-    monos = [(w, format_monomial(w, g), alg.monomial(w, g)) for w, g in alg.normal_monomials()]
+    monos = [(w, format_monomial(w, g), alg.monomial(w, g)) for w, g in normal_monomials(alg)]
 
     def legs(m):
         """Delta(m) as (left monomial key, right monomial key, coefficient)."""
@@ -392,17 +415,97 @@ def _q12_squared_control() -> PresentedAlgebra:
     return PresentedAlgebra(datum.group, datum.g, datum.chi, rules, 4)
 
 
+def _sweep(algebra: PresentedAlgebra) -> smash.CheckReport:
+    """The tail-e sweep over every normal word, whichever path would decide."""
+    return smash._hopf_sweep(algebra, algebra.normal_words())
+
+
+RULE_NOTE = "decided on generators and rules: holds in every degree"
+SWEEP_NOTE = "group tails reduced to e by Gamma-equivariance"
+
+
 @pytest.mark.parametrize(
-    "build",
-    [_nonconfluent_presentation, _q12_squared_control, lambda: qa_algebra(3, 3),
-     lambda: a2_algebra(3)],
+    "build, path",
+    [(_nonconfluent_presentation, "sweep"), (_q12_squared_control, "sweep"),
+     (lambda: qa_algebra(3, 3), "rules"), (lambda: a2_algebra(3), "sweep")],
     ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3"],
 )
-def test_tail_reduced_sweep_matches_full_tail_oracle(build):
+def test_tail_reduced_sweep_matches_full_tail_oracle(build, path):
     algebra = build()
+    oracle = _full_tail_hopf_sweep(algebra)
     report = verify_hopf_axioms(algebra)
-    assert [(e.check, e.counterexample) for e in report.entries] == _full_tail_hopf_sweep(algebra)
-    assert "group tails reduced to e by Gamma-equivariance" in report.notes
+    assert [(e.check, e.counterexample) for e in report.entries] == oracle
+    assert [(e.check, e.counterexample) for e in _sweep(build()).entries] == oracle
+    assert report.notes[-1] == {"rules": RULE_NOTE, "sweep": SWEEP_NOTE}[path]
+
+
+def _triples(report) -> list:
+    return [(e.check, e.status, e.counterexample) for e in report.entries]
+
+
+def test_rule_path_agrees_with_sweep(seeded_family):
+    """On confluent presentations the rule path decides, and the tail-e sweep
+    agrees with it entry by entry: the C4 family, the two bundled confluent
+    presentations and 40 random quantum-affine draws."""
+    from cyhopf.io import load_json_file, parse_presentation
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    bundled = [parse_presentation(load_json_file(str(data_dir / name)))[0]
+               for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json")]
+    rng = random.Random(4040)
+    draws = [random_a1t_datum(rng) for _ in range(40)]
+    algebras = seeded_family[1] + bundled + [
+        quantum_affine_presentation(d.group, d.g, d.chi, 4) for d in draws]
+    for algebra in algebras:
+        report = verify_hopf_axioms(algebra)
+        assert report.notes[-1] == RULE_NOTE
+        assert _triples(report) == _triples(_sweep(algebra))
+
+
+def _one_generator(rules, chi=0, n=2, bound=4) -> PresentedAlgebra:
+    group = AbelianGroup((n,))
+    return PresentedAlgebra(group, (group.generator(0),), (group.character((chi,)),), rules, bound)
+
+
+def _a2_rules(rules, bound) -> PresentedAlgebra:
+    datum = a2_z2z2_datum()
+    return PresentedAlgebra(datum.group, datum.g, datum.chi, rules, bound)
+
+
+def _nonconfluent_rules_respected() -> PresentedAlgebra:
+    """x2^2 -> -i x1^2 over Z4 with q = -1: the rule passes every rule-path
+    check, but its overlap x2^3 diverges."""
+    group = AbelianGroup((4,))
+    g, chi = group.generator(0), group.character((2,))
+    return PresentedAlgebra(group, (g, g), (chi, chi), {(1, 1): (((0, 0), -root_of_unity(1, 4)),)}, 6)
+
+
+@pytest.mark.parametrize(
+    "build, counterexamples",
+    [
+        (_q12_squared_control, [None, None, None, None, "x2#e , x1#e"]),
+        # x1^2 -> 1 with q = 1: Delta and eps do not descend
+        (lambda: _one_generator({(0, 0): (((), one(1)),)}), [None] * 4 + ["x1#e , x1#e"]),
+        # x1^3 -> 0 with q = 1: only Delta does not descend, and no product of
+        # two generators shows it
+        (lambda: _one_generator({(0, 0, 0): ()}, bound=5), [None] * 4 + ["x1#e , x1^2#e"]),
+        (lambda: _a2_rules({(1, 0, 0): (((0, 0, 1), one(1)),)}, 2), [None] * 5),
+        (lambda: a2_algebra(3), [None] * 5),
+        (_nonconfluent_presentation,
+         ["x2*x1*x2*x1#e", None, "x1^2*x2^2#e", "x1^2*x2^2#e", "x2#e , x1^2#e"]),
+        (_nonconfluent_rules_respected,
+         ["x2*x1*x2*x1*x2#e", None, "x2*x1*x2*x1*x2#e", None, "x2#e , x2*x1*x2#e"]),
+    ],
+    ids=["q12-squared-control", "x1^2-to-1", "x1^3-to-0-q-one", "lhs-over-bound",
+         "overlap-over-bound", "nonconfluent-file", "nonconfluent-rules-respected"],
+)
+def test_sweep_path_inputs_report_as_before(build, counterexamples):
+    """Inputs the rule path cannot decide, or on which one of its checks
+    fails, get the sweep's report, with its first counterexamples."""
+    report = verify_hopf_axioms(build())
+    assert report.to_json() == _sweep(build()).to_json()
+    assert report.notes[-1] == SWEEP_NOTE
+    assert [e.counterexample for e in report.entries] == counterexamples
 
 
 def test_double_antipode_identity_and_phi():
@@ -446,7 +549,7 @@ def test_double_antipode_on_random_quantum_affine_data():
 def test_winding_by_counit_is_identity():
     algebra = a2_algebra()
     eps = algebra.group.trivial_character()
-    for w, g in algebra.normal_monomials():
+    for w, g in normal_monomials(algebra):
         m = algebra.monomial(w, g)
         assert winding_endomorphism(algebra, eps, m) == m
 
@@ -467,7 +570,7 @@ def test_winding_values_and_composition():
             i
         ).scale(xi(algebra.degrees[i]))
     # composition multiplies characters
-    for w, g in list(algebra.normal_monomials(2))[:30]:
+    for w, g in list(normal_monomials(algebra, 2))[:30]:
         m = algebra.monomial(w, g)
         twice = winding_endomorphism(algebra, xi, winding_endomorphism(algebra, xi2, m))
         assert twice == winding_endomorphism(algebra, xi * xi2, m)
@@ -477,7 +580,7 @@ def test_winding_is_algebra_endomorphism_sampled():
     rng = random.Random(17)
     algebra = qa_algebra(4)
     xi = algebra.group.character((1, 3))
-    monos = [algebra.monomial(w, g) for w, g in algebra.normal_monomials(2)]
+    monos = [algebra.monomial(w, g) for w, g in normal_monomials(algebra, 2)]
     for _ in range(80):
         a, b = rng.choice(monos), rng.choice(monos)
         try:
@@ -593,10 +696,10 @@ def test_pair_cost_budget_is_the_sum_over_checked_pairs(monkeypatch):
         cost = sum(s1 * s2 for d1, s1 in sizes for d2, s2 in sizes
                    if d1 + d2 <= algebra.degree_bound)
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost)
-        assert verify_hopf_axioms(make()).passed
+        assert _sweep(make()).passed
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost - 1)
         with pytest.raises(InputError, match="pair check costs over"):
-            verify_hopf_axioms(make())
+            _sweep(make())
 
 
 def test_nonconfluent_presentation_pins_first_counterexamples():
