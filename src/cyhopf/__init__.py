@@ -27,7 +27,6 @@ from .smash import (
     TensorElement,
     check_local_confluence,
     nakayama_automorphism,
-    phi_graded_formula,
     phi_smash_formula,
     quantum_affine_presentation,
     verify_double_antipode,

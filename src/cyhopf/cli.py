@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-hopf", "Hopf axioms, decided on generators and rules (in every degree) "
                         "when the rewriting system is confluent, else by a sweep over "
                         "monomials x^w#e; other group tails follow by Gamma-equivariance"),
-        ("verify-s2", "graded squared-antipode identity sweep"),
+        ("verify-s2", "graded squared-antipode identity, decided by Gamma-equivariance "
+                      "of S in every degree (no sweep)"),
         ("confluence", "diamond-lemma overlap report for a presentation"),
         ("lie-check", "CY report for an enveloping-algebra smash product"),
     ):

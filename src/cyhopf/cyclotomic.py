@@ -228,11 +228,11 @@ class CycloNumber:
                 return _cached_signed_root(sa[0] * sb[0], (sa[1] + sb[1]) % a.order, a.order)
         phi = len(a.coeffs)
         conv = [_ZERO] * (2 * phi - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b.coeffs) if y]
         for i, x in enumerate(a.coeffs):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
+                for j, y in nonzero_b:
+                    conv[i + j] += x * y
         table = _power_table(a.order)
         out = list(conv[:phi])
         for k in range(phi, 2 * phi - 1):

@@ -24,7 +24,6 @@ from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from cyhopf.smash import (
     PresentedAlgebra,
     nakayama_automorphism,
-    phi_graded_formula,
     phi_smash_formula,
     verify_double_antipode,
     verify_hopf_axioms,
@@ -32,7 +31,7 @@ from cyhopf.smash import (
 )
 from conftest import a1a1_znzn_datum
 from test_lie import brackets_from_pairs, sl2, sl2_sign_action
-from test_smash import normal_monomials
+from test_smash import double_antipode_failure, normal_monomials, phi_graded_formula
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -129,6 +128,7 @@ def test_criterion_5_double_antipode_identity(capsys, seeded_family):
     with criterion(capsys, "C5 squared-antipode graded identity", 30.0):
         for datum, algebra in zip(data, algebras):
             assert verify_double_antipode(algebra).passed
+            assert double_antipode_failure(algebra) is None
             phi_a = phi_smash_formula(algebra)
             phi_b = phi_graded_formula(algebra)
             assert phi_a.scalars == phi_b.scalars

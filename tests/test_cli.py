@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -30,6 +31,25 @@ def test_check_cy_json_matches_golden_byte_for_byte(capsys):
         code, out = run_cli(capsys, "check-cy", str(DATA / datum), "--json")
         assert code == 0
         assert out == (GOLDEN / f"{golden_name}.check-cy.json").read_text()
+
+
+# The other --json calls on a bundled file that exit 0, as (verb, file stem);
+# the golden of each is <stem>.<verb>.json.
+JSON_GOLDENS = [
+    ("hdet", "datum_a1a1_z3z3"), ("roots", "cartan_a2"), ("roots", "datum_a1a1_z3z3"),
+    ("roots", "datum_a2_z2z2"), ("lie-check", "lie_sl2_sign"),
+    *itertools.product(("nakayama", "verify-hopf", "verify-s2", "confluence"),
+                       ("presentation_a1a1_z3z3", "presentation_a2_z2z2",
+                        "presentation_nonconfluent")),
+]
+
+
+@pytest.mark.parametrize("verb, stem", JSON_GOLDENS,
+                         ids=[f"{stem}.{verb}" for verb, stem in JSON_GOLDENS])
+def test_json_report_matches_golden_byte_for_byte(capsys, verb, stem):
+    code, out = run_cli(capsys, verb, str(DATA / f"{stem}.json"), "--json")
+    assert code == 0
+    assert out == (GOLDEN / f"{stem}.{verb}.json").read_text()
 
 
 def test_reports_reparse_under_schema(capsys):
@@ -129,6 +149,11 @@ ZETA3_SQUARED = {"order": 3, "coeffs": [["-1", "1"], ["-1", "1"]]}
 # One free generator at bound 87: 3916 pairs of 88 normal words, 2672670 cost units.
 ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"exp": [0]}],
                      degree_bound=87)
+# One generator over Z_101 with chi(g) = zeta_101 and its rule over the bound: the
+# swept Delta(x^k) hold dense q-binomials, phi(101) = 100 rational parts each.
+LARGE_FIELD = dict(PRES_Z2, group={"invariant_factors": [101]}, generators=1,
+                   degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
+                   rules=[{"lhs": "x1^37", "rhs": []}], degree_bound=36)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +200,7 @@ ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"e
             "matrices": [[[random.Random(i).randint(-3, 3) for _ in range(16)]
                           for i in range(16)]]}}),
         ("verify-hopf", dict(ONE_GENERATOR, rules=[{"lhs": "x1^88", "rhs": []}])),
+        ("verify-hopf", LARGE_FIELD),
         ("check-cy", {"group": {"invariant_factors": [2] * 129}, "g": [{"exp": [1] + [0] * 128}],
                       "chi": [{"exp": [1] * 129}], "cartan": [[2]]}),
     ],
@@ -186,7 +212,7 @@ ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"e
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
          "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
-         "pair-cost-over-budget", "witness-rank-over-limit"],
+         "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"

@@ -1,27 +1,30 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cyhopf import smash
-from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
+from cyhopf.cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from cyhopf.errors import (
     DegreeBoundExceeded,
     InputError,
     InvalidPresentation,
 )
-from cyhopf.groups import AbelianGroup
+from cyhopf.groups import AbelianGroup, GroupElement
 from cyhopf.sampling import random_a1t_datum
 from cyhopf.smash import (
     DiagonalAutomorphism,
     PresentedAlgebra,
+    SmashElement,
     TensorElement,
     check_local_confluence,
     format_monomial,
     format_word,
     nakayama_automorphism,
     parse_word,
-    phi_graded_formula,
     phi_smash_formula,
     quantum_affine_presentation,
     verify_double_antipode,
@@ -508,12 +511,106 @@ def test_sweep_path_inputs_report_as_before(build, counterexamples):
     assert [e.counterexample for e in report.entries] == counterexamples
 
 
+# -- the graded squared-antipode identity: a per-word oracle ---------------------
+#
+# verify_double_antipode decides S^2(r) = (deg r)^{-1} . S_R^2(r) by construction.
+# The helpers below compute both sides on every normal word with the engine's own
+# maps, as a cross-check that fails if the antipode's tail rule or its scalars
+# are wrong.
+
+
+def homogeneous_degree(algebra: PresentedAlgebra, elem) -> GroupElement:
+    assert all(g.is_identity() for _w, g in elem.terms), "element with a group tail"
+    degrees = {algebra._degree_of(w) for w, _g in elem.terms}
+    assert len(degrees) <= 1, "element is not Gamma-homogeneous"
+    return degrees.pop() if degrees else algebra.group.identity()
+
+
+def braided_antipode(algebra: PresentedAlgebra, elem) -> SmashElement:
+    """Antipode of R on a Gamma-homogeneous element with trivial tails.
+
+    For homogeneous r of degree d the smash antipode satisfies
+    S(r) = (1 # d^{-1}) (S_R(r) # 1), so S_R(r) = (1 # d) S(r).
+    """
+    out = algebra.group_like(homogeneous_degree(algebra, elem)) * algebra.antipode(elem)
+    assert all(g.is_identity() for _w, g in out.terms), "braided antipode left a group tail"
+    return out
+
+
+def act(algebra: PresentedAlgebra, g: GroupElement, elem) -> SmashElement:
+    """Diagonal Gamma-action: scales x^w # h by chi_w(g)."""
+    terms = {key: c * algebra._char_value(key[0], g) for key, c in elem.terms.items()}
+    return SmashElement(algebra, terms)
+
+
+def graded_double_antipode(algebra: PresentedAlgebra, elem) -> SmashElement:
+    """(deg r)^{-1} acting on S_R^2(r), for r homogeneous with trivial tails."""
+    srr = braided_antipode(algebra, braided_antipode(algebra, elem))
+    return act(algebra, homogeneous_degree(algebra, elem).inverse(), srr)
+
+
+def double_antipode_failure(algebra: PresentedAlgebra) -> str | None:
+    """First normal monomial x^w # e on which S^2 and (deg r)^{-1} . S_R^2
+    differ, or None."""
+    e = algebra.group.identity()
+    for w in algebra.normal_words():
+        elem = algebra.monomial(w, e)
+        if algebra.antipode(algebra.antipode(elem)) != graded_double_antipode(algebra, elem):
+            return format_monomial(w, e)
+    return None
+
+
+def phi_graded_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
+    """Nakayama-style automorphism of the braided factor via its grading:
+    each generator is sent through S_R^2 and then acted on by its degree's
+    inverse, which must agree with phi_smash_formula."""
+    smash_version = phi_smash_formula(algebra)
+    scalars = []
+    for i in range(algebra.t):
+        image = graded_double_antipode(algebra, algebra.generator(i))
+        c = smash._diagonal_coefficient(algebra, image, i)
+        assert c == smash_version.scalars[i], f"graded and smash formulas disagree on x{i + 1}"
+        scalars.append(c)
+    return DiagonalAutomorphism(algebra, tuple(scalars))
+
+
+def random_homogeneous_presentation(rng: random.Random) -> PresentedAlgebra:
+    """Up to three generators over a small group, with up to three rules whose
+    right-hand sides are random combinations of the graded-lex smaller words
+    of the same Gamma-degree and character; mostly neither confluent nor Hopf."""
+    group = AbelianGroup(rng.choice([(2,), (3,), (4,), (5,), (6,), (2, 2), (3, 3), (2, 4)]))
+    n = group.exponent
+
+    def draw(make):
+        return make(tuple(rng.randrange(k) for k in group.invariant_factors))
+
+    t = rng.randint(1, 3)
+    degrees = tuple(draw(group.element) for _ in range(t))
+    actions = tuple(draw(group.character) for _ in range(t))
+    words = [w for k in range(4) for w in itertools.product(range(t), repeat=k)]
+    lhss = rng.sample([w for w in words if len(w) >= 2], rng.randint(1, min(3, t * t)))
+
+    def signature(w):  # (Gamma-degree, character) of x^w
+        return (math.prod((degrees[i] for i in w), start=group.identity()),
+                math.prod((actions[i] for i in w), start=group.trivial_character()))
+
+    rules = {}
+    for lhs in lhss:
+        smaller = [w for w in words if smash.graded_lex_key(w) < smash.graded_lex_key(lhs)
+                   and signature(w) == signature(lhs)]
+        rules[lhs] = tuple(
+            (w, root_of_unity(rng.randrange(n), n) * rng.choice((1, -1, 2, Fraction(1, 2))))
+            for w in smaller if rng.random() < 0.5)
+    return PresentedAlgebra(group, degrees, actions, rules, rng.choice((3, 4)))
+
+
 def test_double_antipode_identity_and_phi():
     for algebra, expected in (
         (a2_algebra(), (-one(2), -one(2))),
         (qa_algebra(3), (root_of_unity(2, 3), root_of_unity(1, 3))),
     ):
         assert verify_double_antipode(algebra).passed
+        assert double_antipode_failure(algebra) is None
         phi_a = phi_smash_formula(algebra)
         phi_b = phi_graded_formula(algebra)
         assert phi_a.scalars == phi_b.scalars
@@ -541,6 +638,50 @@ def test_double_antipode_on_random_quantum_affine_data():
         datum = random_a1t_datum(rng)
         algebra = quantum_affine_presentation(datum.group, datum.g, datum.chi, 3)
         assert verify_double_antipode(algebra).passed
+        assert double_antipode_failure(algebra) is None
+
+
+def test_double_antipode_oracle_holds_on_every_accepted_presentation(seeded_family):
+    """The per-word identity holds on the C4/C5 family, the bundled
+    presentations and 200 random homogeneous presentations, confluent or not,
+    Hopf or not, as verify_double_antipode's construction argument says."""
+    from cyhopf.io import load_json_file, parse_presentation
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    bundled = [parse_presentation(load_json_file(str(path)))[0]
+               for path in sorted(data_dir.glob("presentation_*.json"))]
+    rng = random.Random(8080)
+    drawn = [random_homogeneous_presentation(rng) for _ in range(200)]
+    for algebra in seeded_family[1] + bundled + drawn:
+        assert double_antipode_failure(algebra) is None
+        assert verify_double_antipode(algebra).passed
+    # the drawn rules need not respect x_i -> chi_i(g_i^{-1}) x_i, so phi is
+    # compared where it is an automorphism
+    for algebra in seeded_family[1] + bundled:
+        assert phi_graded_formula(algebra).scalars == phi_smash_formula(algebra).scalars
+    assert sum(not a.confluence.ok for a in drawn) >= 20
+    assert sum(not verify_hopf_axioms(a).passed for a in drawn[:20]) >= 10
+
+
+def test_double_antipode_computes_no_products(monkeypatch):
+    """verify_double_antipode reads the normal words and the confluence report
+    only: with the antipode, the coproduct and monomial products disabled it
+    still gives its report."""
+    algebras = [_nonconfluent_presentation(), qa_algebra(3, 4)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify_double_antipode computed a product")
+
+    for name in ("antipode", "comultiply", "_mul_mono"):
+        monkeypatch.setattr(PresentedAlgebra, name, refuse)
+    for algebra in algebras:
+        report = verify_double_antipode(algebra)
+        assert report.to_json() == {
+            "passed": True,
+            "entries": [{"check": "double-antipode-graded-identity", "status": "pass"}],
+            "notes": [*smash.confluence_notes(algebra), "degree bound 4",
+                      "holds in every degree by Gamma-equivariance of S"],
+        }
 
 
 # -- winding and nakayama --------------------------------------------------------------
@@ -686,15 +827,15 @@ def test_divergent_overlap_detected_and_flagged():
 
 
 def test_pair_cost_budget_is_the_sum_over_checked_pairs(monkeypatch):
-    """The budget bounds the sum of |Delta(m1)| * |Delta(m2)| over the pairs
-    with |w1| + |w2| <= bound: that sum passes, one less is refused."""
+    """The budget bounds phi(N) times the sum of |Delta(m1)| * |Delta(m2)| over
+    the pairs with |w1| + |w2| <= bound: that sum passes, one less is refused."""
     for make in (lambda: a2_algebra(5), lambda: qa_algebra(3, 4)):
         algebra = make()
         e = algebra.group.identity()
         sizes = [(len(w), len(algebra.comultiply(algebra.monomial(w, e)).terms))
                  for w in algebra.normal_words()]
-        cost = sum(s1 * s2 for d1, s1 in sizes for d2, s2 in sizes
-                   if d1 + d2 <= algebra.degree_bound)
+        cost = euler_phi(algebra.order) * sum(s1 * s2 for d1, s1 in sizes for d2, s2 in sizes
+                                              if d1 + d2 <= algebra.degree_bound)
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost)
         assert _sweep(make()).passed
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost - 1)
