@@ -15,12 +15,14 @@ pushed to the right tail through g x_i = chi_i(g) x_i g.  The Hopf structure is
 defined on generators -- Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
-The Hopf-axiom check sweeps the normal words up to the degree bound at tail e;
-Gamma-equivariance covers the other tails, and confluence every degree (see
-verify_hopf_axioms).  The graded squared-antipode identity holds by
-construction and is decided without a sweep (see verify_double_antipode).
+The Hopf-axiom check decides a presentation whose overlaps fit the degree bound
+and resolve on its generators and rules, forming no pair products; it sweeps
+every other one over the normal words up to the bound at tail e, and
+Gamma-equivariance covers the other tails (see verify_hopf_axioms).  The graded
+squared-antipode identity holds by construction and is decided without a sweep
+(see verify_double_antipode).
 MAX_WORD_LENGTH, NORMAL_WORD_BUDGET and PAIR_COST_BUDGET refuse oversized work
-before it starts.
+before it starts; PAIR_COST_BUDGET binds only the rule checks and the sweep.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ DEFAULT_DEGREE_BOUND = 4
 # benchmark input runs has 53 normal words costing 13386 (Z4 at bound 6).
 MAX_WORD_LENGTH = 1000
 NORMAL_WORD_BUDGET = 500
-# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)|, and on the rule
-# path's template terms, each times phi(N), the rational parts of a coefficient
-# (13-50 us a unit for phi(N) up to 100 on a 2-core host).
+# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)|, and on the
+# template terms of the rule checks, each times phi(N), the rational parts of a
+# coefficient (13-50 us a unit for phi(N) up to 100 on a 2-core host).  The rule
+# path forms no pairs, so no pair cost is charged there.
 PAIR_COST_BUDGET = 100_000
 
 
@@ -724,16 +727,22 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     resolves: the rules decrease the graded-lex order, so by Newman's lemma
     normal words are a basis of A = F / I in every degree, I the ideal of the
     r = lhs - rhs in the free F.  Delta, eps and the anti-multiplicative S
-    descend from F if they vanish on each r (Kassel, Quantum Groups, Ch. III).
-    Then the pair family holds, the others compare algebra maps or hold on a
-    subalgebra (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), and degree <= 1
-    decides all.  Delta-descent implies the eps and S checks, which never
-    decide alone: 1 (x) 1 counts the rhs constant twice in Delta(lhs), once
-    in Delta(rhs) (graded-lex induction); a pointed bialgebra with invertible
-    group-likes is Hopf (Montgomery, Hopf Algebras and Their Actions on Rings,
-    5.2.11).
-    Template terms times phi(N) are counted per product before it is formed;
-    past PAIR_COST_BUDGET, or if the path does not run or fails, the sweep runs.
+    descend from F if they vanish on each r (Kassel, Quantum Groups, Ch. III);
+    _rules_respected checks that the Delta template of each lhs is the sum of
+    c times the Delta templates of its rhs words, and likewise eps and S.
+    Delta is then an algebra map on A, and comultiply computes it on the
+    normal-word basis, so comultiply(m1 * m2) = comultiply(m1) * comultiply(m2)
+    is an identity: the rule path forms no pair products and charges no pair
+    cost.  The other families compare algebra maps or hold on a subalgebra
+    (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), so they are checked on the
+    words of degree <= 1 only.  Delta-descent implies the eps and S checks,
+    which never decide alone: 1 (x) 1 counts the rhs constant twice in
+    Delta(lhs), once in Delta(rhs) (graded-lex induction); a pointed bialgebra
+    with invertible group-likes is Hopf (Montgomery, Hopf Algebras and Their
+    Actions on Rings, 5.2.11).
+    _rules_respected counts template terms times phi(N) per product before it
+    is formed; past PAIR_COST_BUDGET, or if the path does not run or a family
+    fails, the sweep runs, so every failing report is the sweep's.
 
     Tails reduce to e by Gamma-equivariance of the engine's own maps, true for
     non-confluent systems too: comultiply(x^w # g) is comultiply(x^w # e) with
@@ -745,11 +754,14 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     """
     words = algebra.normal_words()  # NORMAL_WORD_BUDGET binds both paths
     if _rules_respected(algebra):
-        report = _hopf_sweep(algebra, [w for w in words if len(w) <= 1])
-        if report.passed:
+        e = algebra.group.identity()
+        monomials = [(w, algebra.monomial(w, e)) for w in words if len(w) <= 1]
+        entries = _monomial_families(algebra, [(w, m, algebra.comultiply(m)) for w, m in monomials])
+        if all(entry.status == "pass" for entry in entries):
+            entries.append(_entry("coproduct-multiplicative", None))
             notes = (f"degree bound {algebra.degree_bound}",
                      "decided on generators and rules: holds in every degree")
-            return CheckReport(report.entries, notes=confluence_notes(algebra) + notes)
+            return CheckReport(entries, notes=confluence_notes(algebra) + notes)
     return _hopf_sweep(algebra, words)
 
 
@@ -781,9 +793,31 @@ def _rules_respected(algebra: PresentedAlgebra) -> bool:
     return True
 
 
+def _monomial_families(algebra: PresentedAlgebra,
+                       swept: list[tuple[Word, SmashElement, TensorElement]]) -> list[CheckEntry]:
+    """Coassociativity, counit and both antipode axioms: each family's first
+    counterexample among the (w, x^w # e, Delta(x^w # e)) in swept.  It forms
+    no pair products, so PAIR_COST_BUDGET does not bind it."""
+    e, one_element = algebra.group.identity(), algebra.one_element()
+
+    def unit(elem):  # eps(elem) 1, the right-hand side of both antipode axioms
+        return one_element.scale(algebra.counit(elem))
+
+    families = {
+        "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
+        "counit": lambda m, d: d.counit_on_leg(0) == m and d.counit_on_leg(1) == m,
+        "antipode-left": lambda m, d: d.fold_with(left_map=algebra.antipode) == unit(m),
+        "antipode-right": lambda m, d: d.fold_with(right_map=algebra.antipode) == unit(m),
+    }
+    return [_entry(name, next((format_monomial(w, e) for w, m, d in swept if not holds(m, d)),
+                              None))
+            for name, holds in families.items()]
+
+
 def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
     """Each family's first counterexample among the x^w # e, w in words, and
-    their pairs with |w1| + |w2| <= bound, within PAIR_COST_BUDGET."""
+    their pairs with |w1| + |w2| <= bound, within PAIR_COST_BUDGET: the one
+    path that forms pair products and charges their cost."""
     bound = algebra.degree_bound
     e = algebra.group.identity()
     sweep = []
@@ -805,19 +839,7 @@ def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
                              f"products times phi({algebra.order}) at degree bound {bound}; "
                              f"lower the degree bound")
 
-    def unit(elem):  # eps(elem) 1, the right-hand side of both antipode axioms
-        return algebra.one_element().scale(algebra.counit(elem))
-
-    families = {
-        "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
-        "counit": lambda m, d: d.counit_on_leg(0) == m and d.counit_on_leg(1) == m,
-        "antipode-left": lambda m, d: d.fold_with(left_map=algebra.antipode) == unit(m),
-        "antipode-right": lambda m, d: d.fold_with(right_map=algebra.antipode) == unit(m),
-    }
-    entries = [
-        _entry(name, next((format_monomial(w, e) for w, m, d in sweep if not holds(m, d)), None))
-        for name, holds in families.items()
-    ]
+    entries = _monomial_families(algebra, sweep)
     pair_failure = next((f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
                          for w1, m1, d1 in sweep for w2, m2, d2 in sweep
                          if len(w1) + len(w2) <= bound and algebra.comultiply(m1 * m2) != d1 * d2),

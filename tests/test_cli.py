@@ -154,6 +154,13 @@ ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"e
 LARGE_FIELD = dict(PRES_Z2, group={"invariant_factors": [101]}, generators=1,
                    degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
                    rules=[{"lhs": "x1^37", "rhs": []}], degree_bound=36)
+# Six commuting generators of degree gamma over Z_593, trivial action, bound 3: the
+# rule checks cost 99456 units, the degree <= 1 pairs alone 169 * 592 = 100048.
+COMMUTING_Z593 = dict(
+    PRES_Z2, group={"invariant_factors": [593]}, generators=6,
+    degrees=[{"exp": [1]}] * 6, actions=[{"exp": [0]}] * 6, degree_bound=3,
+    rules=[{"lhs": f"x{j}*x{i}", "rhs": [{"word": f"x{i}*x{j}", "coeff": "1"}]}
+           for i in range(1, 7) for j in range(i + 1, 7)])
 
 
 @pytest.mark.parametrize(
@@ -239,12 +246,13 @@ def test_huge_degree_bound_fails_fast(tmp_path, capsys, monkeypatch, verb):
 
 @pytest.mark.parametrize(
     "obj",
-    [edited(PRES_A2, ("degree_bound",), 11), ONE_GENERATOR],
-    ids=["a2-bound-11", "one-free-generator-bound-87"],
+    [edited(PRES_A2, ("degree_bound",), 11), ONE_GENERATOR, COMMUTING_Z593],
+    ids=["a2-bound-11", "one-free-generator-bound-87", "six-commuting-over-z593"],
 )
 def test_confluent_input_over_pair_budget_gets_a_verdict(tmp_path, capsys, obj):
     """The sweep refuses these for pair cost; the rule path decides them in
-    every degree."""
+    every degree, and forms no pairs, so even the degree <= 1 pairs of the
+    last one, over the budget, cost nothing."""
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(obj))
     start = time.perf_counter()

@@ -465,6 +465,75 @@ def test_rule_path_agrees_with_sweep(seeded_family):
         assert _triples(report) == _triples(_sweep(algebra))
 
 
+def quantum_linear_space_twins(rng: random.Random) -> tuple[PresentedAlgebra, PresentedAlgebra]:
+    """A quantum linear space and its corrupted twin.
+
+    Gamma = Z_n^t, g_i = e_i and chi_i(g_j) = zeta_n^{c_ji}, with q_ii = zeta_n^{c_ii}
+    not 1 and c_ij + c_ji = 0 mod n for i != j, so x_i x_j - q_ij x_j x_i is
+    primitive.  Rules x_i^{N_i} -> 0, N_i the order of q_ii, and
+    x_j x_i -> q_ij^{-1} x_i x_j for i < j.  The twin raises one N_i to N_i + 1:
+    eps and S still vanish on x_i^{N_i + 1}, but Delta does not descend.
+    """
+    t = rng.randint(1, 3)
+    n = rng.choice((2, 3, 4, 6)) if t < 3 else 2  # few normal words at bound 5
+    group = AbelianGroup((n,) * t)
+    c = [[0] * t for _ in range(t)]
+    for i in range(t):
+        c[i][i] = rng.randrange(1, n)
+        for j in range(i + 1, t):
+            c[i][j] = rng.randrange(n)
+            c[j][i] = -c[i][j] % n
+    degrees = tuple(group.generator(i) for i in range(t))
+    actions = tuple(group.character([c[j][i] for j in range(t)]) for i in range(t))
+    nilpotency = [n // math.gcd(n, c[i][i]) for i in range(t)]
+    swaps = {(j, i): (((i, j), root_of_unity(-c[i][j], n)),)
+             for i in range(t) for j in range(i + 1, t)}
+    corrupted = rng.randrange(t)
+
+    def build(exponents):
+        powers = {(i,) * exponents[i]: () for i in range(t)}
+        return PresentedAlgebra(group, degrees, actions, {**powers, **swaps}, 5)
+
+    raised = [N + (i == corrupted) for i, N in enumerate(nilpotency)]
+    return build(nilpotency), build(raised)
+
+
+def test_rule_path_sees_delta_descent_on_quantum_linear_spaces():
+    """Quantum linear spaces take the rule path; their twins with one
+    nilpotency exponent raised, on which only Delta fails to descend, never
+    do, and both paths' reports agree with the sweep entry by entry."""
+    rng = random.Random(9090)
+    draws = [quantum_linear_space_twins(rng) for _ in range(80)]
+    on_rules = {"valid": 0, "corrupted": 0}
+    for pair in draws:
+        for kind, algebra in zip(on_rules, pair):
+            report = verify_hopf_axioms(algebra)
+            assert _triples(report) == _triples(_sweep(algebra))
+            on_rules[kind] += report.notes[-1] == RULE_NOTE
+    assert on_rules["valid"] >= 30
+    assert on_rules["corrupted"] == 0
+
+
+def test_rule_path_forms_no_pair_products(monkeypatch):
+    """On the rule path no TensorElement is multiplied: comultiply(m1 * m2)
+    is never compared with comultiply(m1) * comultiply(m2)."""
+    from cyhopf.io import load_json_file, parse_presentation
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    algebras = [qa_algebra(3)] + [
+        parse_presentation(load_json_file(str(data_dir / name)))[0]
+        for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json")]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the rule path formed a pair product")
+
+    monkeypatch.setattr(TensorElement, "__mul__", refuse)
+    for algebra in algebras:
+        report = verify_hopf_axioms(algebra)
+        assert report.passed and report.notes[-1] == RULE_NOTE
+        assert report.entries[-1].check == "coproduct-multiplicative"
+
+
 def _one_generator(rules, chi=0, n=2, bound=4) -> PresentedAlgebra:
     group = AbelianGroup((n,))
     return PresentedAlgebra(group, (group.generator(0),), (group.character((chi,)),), rules, bound)
