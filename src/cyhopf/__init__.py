@@ -7,7 +7,6 @@ from .datum import (
     CartanDatum,
     CyReport,
     LinkingParameter,
-    braided_nakayama_diag,
     check_cy,
     check_cy_braided,
     check_cy_smash,

@@ -14,10 +14,18 @@ longest word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import IndexOutOfRange, InputError, InternalError, NotFiniteType, NotReduced, read_ints
 
-CLOSURE_BOUND = 10_000
+# Largest rank the root layer accepts; the closure takes about p t^2 steps.
+MAX_RANK = 128
+# Largest p^2 t it accepts, p the positive-root count and t the rank: peeling
+# a longest word and deriving its beta sequence each take about p^2
+# reflections of length t.  The closure, both words and both beta sequences
+# take 3.4 s on A31 (p^2 t = 7626496), 4.1 s on A14 x A1^114 and 1.9 s on
+# A1^128 (Python 3.11, 2-core host); A32 and A60 are refused in 0.2-0.3 s.
+ROOT_WORK_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,17 @@ def simple_reflection(cartan: CartanMatrix, i: int, root: Root) -> Root:
 def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
     """Positive part of the reflection closure of the simple roots.
 
-    Raises NotFiniteType when the closure exceeds CLOSURE_BOUND positive roots,
-    which is how non-finite Cartan matrices are rejected everywhere.
+    Refuses a rank over MAX_RANK, and raises NotFiniteType when the closure
+    passes the most positive roots the rank allows, the largest p with
+    p^2 t <= ROOT_WORK_BUDGET.  That is how non-finite Cartan matrices, whose
+    closure never ends, are rejected everywhere, and finite types too large
+    to peel with them.  The closure of a finite type is all 2p roots, so the
+    check is exact.
     """
     t = cartan.rank
+    if t > MAX_RANK:
+        raise InputError(f"Cartan matrix of rank {t} is over the limit of {MAX_RANK}")
+    limit = isqrt(ROOT_WORK_BUDGET // t)
     simples = [simple_root(cartan, i) for i in range(t)]
     seen = set(simples)
     frontier = list(simples)
@@ -111,8 +126,9 @@ def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
-        if len(seen) > 2 * CLOSURE_BOUND:
-            raise NotFiniteType(f"root closure exceeded {CLOSURE_BOUND} positive roots")
+        if len(seen) > 2 * limit:
+            raise NotFiniteType(f"root closure passed {limit} positive roots, the most a "
+                                f"rank-{t} matrix may have (p^2 t <= {ROOT_WORK_BUDGET})")
         frontier = nxt
     return frozenset(r for r in seen if r.is_positive())
 

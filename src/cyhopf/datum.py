@@ -8,9 +8,11 @@ q_ij q_ji = q_ii^{a_ij}.
 
 Every braiding value is a root of unity q_ij = zeta_N^{e_ij}, N the exponent
 of the group, so validation and every verdict here are decided on exponents
-mod N: q_ii != 1 is e_ii != 0, compatibility is e_ij + e_ji = a_ij e_ii, and
-the balance residuals and the diagonal c_k are exponents too.  CycloNumbers
-are built only for the values a report holds.
+mod N: q_ii != 1 is e_ii != 0, compatibility is e_ij + e_ji = a_ij e_ii, the
+balance residuals, the diagonal c_k and the squared antipode's diagonal are
+exponent tuples, and the witness search solves congruences in them.  No
+verdict builds a CycloNumber: report_scalars turns exponents into the scalars
+a CyReport holds, so only assembling a report needs the power table of Q(zeta_N).
 
 The verdicts computed here are exact character computations:
 
@@ -32,10 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
 
 from .cartan import CartanMatrix, Root, beta_sequence, longest_word
-from .cyclotomic import CycloNumber, one, root_of_unity
+from .cyclotomic import CycloNumber, root_of_unity
 from .errors import InputError, InternalError, InvalidDatum, NegativeRoot, WrongCartanType
 from .groups import AbelianGroup, Character, GroupElement
 
@@ -114,13 +115,6 @@ class CartanDatum:
     def rank(self) -> int:
         return self.cartan.rank
 
-    def braiding(self, i: int, j: int) -> CycloNumber:
-        return root_of_unity(self.braiding_exponents[i][j], self.group.exponent)
-
-    def braiding_matrix(self) -> tuple[tuple[CycloNumber, ...], ...]:
-        t = self.cartan.rank
-        return tuple(tuple(self.braiding(i, j) for j in range(t)) for i in range(t))
-
 
 @dataclass
 class CriterionResult:
@@ -193,52 +187,42 @@ def hdet_quantum_affine(datum: CartanDatum) -> Character:
     return out.inverse()
 
 
-def quantum_affine_balance(datum: CartanDatum) -> tuple[bool, tuple[CycloNumber, ...]]:
+def quantum_affine_balance(datum: CartanDatum) -> tuple[bool, tuple[int, ...]]:
     """Balance criterion for quantum affine space: for each i the product of
     q_{ki} over k < i equals the product of q_{ik} over k > i.  Returns the
-    verdict and the per-index residual ratios (left * right^{-1})."""
+    verdict and the exponents mod N of the per-index residual ratios
+    (left * right^{-1})."""
     if not datum.cartan.is_a1_power():
         raise WrongCartanType("balance criterion is only defined for A1 x ... x A1 data")
-    t = datum.rank
+    t, m = datum.rank, datum.group.exponent
     e = datum.braiding_exponents
     residuals = tuple(
-        sum(e[k][i] for k in range(i)) - sum(e[i][k] for k in range(i + 1, t)) for i in range(t)
+        (sum(e[k][i] for k in range(i)) - sum(e[i][k] for k in range(i + 1, t))) % m
+        for i in range(t)
     )
-    return _all_zero(residuals, datum), _roots(residuals, datum)
-
-
-def _all_zero(exponents, datum: CartanDatum) -> bool:
-    m = datum.group.exponent
-    return all(x % m == 0 for x in exponents)
-
-
-def _roots(exponents, datum: CartanDatum) -> tuple[CycloNumber, ...]:
-    """zeta_N^x for each exponent x: the scalars a report holds."""
-    return tuple(root_of_unity(x, datum.group.exponent) for x in exponents)
+    return not any(residuals), residuals
 
 
 def _nakayama_exponents(datum: CartanDatum, xi: Character) -> tuple[int, ...]:
-    """Exponents of c_k = xi(g_k) chi_k(g_k)^{-1}."""
-    e = datum.braiding_exponents
-    return tuple(xi.value_exponent(g) - e[k][k] for k, g in enumerate(datum.g))
+    """Exponents mod N of c_k = xi(g_k) chi_k(g_k)^{-1}."""
+    e, m = datum.braiding_exponents, datum.group.exponent
+    return tuple((xi.value_exponent(g) - e[k][k]) % m for k, g in enumerate(datum.g))
 
 
-def braided_nakayama_diag(datum: CartanDatum, tie_break: str = "min") -> tuple[CycloNumber, ...]:
-    """Diagonal c_k = prod_{i != j_k} chi_{beta_i}(g_k) of the braided factor's
-    Nakayama automorphism, j_k the position of alpha_k in the beta sequence.
-    alpha_k occurs exactly once among the betas, so c_k = xi(g_k) chi_k(g_k)^{-1}."""
-    return check_cy_braided(datum, tie_break)[1]
-
-
-def check_cy_braided(datum: CartanDatum, tie_break: str = "min") -> tuple[bool, tuple[CycloNumber, ...]]:
-    """CY verdict for the braided factor: all c_k equal 1."""
+def check_cy_braided(datum: CartanDatum, tie_break: str = "min") -> tuple[bool, tuple[int, ...]]:
+    """CY verdict for the braided factor and the exponents mod N of its
+    Nakayama diagonal c_k = prod_{i != j_k} chi_{beta_i}(g_k), j_k the position
+    of alpha_k in the beta sequence: CY iff every c_k is 1.  alpha_k occurs
+    exactly once among the betas, so c_k = xi(g_k) chi_k(g_k)^{-1}."""
     diag = _nakayama_exponents(datum, integral_character(datum, tie_break))
-    return _all_zero(diag, datum), _roots(diag, datum)
+    return not any(diag), diag
 
 
-def squared_antipode_diag(datum: CartanDatum) -> tuple[CycloNumber, ...]:
-    """Diagonal of the squared antipode on generators: x_i -> chi_i(g_i)^{-1} x_i."""
-    return _roots((-row[i] for i, row in enumerate(datum.braiding_exponents)), datum)
+def squared_antipode_diag(datum: CartanDatum) -> tuple[int, ...]:
+    """Exponents mod N of the squared antipode's diagonal on generators,
+    x_i -> chi_i(g_i)^{-1} x_i."""
+    m = datum.group.exponent
+    return tuple(-row[i] % m for i, row in enumerate(datum.braiding_exponents))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -260,21 +244,6 @@ def _combine(u, v, cu: int, cv: int, ns) -> tuple[int, list[int], list[int]]:
     a, b = cu // g, cv // g
     return (g, [(s * x + t * y) % n for x, y, n in zip(u, v, ns)],
             [(a * y - b * x) % n for x, y, n in zip(u, v, ns)])
-
-
-def _root_exponent(value: CycloNumber, m: int) -> int | None:
-    """x with value = zeta_m^x, or None when value is not an m-th root of unity.
-    value is read in Q(zeta_M), M = lcm(m, its order), as +-zeta_M^k, that is
-    zeta_2M^y with y = 2k, plus M for the minus sign; it is in mu_m iff
-    2M / m divides y."""
-    big = lcm(m, value.order)
-    signed = value.lift(big).signed_root_power()
-    if signed is None:
-        return None
-    sign, k = signed
-    y = 2 * k + (big if sign < 0 else 0)
-    step = 2 * big // m
-    return None if y % step else y // step
 
 
 def _first_solution(ns, rows, targets, m: int) -> list[int] | None:
@@ -330,26 +299,21 @@ def _first_solution(ns, rows, targets, m: int) -> list[int] | None:
     return x0
 
 
-def inner_witness_search(
-    datum: CartanDatum, diag: tuple[CycloNumber, ...]
-) -> tuple[CycloNumber, GroupElement] | None:
-    """Find g in Gamma realizing the diagonal automorphism by conjugation,
-    i.e. chi_k(g) = diag_k for all k.  Returns (1, g) for the first such g in
+def inner_witness_search(datum: CartanDatum, targets: tuple[int, ...]) -> GroupElement | None:
+    """Find g in Gamma realizing the diagonal automorphism x_k -> zeta_N^{d_k} x_k
+    by conjugation, N the group exponent and d_k = targets[k], i.e.
+    chi_k(g) = zeta_N^{d_k} for all k.  Returns the first such g in
     lexicographic order of the exponent vectors, or None when there is none.
 
-    Each diag_k must be zeta_N^{d_k}, N the group exponent; then the
-    condition is the linear system sum_i a_{k,i} (N / n_i) g_i = d_k (mod N),
+    The condition is the linear system sum_i a_{k,i} (N / n_i) g_i = d_k (mod N),
     chi_k = (a_{k,1}, ..., a_{k,r}), solved exactly by _first_solution.  The
     cost is polynomial in the rank and the bit size of N, not in |Gamma|.
     Factors on which every chi_k is trivial leave g_i free, so g_i = 0 there
     and the system is solved on the other factors, at most
     MAX_WITNESS_RANK of them."""
-    if len(diag) != datum.rank:
-        raise InputError(f"diagonal needs {datum.rank} scalars, got {len(diag)}")
+    if len(targets) != datum.rank:
+        raise InputError(f"diagonal needs {datum.rank} exponents, got {len(targets)}")
     m = datum.group.exponent
-    targets = [_root_exponent(c, m) for c in diag]
-    if None in targets:
-        return None
     ns = datum.group.invariant_factors
     active = [i for i in range(len(ns)) if any(c.exp[i] for c in datum.chi)]
     if len(active) > MAX_WITNESS_RANK:
@@ -364,12 +328,12 @@ def inner_witness_search(
     exps = [0] * len(ns)
     for i, xi in zip(active, x):
         exps[i] = xi
-    return one(m), datum.group.element(exps)
+    return datum.group.element(exps)
 
 
 def check_cy_smash(
     datum: CartanDatum, tie_break: str = "min"
-) -> tuple[bool, Character, tuple[CycloNumber, GroupElement] | None, int]:
+) -> tuple[bool, Character, GroupElement | None, int]:
     """CY verdict for the smash product / its linking lifts.
 
     Condition 1: the integral character is trivial.  Condition 2: the squared
@@ -382,22 +346,33 @@ def check_cy_smash(
     return xi.is_trivial() and witness is not None, xi, witness, p
 
 
+def report_scalars(order: int, exponents) -> tuple[CycloNumber, ...]:
+    """zeta_order^x for each exponent x.  Verdicts are decided on exponents;
+    every scalar a CyReport holds or lists is built here: the Nakayama
+    diagonal, the residual and diagonal details, and the witness's scalar 1."""
+    return tuple(root_of_unity(x, order) for x in exponents)
+
+
+def _report_witness(order: int, g: GroupElement | None) -> tuple[CycloNumber, GroupElement] | None:
+    return None if g is None else (*report_scalars(order, (0,)), g)
+
+
 def _listing(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-def _witness_criterion(name: str, witness) -> CriterionResult:
-    return CriterionResult(
-        name, witness is not None, f"witness {witness[1]}" if witness else "no group-like witness"
-    )
+def _witness_criterion(name: str, g: GroupElement | None) -> CriterionResult:
+    found = g is not None
+    return CriterionResult(name, found, f"witness {g}" if found else "no group-like witness")
 
 
 def _quantum_affine_criteria(datum: CartanDatum) -> tuple[Character, tuple[CriterionResult, ...]]:
     """hdet and the balance and hdet-trivial criteria of an A1 x ... x A1 datum."""
     balanced, residuals = quantum_affine_balance(datum)
     hdet = hdet_quantum_affine(datum)
+    listing = _listing(report_scalars(datum.group.exponent, residuals))
     return hdet, (
-        CriterionResult("quantum-affine-balance", balanced, "residuals " + _listing(residuals)),
+        CriterionResult("quantum-affine-balance", balanced, "residuals " + listing),
         CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
     )
 
@@ -407,8 +382,8 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     A1 x ... x A1 data, the quantum-affine-space specializations."""
     cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
     exponents = _nakayama_exponents(datum, xi)
-    cy_r = _all_zero(exponents, datum)
-    diag = _roots(exponents, datum)
+    cy_r = not any(exponents)
+    diag = report_scalars(datum.group.exponent, exponents)
     criteria = [
         CriterionResult("integral-character-trivial", xi.is_trivial(), str(xi)),
         _witness_criterion("squared-antipode-inner", witness),
@@ -425,7 +400,7 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
         integral_character=xi,
         hdet=hdet,
         nakayama_diag=diag,
-        inner_witness=witness,
+        inner_witness=_report_witness(datum.group.exponent, witness),
         criteria=tuple(criteria),
         notes=(UNIT_GROUP_NOTE, _shift_note(p)),
     )
@@ -445,14 +420,15 @@ def quantum_affine_report(datum: CartanDatum) -> CyReport:
     diag = squared_antipode_diag(datum)
     witness = inner_witness_search(datum, diag)
     criteria = affine + (_witness_criterion("nakayama-inner", witness),)
+    m = datum.group.exponent
     return CyReport(
         cy_R=affine[0].satisfied,
         cy_smash=all(c.satisfied for c in criteria),
         cy_dimension=datum.rank,
         integral_character=hdet,
         hdet=hdet,
-        nakayama_diag=diag,
-        inner_witness=witness,
+        nakayama_diag=report_scalars(m, diag),
+        inner_witness=_report_witness(m, witness),
         criteria=criteria,
         notes=(
             UNIT_GROUP_NOTE,

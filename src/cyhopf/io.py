@@ -7,7 +7,8 @@ rejected, every quantity in the system is exact.  Every integer in a file
 (exponents, invariant factors, Cartan entries, indices, counts) is read by
 errors.read_int: an int or a decimal string of one, never a float or a boolean.
 Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
-Lie dimension and the entries of action-matrix powers (lie.MAX_DIMENSION,
+rank and root count of a Cartan matrix (cartan.MAX_RANK, ROOT_WORK_BUDGET),
+the Lie dimension and the entries of action-matrix powers (lie.MAX_DIMENSION,
 POWER_BIT_CAP), word length, normal words and the pair family's cost
 (smash.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET, PAIR_COST_BUDGET).
 """
@@ -15,7 +16,6 @@ POWER_BIT_CAP), word length, normal words and the pair family's cost
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 
 from .cartan import CartanMatrix
@@ -27,7 +27,6 @@ from .lie import MAX_DIMENSION, GroupActionData, LieAlgebraData
 from .smash import DEFAULT_DEGREE_BOUND, MAX_WORD_LENGTH, PresentedAlgebra, parse_word
 
 SCHEMA = "cy-hopf/1"
-ENV_BOUND = "CY_HOPF_DEGREE_BOUND"
 
 
 def load_json_file(path: str) -> dict:
@@ -102,8 +101,6 @@ def _degree_bound(obj: dict, override: int | None) -> int:
         name, raw = "--degree-bound", override
     elif "degree_bound" in obj:
         name, raw = "degree_bound", obj["degree_bound"]
-    elif ENV_BOUND in os.environ:
-        name, raw = ENV_BOUND, os.environ[ENV_BOUND]
     else:
         return DEFAULT_DEGREE_BOUND
     bound = read_int(name, raw)
@@ -119,7 +116,7 @@ def parse_presentation(
     and the optional winding character under the "xi" key.
 
     The degree bound is degree_bound if given, else the file's "degree_bound",
-    else the CY_HOPF_DEGREE_BOUND environment variable, else the default."""
+    else the default."""
     bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import euler_phi, one
-from .datum import CriterionResult, CyReport
+from .cyclotomic import euler_phi
+from .datum import CriterionResult, CyReport, report_scalars
 from .errors import InputError
 from .groups import AbelianGroup, Character, GroupElement
 
@@ -265,8 +265,8 @@ def check_cy_lie_smash(algebra: LieAlgebraData, action: GroupActionData) -> CyRe
         cy_dimension=d,
         integral_character=det_char,
         hdet=det_char,
-        nakayama_diag=tuple(one(m) for _ in range(d)),
-        inner_witness=(one(m), action.group.identity()),
+        nakayama_diag=report_scalars(m, (0,) * d),
+        inner_witness=(*report_scalars(m, (0,)), action.group.identity()),
         criteria=criteria,
         notes=(
             "twisting automorphism is the identity (trivial coaction), "

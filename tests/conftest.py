@@ -22,6 +22,11 @@ settings.register_profile(
 settings.load_profile("cyhopf")
 
 
+def type_a(n: int) -> list[list[int]]:
+    """Rows of the Cartan matrix of type A_n."""
+    return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
 def a2_z2z2_datum() -> CartanDatum:
     """First bundled example: Gamma = Z2 x Z2, type A2, lambda = 0."""
     group = AbelianGroup((2, 2))

@@ -10,6 +10,7 @@ from cyhopf.cartan import (
     simple_root,
 )
 from cyhopf.errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced
+from conftest import type_a
 
 A1 = CartanMatrix(((2,),))
 A1xA1 = CartanMatrix(((2, 0), (0, 2)))
@@ -87,6 +88,18 @@ def test_affine_matrix_rejected():
         positive_roots_closure(affine)
     with pytest.raises(NotFiniteType):
         longest_word(affine)
+
+
+def test_root_work_budget_is_exact_at_its_edge():
+    """A31 (496 positive roots) fits p^2 t <= ROOT_WORK_BUDGET, A32 (528 roots,
+    at most 500 allowed at rank 32) does not; a rank over MAX_RANK is refused
+    before any root is computed."""
+    assert len(positive_roots_closure(CartanMatrix.from_json(type_a(31)))) == 496
+    with pytest.raises(NotFiniteType):
+        positive_roots_closure(CartanMatrix.from_json(type_a(32)))
+    rank_129 = CartanMatrix(tuple(tuple(2 * (i == j) for j in range(129)) for i in range(129)))
+    with pytest.raises(InputError, match="rank 129"):
+        positive_roots_closure(rank_129)
 
 
 def test_longest_word_small_cases():

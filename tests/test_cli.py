@@ -11,6 +11,7 @@ import pytest
 
 from cyhopf import cli
 from cyhopf.cli import main
+from conftest import type_a
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -154,6 +155,11 @@ ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"e
 LARGE_FIELD = dict(PRES_Z2, group={"invariant_factors": [101]}, generators=1,
                    degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
                    rules=[{"lhs": "x1^37", "rhs": []}], degree_bound=36)
+# Type A32 over (Z3)^32 with q_ij = zeta_3^{a_ij}: a valid datum whose 528 positive
+# roots pass the root layer's budget, 500 at rank 32.
+A32_DATUM = {"group": {"invariant_factors": [3] * 32},
+             "g": [{"exp": [int(i == j) for j in range(32)]} for i in range(32)],
+             "chi": [{"exp": [a % 3 for a in row]} for row in type_a(32)], "cartan": type_a(32)}
 # Six commuting generators of degree gamma over Z_593, trivial action, bound 3: the
 # rule checks cost 99456 units, the degree <= 1 pairs alone 169 * 592 = 100048.
 COMMUTING_Z593 = dict(
@@ -210,6 +216,9 @@ COMMUTING_Z593 = dict(
         ("verify-hopf", LARGE_FIELD),
         ("check-cy", {"group": {"invariant_factors": [2] * 129}, "g": [{"exp": [1] + [0] * 128}],
                       "chi": [{"exp": [1] * 129}], "cartan": [[2]]}),
+        ("roots", {"cartan": type_a(60)}),
+        ("check-cy", A32_DATUM),
+        ("roots", {"cartan": [[2 * (i == j) for j in range(129)] for i in range(129)]}),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -219,7 +228,8 @@ COMMUTING_Z593 = dict(
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
          "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
-         "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit"],
+         "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit",
+         "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -230,13 +240,10 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
 
 
 @pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])
-def test_huge_degree_bound_fails_fast(tmp_path, capsys, monkeypatch, verb):
-    stripped = tmp_path / "pres.json"
-    pres = json.loads((DATA / PRES_A1A1).read_text())
-    del pres["degree_bound"]
-    stripped.write_text(json.dumps(pres))
-    monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", "1000")
-    for argv in ([verb, str(DATA / PRES_A2), "--degree-bound", "1000"], [verb, str(stripped)]):
+def test_huge_degree_bound_fails_fast(tmp_path, capsys, verb):
+    in_file = tmp_path / "pres.json"
+    in_file.write_text(json.dumps(edited(PRES_A1A1, ("degree_bound",), 1000)))
+    for argv in ([verb, str(DATA / PRES_A2), "--degree-bound", "1000"], [verb, str(in_file)]):
         start = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - start < 5
@@ -291,22 +298,24 @@ def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
 
 
 def test_degree_bound_flag_and_env(tmp_path, capsys, monkeypatch):
+    """The bound is --degree-bound, else the file's "degree_bound", else the
+    default 4.  The environment sets none: the CY_HOPF_DEGREE_BOUND variable
+    that once did is ignored, even when it is not a number."""
     code, out = run_cli(
         capsys, "verify-s2", str(DATA / "presentation_a1a1_z3z3.json"),
         "--degree-bound", "3", "--json",
     )
     assert code == 0 and json.loads(out)["degree_bound"] == 3
-    # env var overrides the built-in default when the file omits the bound
     pres = json.loads((DATA / "presentation_a1a1_z3z3.json").read_text())
     del pres["degree_bound"]
     stripped = tmp_path / "pres.json"
     stripped.write_text(json.dumps(pres))
-    monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", "2")
-    code, out = run_cli(capsys, "verify-s2", str(stripped), "--json")
-    assert code == 0 and json.loads(out)["degree_bound"] == 2
-    monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", "zero")
-    assert main(["verify-s2", str(stripped), "--json"]) == 1
-    capsys.readouterr()
+    for value in ("2", "zero"):
+        monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", value)
+        code, out = run_cli(capsys, "verify-s2", str(stripped), "--json")
+        assert code == 0 and json.loads(out)["degree_bound"] == 4
+        code, out = run_cli(capsys, "verify-s2", str(stripped), "--json", "--degree-bound", "2")
+        assert code == 0 and json.loads(out)["degree_bound"] == 2
 
 
 def test_tie_break_flag_changes_word(capsys):

@@ -8,7 +8,6 @@ from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simpl
 from cyhopf.cyclotomic import one, root_of_unity
 from cyhopf.datum import (
     CartanDatum,
-    braided_nakayama_diag,
     check_cy,
     check_cy_braided,
     check_cy_smash,
@@ -21,20 +20,22 @@ from cyhopf.datum import (
     squared_antipode_diag,
 )
 from cyhopf.datum import _first_solution
-from cyhopf.errors import InvalidDatum, NegativeRoot, WrongCartanType
+from cyhopf.errors import InputError, InvalidDatum, NegativeRoot, WrongCartanType
 from cyhopf.groups import AbelianGroup
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from conftest import a1a1_znzn_datum, a2_z2z2_datum
 
 
 def test_braiding_matrix_of_the_bundled_examples(example_a2, example_a1a1):
-    minus_one = root_of_unity(1, 2)
-    q = example_a2.braiding_matrix()
-    assert q[0][0] == minus_one  # chi_1(y_1)
-    assert q[0][1] == minus_one and q[1][0].is_one() and q[1][1] == minus_one
-    qq = example_a1a1.braiding_matrix()
-    z = root_of_unity(1, 3)
-    assert qq[0][1] == z.inverse() and qq[1][0] == z  # q_12 = q^{-1}, q_21 = q
+    # q_ij = chi_j(g_i) = zeta_N^{e_ij}
+    assert example_a2.braiding_exponents == ((1, 1), (0, 1))  # N = 2: q_21 = 1, the rest -1
+    for datum in (example_a2, example_a1a1):
+        m = datum.group.exponent
+        for i, row in enumerate(datum.braiding_exponents):
+            for j, e in enumerate(row):
+                assert datum.chi[j](datum.g[i]) == root_of_unity(e, m)
+    qq = example_a1a1.braiding_exponents
+    assert qq[0][1] == 2 and qq[1][0] == 1  # q_12 = q^{-1}, q_21 = q with q = zeta_3
 
 
 def test_datum_validation():
@@ -104,11 +105,11 @@ def test_balance_criterion(example_a1a1):
         group, (group.generator(0),), (group.character((1,)),), CartanMatrix(((2,),))
     )
     ok, residuals = quantum_affine_balance(datum)
-    assert ok and residuals[0].is_one()
-    # the Zn x Zn example fails balance: residual q at index 1
+    assert ok and residuals == (0,)
+    # the Zn x Zn example fails balance: residual q = zeta_3 at index 1
     ok2, res2 = quantum_affine_balance(example_a1a1)
     assert not ok2
-    assert res2[0] == root_of_unity(1, 3)
+    assert res2[0] == 1
     # cross-terms all 1 gives balance
     g22 = AbelianGroup((2, 2))
     datum3 = CartanDatum(
@@ -121,12 +122,10 @@ def test_balance_criterion(example_a1a1):
 
 
 def test_braided_diag_of_examples(example_a2, example_a1a1):
-    minus_one = root_of_unity(1, 2)
     ok, diag = check_cy_braided(example_a2)
-    assert not ok and diag == (minus_one, minus_one)
+    assert not ok and diag == (1, 1)  # (-1, -1)
     ok2, diag2 = check_cy_braided(example_a1a1)
-    q = root_of_unity(1, 3)
-    assert not ok2 and diag2 == (q.inverse(), q)
+    assert not ok2 and diag2 == (2, 1)  # (q^{-1}, q), q = zeta_3
     # all cross q = 1 makes the braided factor CY
     g22 = AbelianGroup((2, 2))
     datum3 = CartanDatum(
@@ -136,37 +135,36 @@ def test_braided_diag_of_examples(example_a2, example_a1a1):
         CartanMatrix(((2, 0), (0, 2))),
     )
     ok3, diag3 = check_cy_braided(datum3)
-    assert ok3 and all(c.is_one() for c in diag3)
+    assert ok3 and diag3 == (0, 0)
 
 
 def test_witness_search(example_a2):
     group = example_a2.group
     # all-ones diagonal is realized by the identity
-    found = inner_witness_search(example_a2, (one(2), one(2)))
-    assert found is not None and found[1].is_identity()
+    found = inner_witness_search(example_a2, (0, 0))
+    assert found is not None and found.is_identity()
     # the squared-antipode diagonal (-1, -1) is realized by y1 (first in lex order)
-    found2 = inner_witness_search(example_a2, squared_antipode_diag(example_a2))
-    assert found2 is not None and found2[1] == group.element((1, 0))
-    assert found2[0].is_one()
+    assert squared_antipode_diag(example_a2) == (1, 1)
+    assert inner_witness_search(example_a2, squared_antipode_diag(example_a2)) == group.element((1, 0))
     # unreachable diagonal: chi values are +-1, so zeta_4 is never attained
     g4 = AbelianGroup((4,))
     datum4 = CartanDatum(
         g4, (g4.generator(0),), (g4.character((2,)),), CartanMatrix(((2,),))
     )
-    assert inner_witness_search(datum4, (root_of_unity(1, 4),)) is None
+    assert inner_witness_search(datum4, (1,)) is None
 
 
 def test_check_cy_smash_examples(example_a2):
     ok, xi, witness, p = check_cy_smash(example_a2)
     assert ok and xi.is_trivial() and p == 3
-    assert witness[1] == example_a2.group.element((1, 0))
+    assert witness == example_a2.group.element((1, 0))
     for n in (3, 4, 5):
         datum = a1a1_znzn_datum(n)
         ok, xi, witness, p = check_cy_smash(datum)
         assert ok and p == 2
         # post hoc: the witness realizes chi_i(g) = chi_i(g_i)^{-1}
         for i in range(2):
-            assert datum.chi[i](witness[1]) == datum.chi[i](datum.g[i]).inverse()
+            assert datum.chi[i](witness) == datum.chi[i](datum.g[i]).inverse()
     # A1 with nontrivial character: integral character nontrivial, not CY
     group = AbelianGroup((2,))
     datum1 = CartanDatum(
@@ -228,7 +226,7 @@ def test_integral_character_independent_of_tie_break():
     for _ in range(60):
         datum = random_cartan_datum(rng)
         assert integral_character(datum, "min") == integral_character(datum, "max")
-        assert braided_nakayama_diag(datum, "min") == braided_nakayama_diag(datum, "max")
+        assert check_cy_braided(datum, "min") == check_cy_braided(datum, "max")
 
 
 def _product_oracle(datum, tie_break):
@@ -276,14 +274,17 @@ def test_closed_forms_match_products_over_the_beta_sequence():
         for tie_break in ("min", "max"):
             xi, diag = _product_oracle(datum, tie_break)
             assert integral_character(datum, tie_break) == xi
-            assert braided_nakayama_diag(datum, tie_break) == diag
+            exponents = check_cy_braided(datum, tie_break)[1]
+            assert tuple(root_of_unity(x, datum.group.exponent) for x in exponents) == diag
 
 
-def _enumeration_oracle(datum, diag):
-    """The witness by listing Gamma in lexicographic order (test-only)."""
+def _enumeration_oracle(datum, targets):
+    """The witness by listing Gamma in lexicographic order and comparing the
+    values chi_k(g) with zeta_N^{d_k} (test-only)."""
+    diag = [root_of_unity(d, datum.group.exponent) for d in targets]
     for g in datum.group.elements():
         if all(datum.chi[k](g) == diag[k] for k in range(datum.rank)):
-            return one(datum.group.exponent), g
+            return g
     return None
 
 
@@ -298,18 +299,17 @@ def _no_witness_datum(k: int) -> CartanDatum:
 
 
 def _targets(datum, rng):
-    """Diagonals to search for: 3 random vectors of N-th roots of unity, one
-    realized by a random h, and forms of it the solver must read or refuse
-    (-chi(h), a root of order 2N, a lift to Q(zeta_3N), chi(h) + 1)."""
+    """Exponent vectors to search for: 3 random ones, the exponents of chi(h)
+    for a random h, the same shifted by N (unreduced), and -chi(h) when N is
+    even."""
     m = datum.group.exponent
-    out = [tuple(root_of_unity(rng.randrange(m), m) for _ in range(datum.rank)) for _ in range(3)]
+    out = [tuple(rng.randrange(m) for _ in range(datum.rank)) for _ in range(3)]
     h = datum.group.element([rng.randrange(n) for n in datum.group.invariant_factors])
-    planted = tuple(c(h) for c in datum.chi)
+    planted = tuple(c.value_exponent(h) for c in datum.chi)
     out.append(planted)
-    out.append(tuple(-v for v in planted))
-    out.append(tuple(v * root_of_unity(1, 2 * m) for v in planted))
-    out.append(tuple(v.lift(3 * m) for v in planted))
-    out.append(tuple(v + 1 for v in planted))
+    out.append(tuple(x - m for x in planted))
+    if m % 2 == 0:
+        out.append(tuple(x + m // 2 for x in planted))
     return out
 
 
@@ -327,11 +327,10 @@ def test_witness_solver_matches_enumeration():
             got = report.inner_witness
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[1] is want[1] and got[0].is_one()
-        for diag in _targets(datum, rng):
-            want = _enumeration_oracle(datum, diag)
-            got = inner_witness_search(datum, diag)
-            assert (got and got[1]) == (want and want[1]), (datum.group, diag)
+                assert got[1] is want and got[0].is_one()
+        for targets in _targets(datum, rng):
+            want = _enumeration_oracle(datum, targets)
+            assert inner_witness_search(datum, targets) is want, (datum.group, targets)
             searches += 1
             found += want is not None
     assert 0 < found < searches  # both outcomes occur
@@ -382,14 +381,31 @@ def test_witness_solver_on_large_groups_with_small_exponent():
     group = AbelianGroup((2,) * 21)
     d = CartanDatum(group, (group.generator(0),), (group.character((1,) + (0,) * 20),),
                     CartanMatrix(((2,),)))
-    assert inner_witness_search(d, squared_antipode_diag(d))[1] is group.generator(0)
+    assert inner_witness_search(d, squared_antipode_diag(d)) is group.generator(0)
     assert inner_witness_search(_no_witness_datum(8), squared_antipode_diag(_no_witness_datum(8))) is None
     # chi = product of all characters: the first g with chi(g) = -1 is y21
     chi = group.character((1,) * 21)
     assert inner_witness_search(
-        CartanDatum(group, (group.generator(0),), (chi,), CartanMatrix(((2,),))),
-        (root_of_unity(1, 2),),
-    )[1] is group.generator(20)
+        CartanDatum(group, (group.generator(0),), (chi,), CartanMatrix(((2,),))), (1,)
+    ) is group.generator(20)
+
+
+def test_verdicts_build_no_cyclotomic_number():
+    """Over Z_N with N = 10^30, no CycloNumber in Q(zeta_N) can be built (its
+    power table is over the budget), yet every verdict function returns:
+    verdicts are decided on exponents mod N."""
+    n = 10**30
+    group = AbelianGroup((n,))
+    gamma = group.generator(0)
+    datum = CartanDatum(group, (gamma,), (group.character((2,)),), CartanMatrix(((2,),)))
+    with pytest.raises(InputError):
+        root_of_unity(1, n)
+    assert squared_antipode_diag(datum) == (n - 2,)
+    witness = group.element((n // 2 - 1,))  # chi(g) = zeta^{2x} = zeta^{-2}, x = N/2 - 1
+    assert inner_witness_search(datum, (n - 2,)) is witness
+    assert check_cy_smash(datum) == (False, datum.chi[0], witness, 1)  # xi = chi
+    assert check_cy_braided(datum) == (True, (0,))  # c_1 = xi(g) chi(g)^{-1} = 1
+    assert quantum_affine_balance(datum) == (True, (0,))
 
 
 def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):

@@ -430,8 +430,11 @@ SWEEP_NOTE = "group tails reduced to e by Gamma-equivariance"
 @pytest.mark.parametrize(
     "build, path",
     [(_nonconfluent_presentation, "sweep"), (_q12_squared_control, "sweep"),
-     (lambda: qa_algebra(3, 3), "rules"), (lambda: a2_algebra(3), "sweep")],
-    ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3"],
+     (lambda: qa_algebra(3, 3), "rules"), (lambda: a2_algebra(3), "sweep"),
+     # the self-overlap x1^5 of x1^3 -> 0 is over the bound, but resolves to 0 both ways
+     (lambda: _one_generator({(0, 0, 0): ()}, chi=1, n=3), "rules")],
+    ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3",
+         "x1^3-to-0-z3-bound4"],
 )
 def test_tail_reduced_sweep_matches_full_tail_oracle(build, path):
     algebra = build()
