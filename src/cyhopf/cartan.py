@@ -49,6 +49,8 @@ class CartanMatrix:
                         raise InputError(f"off-diagonal a_{i + 1}{j + 1} must be <= 0")
                     if (a == 0) != (rows[j][i] == 0):
                         raise InputError(f"a_{i + 1}{j + 1} and a_{j + 1}{i + 1} must vanish together")
+        a1_power = all(a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j)
+        object.__setattr__(self, "_a1_power", a1_power)
 
     @property
     def rank(self) -> int:
@@ -56,7 +58,7 @@ class CartanMatrix:
 
     def is_a1_power(self) -> bool:
         """True for type A1 x ... x A1 (all off-diagonal entries zero)."""
-        return all(a == 0 for i, row in enumerate(self.entries) for j, a in enumerate(row) if i != j)
+        return self._a1_power
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -3,37 +3,40 @@
 A datum bundles a finite abelian group, group-like elements g_i, characters
 chi_i and a finite-type Cartan matrix, with optional linking parameters that
 are carried as data but never influence verdicts.  The braiding matrix is
-q_ij = chi_j(g_i); construction enforces q_ii != 1 and the compatibility
-q_ij q_ji = q_ii^{a_ij}.
+q_ij = chi_j(g_i) = zeta_N^{e_ij}, N the exponent of the group; construction
+enforces q_ii != 1 and q_ij q_ji = q_ii^{a_ij}, i.e. e_ii != 0 and
+e_ij + e_ji = a_ij e_ii mod N.  Every verdict is decided on exponents mod N,
+and every character is summed as one exponent vector.  Only report_scalars,
+which turns exponents into the scalars a CyReport holds, builds CycloNumbers
+and so needs the power table of Q(zeta_N).
 
-Every braiding value is a root of unity q_ij = zeta_N^{e_ij}, N the exponent
-of the group, so validation and every verdict here are decided on exponents
-mod N: q_ii != 1 is e_ii != 0, compatibility is e_ij + e_ji = a_ij e_ii, the
-balance residuals, the diagonal c_k and the squared antipode's diagonal are
-exponent tuples, and the witness search solves congruences in them.  No
-verdict builds a CycloNumber: report_scalars turns exponents into the scalars
-a CyReport holds, so only assembling a report needs the power table of Q(zeta_N).
+The verdicts are exact character computations:
 
-The verdicts computed here are exact character computations:
-
-* the integral character xi, the product of chi_beta over the positive roots
-  derived from a reduced longest word, i.e. prod_j chi_j^{(2 rho)_j} with
-  2 rho the sum of the positive roots;
-* the smash-product CY check: integral character trivial plus a group-like
-  g realizing the squared antipode by conjugation, found by solving the
-  linear congruences chi_k(g) = chi_k(g_k)^{-1} over Z (inner_witness_search);
-* the braided-factor CY check: triviality of the diagonal
-  c_k = prod_{i != j_k} chi_{beta_i}(g_k) = xi(g_k) chi_k(g_k)^{-1}, reported
-  as the Nakayama diagonal;
+* the integral character xi = prod_beta chi_beta = prod_j chi_j^{(2 rho)_j},
+  2 rho the sum of the positive roots derived from a reduced longest word;
+* the smash-product CY check: xi trivial and a group-like g realizing the
+  squared antipode by conjugation, chi_k(g) = chi_k(g_k)^{-1}, solved as
+  linear congruences (inner_witness_search);
+* the braided-factor CY check: triviality of the Nakayama diagonal
+  c_k = prod_{i != j_k} chi_{beta_i}(g_k) = xi(g_k) chi_k(g_k)^{-1};
 * for type A1 x ... x A1, the quantum-affine-space specializations: the
   homological determinant g -> prod chi_i(g^{-1}) and the balance criterion
   q_{1i}...q_{(i-1)i} = q_{i(i+1)}...q_{it}.
+
+The longest word and 2 rho, hence p and xi, are derived per tie-break ("min"
+or "max", memoized per matrix), so the two cross-check each other.  The
+witness and the quantum-affine criteria do not depend on the tie-break: each
+is computed on first use and kept on its datum
+(CartanDatum.squared_antipode_witness, CartanDatum.quantum_affine_criteria).
+Building a datum computes neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
+from operator import mul
 
 from .cartan import CartanMatrix, Root, beta_sequence, longest_word
 from .cyclotomic import CycloNumber, root_of_unity
@@ -84,21 +87,17 @@ class CartanDatum:
         for c in self.chi:
             if c.group != self.group:
                 raise InvalidDatum("character outside the datum's group")
-        e = tuple(tuple(c.value_exponent(x) for c in self.chi) for x in self.g)
-        object.__setattr__(self, "braiding_exponents", e)  # q_ij = zeta_N^e_ij
-        m = self.group.exponent
+        m, ns = self.group.exponent, self.group.invariant_factors
+        scaled = [[a * (m // n) for a, n in zip(c.exp, ns)] for c in self.chi]
+        e = tuple(tuple(sum(map(mul, s, x.exp)) % m for s in scaled) for x in self.g)
+        object.__setattr__(self, "braiding_exponents", e)  # q_ij = chi_j(g_i) = zeta_N^e_ij
         for i in range(t):
             if e[i][i] == 0:
                 raise InvalidDatum(f"q_{i + 1}{i + 1} = chi_{i + 1}(g_{i + 1}) must differ from 1")
-        for i in range(t):
-            for j in range(t):
-                if i != j:
-                    a = self.cartan.entries[i][j]
-                    if (e[i][j] + e[j][i] - a * e[i][i]) % m:
-                        raise InvalidDatum(
-                            f"compatibility q_{i + 1}{j + 1} q_{j + 1}{i + 1} = "
-                            f"q_{i + 1}{i + 1}^a_{i + 1}{j + 1} fails"
-                        )
+        for i, j in product(range(t), repeat=2):
+            if i != j and (e[i][j] + e[j][i] - self.cartan.entries[i][j] * e[i][i]) % m:
+                raise InvalidDatum(f"compatibility q_{i + 1}{j + 1} q_{j + 1}{i + 1} = "
+                                   f"q_{i + 1}{i + 1}^a_{i + 1}{j + 1} fails")
         seen = set()
         for lp in self.linking:
             if not (0 <= lp.i < lp.j < t):
@@ -115,8 +114,24 @@ class CartanDatum:
     def rank(self) -> int:
         return self.cartan.rank
 
+    @cached_property
+    def squared_antipode_witness(self) -> GroupElement | None:
+        """The first group-like realizing the squared antipode by conjugation."""
+        return inner_witness_search(self, squared_antipode_diag(self))
 
-@dataclass
+    @cached_property
+    def quantum_affine_criteria(self) -> tuple[Character, tuple[CriterionResult, ...]]:
+        """hdet, and the balance and hdet-trivial criteria of an A1^t datum."""
+        balanced, residuals = quantum_affine_balance(self)
+        hdet = hdet_quantum_affine(self)
+        listing = _listing(report_scalars(self.group.exponent, residuals))
+        return hdet, (
+            CriterionResult("quantum-affine-balance", balanced, "residuals " + listing),
+            CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
+        )
+
+
+@dataclass(frozen=True)
 class CriterionResult:
     criterion: str
     satisfied: bool
@@ -145,15 +160,17 @@ class CyReport:
             raise InternalError("cy_smash verdict with nontrivial integral character")
 
 
+def _chi_product(datum: CartanDatum, powers) -> Character:
+    """chi_1^{m_1} ... chi_t^{m_t}, summed as one exponent vector."""
+    cols = zip(*(c.exp for c in datum.chi))  # column i: the chi_k's exponents on factor i
+    return Character(datum.group, tuple(sum(map(mul, powers, col)) for col in cols))
+
+
 def chi_beta(datum: CartanDatum, root: Root) -> Character:
     """Product character chi_1^{m_1} ... chi_t^{m_t} for a positive root."""
     if any(m < 0 for m in root.coeffs):
         raise NegativeRoot(f"chi_beta needs nonnegative coefficients, got {root}")
-    out = datum.group.trivial_character()
-    for c, m in zip(datum.chi, root.coeffs):
-        if m:
-            out = out * c**m
-    return out
+    return _chi_product(datum, root.coeffs)
 
 
 @lru_cache(maxsize=128)
@@ -165,9 +182,7 @@ def _root_counts(cartan: CartanMatrix, tie_break: str) -> tuple[int, Root]:
 
 
 def _root_data(datum: CartanDatum, tie_break: str) -> tuple[int, Character]:
-    """Positive-root count p and integral character xi of the datum.
-    xi = prod_beta chi_beta = prod_j chi_j^{(2 rho)_j}, so the order of the
-    longest word does not matter."""
+    """Positive-root count p and integral character xi = chi_beta(2 rho)."""
     p, two_rho = _root_counts(datum.cartan, tie_break)
     return p, chi_beta(datum, two_rho)
 
@@ -181,10 +196,7 @@ def hdet_quantum_affine(datum: CartanDatum) -> Character:
     """Homological determinant g -> prod_i chi_i(g^{-1}) for type A1 x ... x A1."""
     if not datum.cartan.is_a1_power():
         raise WrongCartanType("homological determinant is only computed for A1 x ... x A1 data")
-    out = datum.group.trivial_character()
-    for c in datum.chi:
-        out = out * c
-    return out.inverse()
+    return _chi_product(datum, (-1,) * datum.rank)
 
 
 def quantum_affine_balance(datum: CartanDatum) -> tuple[bool, tuple[int, ...]]:
@@ -342,7 +354,7 @@ def check_cy_smash(
     The verdict does not depend on the linking parameters.
     """
     p, xi = _root_data(datum, tie_break)
-    witness = inner_witness_search(datum, squared_antipode_diag(datum))
+    witness = datum.squared_antipode_witness
     return xi.is_trivial() and witness is not None, xi, witness, p
 
 
@@ -366,17 +378,6 @@ def _witness_criterion(name: str, g: GroupElement | None) -> CriterionResult:
     return CriterionResult(name, found, f"witness {g}" if found else "no group-like witness")
 
 
-def _quantum_affine_criteria(datum: CartanDatum) -> tuple[Character, tuple[CriterionResult, ...]]:
-    """hdet and the balance and hdet-trivial criteria of an A1 x ... x A1 datum."""
-    balanced, residuals = quantum_affine_balance(datum)
-    hdet = hdet_quantum_affine(datum)
-    listing = _listing(report_scalars(datum.group.exponent, residuals))
-    return hdet, (
-        CriterionResult("quantum-affine-balance", balanced, "residuals " + listing),
-        CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
-    )
-
-
 def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
     A1 x ... x A1 data, the quantum-affine-space specializations."""
@@ -391,7 +392,7 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     ]
     hdet = None
     if datum.cartan.is_a1_power():
-        hdet, affine = _quantum_affine_criteria(datum)
+        hdet, affine = datum.quantum_affine_criteria
         criteria.extend(affine)
     return CyReport(
         cy_R=cy_r,
@@ -416,9 +417,8 @@ def quantum_affine_report(datum: CartanDatum) -> CyReport:
     """
     if not datum.cartan.is_a1_power():
         raise WrongCartanType("quantum-affine report needs a Cartan matrix of type A1 x ... x A1")
-    hdet, affine = _quantum_affine_criteria(datum)
-    diag = squared_antipode_diag(datum)
-    witness = inner_witness_search(datum, diag)
+    hdet, affine = datum.quantum_affine_criteria
+    witness = datum.squared_antipode_witness
     criteria = affine + (_witness_criterion("nakayama-inner", witness),)
     m = datum.group.exponent
     return CyReport(
@@ -427,7 +427,7 @@ def quantum_affine_report(datum: CartanDatum) -> CyReport:
         cy_dimension=datum.rank,
         integral_character=hdet,
         hdet=hdet,
-        nakayama_diag=report_scalars(m, diag),
+        nakayama_diag=report_scalars(m, squared_antipode_diag(datum)),
         inner_witness=_report_witness(m, witness),
         criteria=criteria,
         notes=(

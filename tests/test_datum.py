@@ -229,20 +229,37 @@ def test_integral_character_independent_of_tie_break():
         assert check_cy_braided(datum, "min") == check_cy_braided(datum, "max")
 
 
+def _chi_beta_by_products(datum, root):
+    """chi_beta as the product of Character powers (test-only oracle)."""
+    out = datum.group.trivial_character()
+    for c, m in zip(datum.chi, root.coeffs):
+        if m:
+            out = out * c**m
+    return out
+
+
+def _hdet_by_products(datum):
+    """hdet as the inverse of the product of the chi_i (test-only oracle)."""
+    out = datum.group.trivial_character()
+    for c in datum.chi:
+        out = out * c
+    return out.inverse()
+
+
 def _product_oracle(datum, tie_break):
     """xi and the braided diagonal as literal products of chi_beta over the
     beta sequence: xi = prod_i chi_{beta_i}, c_k = prod_{i != j_k} chi_{beta_i}(g_k)."""
     betas = beta_sequence(datum.cartan, longest_word(datum.cartan, tie_break))
     xi = datum.group.trivial_character()
     for beta in betas:
-        xi = xi * chi_beta(datum, beta)
+        xi = xi * _chi_beta_by_products(datum, beta)
     diag = []
     for k in range(datum.rank):
         j_k = betas.index(simple_root(datum.cartan, k))
         c = one(datum.group.exponent)
         for i, beta in enumerate(betas):
             if i != j_k:
-                c = c * chi_beta(datum, beta)(datum.g[k])
+                c = c * _chi_beta_by_products(datum, beta)(datum.g[k])
         diag.append(c)
     return xi, tuple(diag)
 
@@ -390,14 +407,19 @@ def test_witness_solver_on_large_groups_with_small_exponent():
     ) is group.generator(20)
 
 
+def _huge_order_datum() -> CartanDatum:
+    """A1 over Z_N, N = 10^30, with g = gamma and chi = gamma^2."""
+    group = AbelianGroup((10**30,))
+    return CartanDatum(group, (group.generator(0),), (group.character((2,)),),
+                       CartanMatrix(((2,),)))
+
+
 def test_verdicts_build_no_cyclotomic_number():
     """Over Z_N with N = 10^30, no CycloNumber in Q(zeta_N) can be built (its
     power table is over the budget), yet every verdict function returns:
     verdicts are decided on exponents mod N."""
-    n = 10**30
-    group = AbelianGroup((n,))
-    gamma = group.generator(0)
-    datum = CartanDatum(group, (gamma,), (group.character((2,)),), CartanMatrix(((2,),)))
+    datum = _huge_order_datum()
+    group, n = datum.group, datum.group.exponent
     with pytest.raises(InputError):
         root_of_unity(1, n)
     assert squared_antipode_diag(datum) == (n - 2,)
@@ -427,3 +449,102 @@ def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
     assert sorted(calls, key=repr) == sorted(pairs, key=repr)
     assert len(calls) == len(pairs) < 2 * len(data)
     datum_module._root_counts.cache_clear()
+
+
+def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeypatch):
+    solves, balances = [], []
+    solve, balance = datum_module._first_solution, datum_module.quantum_affine_balance
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def counting_balance(datum):
+        balances.append(datum)
+        return balance(datum)
+
+    monkeypatch.setattr(datum_module, "_first_solution", counting_solve)
+    monkeypatch.setattr(datum_module, "quantum_affine_balance", counting_balance)
+    rng = random.Random(1211)
+    data = [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(20)]
+    data += [random_cartan_datum(rng) for _ in range(30)]
+    assert not solves  # building a datum solves nothing
+    a1t = [d for d in data if d.cartan.is_a1_power()]
+    assert 40 <= len(a1t) < len(data)
+    for datum in data:
+        for _ in range(2):
+            reports = [check_cy(datum, "min"), check_cy(datum, "max")]
+            if datum.cartan.is_a1_power():
+                reports.append(quantum_affine_report(datum))
+            assert len({r.inner_witness and r.inner_witness[1] for r in reports}) == 1
+    assert len(solves) == len(data)
+    assert [id(d) for d in balances] == [id(d) for d in a1t]
+    for datum in data:
+        fresh = inner_witness_search(datum, squared_antipode_diag(datum))
+        assert datum.squared_antipode_witness is fresh
+        assert check_cy_smash(datum)[2] is fresh
+    # a second datum from the same exponents keeps nothing of the first
+    solves.clear()
+    for datum in data[:5] + data[-5:]:
+        twin = CartanDatum(datum.group, datum.g, datum.chi, datum.cartan)
+        check_cy(twin)
+        check_cy(twin, "max")
+    assert len(solves) == 10
+
+
+def test_exponent_vector_characters_match_character_products():
+    rng = random.Random(3030)
+    data = [random_cartan_datum(rng) for _ in range(100)]
+    data += [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(47)]
+    data += [_twisted_e_datum(n, rng) for n in (6, 7, 8)]
+    data += [_no_witness_datum(k) for k in (1, 2)] + [_huge_order_datum()]
+    assert len(data) == 200
+    zero_coefficients = 0
+    for datum in data:
+        t = datum.rank
+        rows = datum.cartan.entries
+        assert datum.cartan.is_a1_power() == all(rows[i][j] == 0 for i in range(t) for j in range(t)
+                                                 if i != j)
+        assert datum.braiding_exponents == tuple(
+            tuple(c.value_exponent(x) for c in datum.chi) for x in datum.g)
+        tie_break = rng.choice(("min", "max"))
+        betas = beta_sequence(datum.cartan, longest_word(datum.cartan, tie_break))
+        xi = datum.group.trivial_character()
+        for beta in betas:
+            xi = xi * _chi_beta_by_products(datum, beta)
+        assert integral_character(datum, tie_break) == xi
+        coeffs = tuple(rng.choice((0, 0, 1, 2, 10**31 + 1)) for _ in range(t))
+        roots = [Root((0,) * t), Root(coeffs)]
+        for root in roots + list(betas):
+            zero_coefficients += 0 in root.coeffs
+            assert chi_beta(datum, root) == _chi_beta_by_products(datum, root)
+        if datum.cartan.is_a1_power():
+            assert hdet_quantum_affine(datum) == _hdet_by_products(datum)
+    assert zero_coefficients > 200
+
+
+def test_building_a_datum_runs_no_solver(monkeypatch):
+    """Over the witness rank limit a datum still builds and its integral
+    character still answers; check_cy and quantum_affine_report refuse with
+    one line, in the order of the checks: check_cy's witness before its report
+    scalars, quantum_affine_report's residual scalars before its witness."""
+    solves = []
+    monkeypatch.setattr(datum_module, "_first_solution", lambda *args: solves.append(args))
+    over = datum_module.MAX_WITNESS_RANK + 1
+    rank_error = (f"witness solver needs {over} group factors on which a character is "
+                  f"nontrivial, over the limit of {over - 1}")
+    for ns, affine_error in (((2,) * over, rank_error),
+                             ((3,) * (over - 1) + (10**30,),
+                              "cyclotomic order 3000000000000000000000000000000 exceeds 4194304")):
+        group = AbelianGroup(ns)
+        datum = CartanDatum(group, (group.generator(0),), (group.character((1,) * over),),
+                            CartanMatrix(((2,),)))
+        assert integral_character(datum) == datum.chi[0]
+        for _ in range(2):  # a refusal is not kept: asking again refuses again
+            with pytest.raises(InputError) as refused:
+                check_cy(datum)
+            assert str(refused.value) == rank_error
+            with pytest.raises(InputError) as refused:
+                quantum_affine_report(datum)
+            assert str(refused.value) == affine_error
+    assert not solves

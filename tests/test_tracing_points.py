@@ -4,9 +4,12 @@ breaking a traced benchmark run."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import cyhopf.cli  # noqa: F401  (imports every module the tracer patches)
+from cyhopf.datum import check_cy, quantum_affine_report
+from cyhopf.sampling import random_a1t_datum
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -46,3 +49,20 @@ def test_tracer_resolves_every_point_and_uninstalls():
         tracer.uninstall()
     for point in points:
         assert current(*point[1:]) is originals[point], f"{point[0]} not restored"
+
+
+def test_tracer_sees_the_one_witness_search_of_a_datum():
+    """The witness is solved on first use and kept on the datum, through the
+    module global that the tracer wraps: both tie-breaks and the
+    quantum-affine report count one solve."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        datum = random_a1t_datum(random.Random(5))
+        check_cy(datum, "min")
+        check_cy(datum, "max")
+        quantum_affine_report(datum)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["datum.validate"] == 1
+    assert tracer.counts["datum.witness_search"] == 1
