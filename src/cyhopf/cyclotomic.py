@@ -1,27 +1,26 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are residues modulo the m-th cyclotomic polynomial Phi_m, stored as
-coefficient vectors of length phi(m) over exact rationals.  The residue
-representation is canonical, so equality is coefficient-wise and zero-testing
-is exact.  Every scalar in this package (character values, braiding
-coefficients, rewrite-rule coefficients) is a CycloNumber.
+phi(m) integer numerators `num` over one denominator `den` >= 1 (ANTIC's
+nf_elem), canonical with gcd(den, *num) == 1: equality compares num and den,
+zero-testing is `not any(num)`.  Floats are refused.  Every scalar in this
+package (character values, braiding and rule coefficients) is a CycloNumber.
 
 Mixed-order arithmetic lifts both operands to the lcm of their orders; the
 coercion is explicit in the code, never silent precision loss.  Products and
 inverses of signed roots of unity +-zeta_m^k are table lookups; other inverses
-come from extended Euclid against Phi_m.
+come from extended Euclid against Phi_m over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .errors import InputError, read_int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # Most integers a power table may hold (rows times phi(m)).  Orders up to 200
 # need at most 78210; the smallest order over the budget is 1451.
 POWER_TABLE_BUDGET = 2**22
@@ -46,7 +45,7 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
     """Exact quotient of integer polynomials; den must be monic and divide num."""
     num = list(num)
     dd = len(den) - 1
@@ -73,7 +72,7 @@ def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     num[m] = 1
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_divmod_int(num, list(cyclotomic_coeffs(d)))
+            num = _exact_quotient(num, list(cyclotomic_coeffs(d)))
     return tuple(num)
 
 
@@ -116,47 +115,65 @@ def _signed_power_index(m: int) -> dict[tuple[int, ...], tuple[int, int]]:
     return out
 
 
-class CycloNumber:
-    """An element of Q(zeta_m), reduced mod Phi_m."""
+def _rational(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact scalar")
+    return Fraction(value)
 
-    __slots__ = ("order", "coeffs", "_signed")
+
+class CycloNumber:
+    """An element of Q(zeta_m), reduced mod Phi_m, as num / den."""
+
+    __slots__ = ("order", "num", "den", "_signed")
     __hash__ = None  # cross-order equality makes a consistent hash impractical
 
     def __init__(self, order: int, coeffs) -> None:
         phi = euler_phi(order)
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = [_rational(c) for c in coeffs]
         if len(cs) != phi:
             raise InputError(f"need {phi} coefficients for order {order}, got {len(cs)}")
+        # canonical: each prime of den leaves some numerator coprime to it
+        den = lcm(*(c.denominator for c in cs))
         self.order = order
-        self.coeffs = cs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
         self._signed = False  # False = unknown; None = not +-zeta^k; else (sign, k)
 
-    # -- constructors -----------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    # -- constructors --
 
     @staticmethod
     def from_rational(value, order: int = 1) -> CycloNumber:
-        phi = euler_phi(order)
-        coeffs = [Fraction(value)] + [_ZERO] * (phi - 1)
-        return CycloNumber(order, coeffs)
+        return CycloNumber(order, [value] + [0] * (euler_phi(order) - 1))
 
     @classmethod
-    def _raw(cls, order: int, coeffs: tuple) -> CycloNumber:
-        """Internal constructor for already-reduced Fraction tuples."""
+    def _raw(cls, order: int, num, den: int = 1) -> CycloNumber:
+        """Internal constructor: integer numerators over den >= 1, gcd divided out."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
         self = object.__new__(cls)
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(num)
+        self.den = den
         self._signed = False
         return self
 
-    # -- root-of-unity fast path ------------------------------------------
+    # -- root-of-unity fast path --
 
     def signed_root_power(self) -> tuple[int, int] | None:
         """(sign, k) with self == sign * zeta_order^k, or None."""
         if self._signed is False:
-            self._signed = _signed_power_index(self.order).get(self.coeffs)
+            self._signed = (_signed_power_index(self.order).get(self.num)
+                            if self.den == 1 else None)
         return self._signed
 
-    # -- coercion ----------------------------------------------------------
+    # -- coercion --
 
     def lift(self, order: int) -> CycloNumber:
         if order == self.order:
@@ -164,16 +181,9 @@ class CycloNumber:
         if order % self.order != 0:
             raise InputError(f"cannot lift from order {self.order} to {order}")
         step = order // self.order
-        table = _power_table(order)
-        phi = euler_phi(order)
-        acc = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                rep = table[k * step]
-                for i, r in enumerate(rep):
-                    if r:
-                        acc[i] += c * r
-        return CycloNumber(order, acc)
+        terms = ((k * step, c) for k, c in enumerate(self.num))
+        acc = _fold([0] * euler_phi(order), terms, _power_table(order))
+        return CycloNumber._raw(order, acc, self.den)
 
     def _pair(self, other: CycloNumber) -> tuple[CycloNumber, CycloNumber]:
         if self.order == other.order:
@@ -186,14 +196,18 @@ class CycloNumber:
             return other
         return CycloNumber.from_rational(other)
 
-    # -- ring operations ----------------------------------------------------
+    # -- ring operations --
 
     def __add__(self, other) -> CycloNumber:
         if isinstance(other, CycloNumber) and other.order == self.order:
             a, b = self, other
         else:
             a, b = self._pair(self._wrap(other))
-        return CycloNumber._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return CycloNumber._raw(a.order, tuple(map(add, a.num, b.num)), da)
+        num = [x * db + y * da for x, y in zip(a.num, b.num)]
+        return CycloNumber._raw(a.order, num, da * db)
 
     __radd__ = __add__
 
@@ -201,7 +215,7 @@ class CycloNumber:
         signed = self.signed_root_power()
         if signed is not None:
             return _cached_signed_root(-signed[0], signed[1], self.order)
-        return CycloNumber._raw(self.order, tuple(-x for x in self.coeffs))
+        return CycloNumber._raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other) -> CycloNumber:
         return self + (-self._wrap(other))
@@ -211,8 +225,9 @@ class CycloNumber:
 
     def __mul__(self, other) -> CycloNumber:
         if not isinstance(other, CycloNumber):
-            c = Fraction(other)
-            return CycloNumber._raw(self.order, tuple(x * c for x in self.coeffs))
+            c = _rational(other)
+            return CycloNumber._raw(self.order, [x * c.numerator for x in self.num],
+                                self.den * c.denominator)
         if other.order == self.order:
             a, b = self, other
         else:
@@ -226,23 +241,15 @@ class CycloNumber:
                 sb = b.signed_root_power()
             if sb is not None:
                 return _cached_signed_root(sa[0] * sb[0], (sa[1] + sb[1]) % a.order, a.order)
-        phi = len(a.coeffs)
-        conv = [_ZERO] * (2 * phi - 1)
-        nonzero_b = [(j, y) for j, y in enumerate(b.coeffs) if y]
-        for i, x in enumerate(a.coeffs):
+        phi = len(a.num)
+        conv = [0] * (2 * phi - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
             if x:
                 for j, y in nonzero_b:
                     conv[i + j] += x * y
-        table = _power_table(a.order)
-        out = list(conv[:phi])
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                rep = table[k]
-                for i, r in enumerate(rep):
-                    if r:
-                        out[i] += c * r
-        return CycloNumber._raw(a.order, tuple(out))
+        out = _fold(conv[:phi], enumerate(conv[phi:], phi), _power_table(a.order))
+        return CycloNumber._raw(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -269,27 +276,42 @@ class CycloNumber:
         if signed is not None:
             s, k = signed
             return _cached_signed_root(s, -k % self.order, self.order)
-        # extended Euclid on (self, Phi_m) over Q; Phi_m irreducible so gcd = 1
-        phi_poly = [Fraction(c) for c in cyclotomic_coeffs(self.order)]
-        r0, r1 = list(self.coeffs), phi_poly
-        s0, s1 = [_ONE], [_ZERO]
-        while any(r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant multiple of gcd = 1
-        lead = next(c for c in reversed(r0) if c)
-        # deg s0 < phi(m), so padding is the only reduction needed
-        inv = [c / lead for c in s0]
-        return CycloNumber(self.order, inv + [_ZERO] * (len(self.coeffs) - len(inv)))
+        # extended Euclid on (Phi_m, num) over Z; each row keeps s * num == r
+        # (mod Phi_m), and Phi_m is irreducible, so the last r is a constant c
+        r0, s0 = list(cyclotomic_coeffs(self.order)), [0]
+        r1, s1 = list(self.num), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead, n = r1[-1], len(r1)
+            while len(r0) >= n:  # pseudo-division: row0 = a*row0 - b*x^shift*row1
+                shift = len(r0) - n
+                g = gcd(lead, r0[-1])
+                a, b = lead // g, r0[-1] // g
+                r0 = [a * x for x in r0]
+                s0 = [a * x for x in s0] + [0] * (shift + len(s1) - len(s0))
+                for j, y in enumerate(r1):
+                    r0[shift + j] -= b * y
+                for j, y in enumerate(s1):
+                    s0[shift + j] -= b * y
+                while not r0[-1]:
+                    r0.pop()
+            g = gcd(*r0, *s0)
+            r0, s0, r1, s1 = r1, s1, [x // g for x in r0], [x // g for x in s0]
+        c = r1[0]
+        # deg s1 < phi(m), so padding is the only reduction needed
+        inv = [self.den * x for x in s1] + [0] * (len(self.num) - len(s1))
+        if c < 0:
+            c, inv = -c, [-x for x in inv]
+        return CycloNumber._raw(self.order, inv, c)
 
-    # -- predicates ----------------------------------------------------------
+    # -- predicates --
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -297,20 +319,21 @@ class CycloNumber:
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # -- rendering -------------------------------------------------------------
+    # -- rendering --
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         sym = f"z{self.order}"
+        cs = self.num if self.den == 1 else self.coeffs
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if not c:
                 continue
             if k == 0:
@@ -332,7 +355,7 @@ class CycloNumber:
     def __repr__(self) -> str:
         return f"CycloNumber({self.order}, {self})"
 
-    # -- serialization -----------------------------------------------------------
+    # -- serialization --
 
     def to_json(self) -> dict:
         return {
@@ -351,52 +374,21 @@ class CycloNumber:
         return CycloNumber(order, coeffs)
 
 
-# -- polynomial helpers over Fraction (used by inverse) --------------------
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        if not a[i]:
-            continue
-        c = a[i] / lead
-        q[i - len(b) + 1] = c
-        for j, bj in enumerate(b):
-            a[i - len(b) + 1 + j] -= c * bj
-    return _poly_trim(q), _poly_trim(a)
+def _fold(acc: list, terms, table) -> list:
+    """Add c * zeta^k to acc for each (k, c) in terms, reduced by the table."""
+    for k, c in terms:
+        if c:
+            for i, r in enumerate(table[k]):
+                if r:
+                    acc[i] += c * r
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _cached_signed_root(sign: int, k: int, m: int) -> CycloNumber:
     rep = _power_table(m)[k]
-    num = CycloNumber(m, rep if sign == 1 else tuple(-c for c in rep))
-    num._signed = _signed_power_index(m)[num.coeffs]
+    num = CycloNumber._raw(m, rep if sign == 1 else tuple(-c for c in rep))
+    num._signed = _signed_power_index(m)[num.num]
     return num
 
 
@@ -412,4 +404,4 @@ def one(m: int = 1) -> CycloNumber:
 
 
 def zero(m: int = 1) -> CycloNumber:
-    return CycloNumber(m, [_ZERO] * euler_phi(m))
+    return CycloNumber._raw(m, (0,) * euler_phi(m))

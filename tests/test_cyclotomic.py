@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -153,6 +156,73 @@ def test_negated_roots_stay_exact():
     assert w * w == z * z * z * z
     assert w**3 == CycloNumber.from_rational(-1, 3)
     assert w == one(3) + z  # -zeta^2 = 1 + zeta mod Phi_3
+
+
+def assert_canonical(x: CycloNumber) -> None:
+    assert isinstance(x.num, tuple) and len(x.num) == euler_phi(x.order)
+    assert x.den >= 1 and gcd(x.den, *x.num) == 1
+
+
+@given(cyclo_numbers(), cyclo_numbers(), st.integers(min_value=0, max_value=4))
+def test_results_are_canonical_and_match_sympy(a, b, n):
+    m = lcm(a.order, b.order)
+    z = sympy.Symbol("z")
+    pa, pb = sympy_poly(a.lift(m), z), sympy_poly(b.lift(m), z)
+    cases = [(a, pa), (b, pb), (a.lift(m), pa), (a + b, pa + pb), (b + a, pa + pb),
+             (a - b, pa - pb), (-a, -pa), (a * b, pa * pb), (b * a, pa * pb), (a**n, pa**n)]
+    if not b.is_zero():
+        phi = sympy.Poly(sympy.cyclotomic_poly(m, z), z, domain="QQ")
+        cases.append((b.inverse(), sympy.invert(pb, phi)))
+    for x, expected in cases:
+        assert_canonical(x)
+        assert sympy_poly(x.lift(m), z) == sympy_reduce(expected, m, z)
+    for (x, _), (y, _) in product(cases, repeat=2):
+        xl, yl = x.lift(m), y.lift(m)
+        assert (x == y) == ((xl.num, xl.den) == (yl.num, yl.den))
+
+
+INVERSE_ORDERS = (5, 7, 9, 15, 16, 21, 35, 39, 45, 56, 72, 84, 90)
+
+
+@pytest.mark.parametrize("m", INVERSE_ORDERS)
+def test_inverse_matches_sympy_in_larger_fields(m):
+    assert 4 <= euler_phi(m) <= 24
+    rng = random.Random(m)
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, z), z, domain="QQ")
+    for _ in range(3):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(euler_phi(m))]
+        coeffs[-1] = Fraction(rng.choice((-7, 5)), rng.choice((2, 3, 10)))
+        a = CycloNumber(m, coeffs)
+        assert a.den > 1
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert sympy_poly(inv, z) == sympy.invert(sympy_poly(a, z), phi)
+        assert a * inv == 1 and (a * inv).is_one()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CycloNumber(3, [0.5, 0]),
+    lambda: CycloNumber.from_rational(0.1),
+    lambda: one(3) + 0.5,
+    lambda: 0.5 - one(3),
+    lambda: one(3) * 0.5,
+    lambda: 0.5 * one(3),
+], ids=["constructor", "from_rational", "wrap", "rsub-wrap", "mul-scalar", "rmul-scalar"])
+def test_floats_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_json_is_pinned_and_reduced():
+    coeffs = [Fraction(1, 2), Fraction(2, 3), Fraction(0), Fraction(-5, 6)]
+    a = CycloNumber(5, coeffs)
+    assert a.to_json() == {"order": 5, "coeffs": [["1", "2"], ["2", "3"], ["0", "1"], ["-5", "6"]]}
+    unreduced = [["2", "4"], ["4", "6"], ["0", "3"], ["-10", "12"]]
+    b = CycloNumber.from_json({"order": 5, "coeffs": unreduced})
+    assert b.to_json() == a.to_json() and b == a
+    assert (b.num, b.den) == ((3, 4, 0, -5), 6)
+    assert b.coeffs == tuple(coeffs)
 
 
 def test_json_round_trip():
