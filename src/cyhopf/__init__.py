@@ -18,7 +18,7 @@ from .datum import (
     quantum_affine_report,
 )
 from .groups import AbelianGroup, Character, GroupElement
-from .lie import GroupActionData, LieAlgebraData, adjoint_trace, check_cy_lie_smash, hdet_lie
+from .lie import GroupActionData, LieAlgebraData, adjoint_trace, check_cy_lie_smash
 from .smash import (
     DiagonalAutomorphism,
     PresentedAlgebra,
@@ -26,7 +26,6 @@ from .smash import (
     TensorElement,
     check_local_confluence,
     nakayama_automorphism,
-    phi_smash_formula,
     quantum_affine_presentation,
     verify_double_antipode,
     verify_hopf_axioms,

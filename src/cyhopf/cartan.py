@@ -6,9 +6,9 @@ only consume order-independent products over the derived root sequence, and
 the convention is pinned down by closure/beta-sequence cross-checks rather
 than by matching any external table.
 
-Finite type is detected by termination of the reflection closure, which
-doubles as an independent oracle for the beta sequence derived from the
-longest word.
+Finite type is detected by the longest-word descent, capped at the most
+positive roots the rank allows.  The reflection closure gives the `roots`
+verb's closure_count and is the tests' oracle for the beta sequence.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import IndexOutOfRange, InputError, InternalError, NotFiniteType, NotReduced, read_ints
+from .errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced, read_ints
 
-# Largest rank the root layer accepts; the closure takes about p t^2 steps.
+# Largest rank the root layer accepts.
 MAX_RANK = 128
-# Largest p^2 t it accepts, p the positive-root count and t the rank: peeling
-# a longest word and deriving its beta sequence each take about p^2
-# reflections of length t.  The closure, both words and both beta sequences
-# take 3.4 s on A31 (p^2 t = 7626496), 4.1 s on A14 x A1^114 and 1.9 s on
-# A1^128 (Python 3.11, 2-core host); A32 and A60 are refused in 0.2-0.3 s.
+# Largest p^2 t it accepts, p the positive-root count and t the rank.  It keeps
+# the value fixed when peeling the longest word cost p^2 t, so that it refuses
+# the same matrices as then.  The descent takes p steps of length t, the beta
+# sequence p (1 + degree) column updates of length t: 0.01-0.03 s for both on
+# A31, A14 x A1^114 and A1^128.  The closure, run only by `roots`, takes 2p t
+# reflections of length t: 0.17 s, 0.72 s and 0.37 s there (Python 3.11).
 ROOT_WORK_BUDGET = 8_000_000
 
 
@@ -78,48 +79,44 @@ class Root:
         return any(self.coeffs) and all(c >= 0 for c in self.coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 1:
-                parts.append(f"a{i + 1}")
-            elif c:
-                parts.append(f"{c}*a{i + 1}")
-        return "+".join(parts) if parts else "0"
+        parts = (f"a{i + 1}" if c == 1 else f"{c}*a{i + 1}" for i, c in enumerate(self.coeffs) if c)
+        return "+".join(parts) or "0"
 
 
 def simple_root(cartan: CartanMatrix, i: int) -> Root:
-    coeffs = [0] * cartan.rank
-    coeffs[i] = 1
-    return Root(tuple(coeffs))
+    return Root(tuple(int(j == i) for j in range(cartan.rank)))
 
 
 def simple_reflection(cartan: CartanMatrix, i: int, root: Root) -> Root:
     """s_i(root); involutive, sends alpha_i to -alpha_i."""
     if not 0 <= i < cartan.rank:
         raise IndexOutOfRange(f"reflection index {i + 1} outside 1..{cartan.rank}")
-    pairing = sum(a * c for a, c in zip(cartan.entries[i], root.coeffs))
     coeffs = list(root.coeffs)
-    coeffs[i] -= pairing
+    coeffs[i] -= sum(a * c for a, c in zip(cartan.entries[i], root.coeffs))
     return Root(tuple(coeffs))
 
 
-def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
-    """Positive part of the reflection closure of the simple roots.
+def _root_limit(cartan: CartanMatrix) -> int:
+    """The most positive roots the rank allows: the largest p with
+    p^2 t <= ROOT_WORK_BUDGET."""
+    if cartan.rank > MAX_RANK:
+        raise InputError(f"Cartan matrix of rank {cartan.rank} is over the limit of {MAX_RANK}")
+    return isqrt(ROOT_WORK_BUDGET // cartan.rank)
 
-    Refuses a rank over MAX_RANK, and raises NotFiniteType when the closure
-    passes the most positive roots the rank allows, the largest p with
-    p^2 t <= ROOT_WORK_BUDGET.  That is how non-finite Cartan matrices, whose
-    closure never ends, are rejected everywhere, and finite types too large
-    to peel with them.  The closure of a finite type is all 2p roots, so the
-    check is exact.
-    """
+
+def _past_limit(cartan: CartanMatrix, limit: int) -> NotFiniteType:
+    return NotFiniteType(f"root system passed {limit} positive roots, the most a rank-"
+                         f"{cartan.rank} matrix may have (p^2 t <= {ROOT_WORK_BUDGET})")
+
+
+def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
+    """Positive part of the reflection closure of the simple roots.  The
+    closure of a finite type is all 2p roots, so a cap of twice the root limit
+    refuses exactly the matrices that longest_word refuses."""
+    limit = _root_limit(cartan)
     t = cartan.rank
-    if t > MAX_RANK:
-        raise InputError(f"Cartan matrix of rank {t} is over the limit of {MAX_RANK}")
-    limit = isqrt(ROOT_WORK_BUDGET // t)
-    simples = [simple_root(cartan, i) for i in range(t)]
-    seen = set(simples)
-    frontier = list(simples)
+    frontier = [simple_root(cartan, i) for i in range(t)]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for root in frontier:
@@ -129,56 +126,59 @@ def positive_roots_closure(cartan: CartanMatrix) -> frozenset[Root]:
                     seen.add(image)
                     nxt.append(image)
         if len(seen) > 2 * limit:
-            raise NotFiniteType(f"root closure passed {limit} positive roots, the most a "
-                                f"rank-{t} matrix may have (p^2 t <= {ROOT_WORK_BUDGET})")
+            raise _past_limit(cartan, limit)
         frontier = nxt
     return frozenset(r for r in seen if r.is_positive())
 
 
 def longest_word(cartan: CartanMatrix, tie_break: str = "min") -> tuple[int, ...]:
-    """Reduced word for the longest Weyl element, by inversion-set peeling.
+    """Reduced word for the longest Weyl element, by descent from rho.
 
-    Start from B = all positive roots; repeatedly pick a simple alpha_i in B
-    (smallest index for tie_break="min", largest for "max"), record i, and
-    replace B by s_i(B minus alpha_i).  Each step must shrink B by exactly
-    one positive root; the word length equals the number of positive roots.
+    lam starts at rho, all 1 in fundamental-weight coordinates.  While some
+    lam_i > 0 (smallest such i for tie_break="min", largest for "max"), record
+    i and set lam = s_i(lam) = lam - lam_i alpha_i, alpha_i being column i of
+    the Cartan matrix.  Each step lengthens the Weyl element by one, and lam
+    reaches -rho after p steps (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.6-1.8).  An infinite type never stops; the cap refuses it.
     """
     if tie_break not in ("min", "max"):
         raise InputError(f"tie_break must be 'min' or 'max', got {tie_break!r}")
+    limit = _root_limit(cartan)
     t = cartan.rank
-    simples = {simple_root(cartan, i): i for i in range(t)}
-    remaining = set(positive_roots_closure(cartan))
+    alphas = tuple(zip(*cartan.entries))
+    order = range(t) if tie_break == "min" else range(t - 1, -1, -1)
+    lam = [1] * t
     word = []
-    while remaining:
-        candidates = sorted(i for r, i in simples.items() if r in remaining)
-        if not candidates:
-            raise InternalError("no simple root left in a nonempty inversion set")
-        i = candidates[0] if tie_break == "min" else candidates[-1]
+    while (i := next((i for i in order if lam[i] > 0), None)) is not None:
+        if len(word) == limit:
+            raise _past_limit(cartan, limit)
         word.append(i)
-        alpha = simple_root(cartan, i)
-        peeled = {simple_reflection(cartan, i, r) for r in remaining if r != alpha}
-        if len(peeled) != len(remaining) - 1 or not all(r.is_positive() for r in peeled):
-            raise InternalError("inversion-set peeling failed to shrink by one")
-        remaining = peeled
+        c = lam[i]
+        lam = [x - c * a for x, a in zip(lam, alphas[i])]
     return tuple(word)
 
 
 def beta_sequence(cartan: CartanMatrix, word: tuple[int, ...]) -> tuple[Root, ...]:
-    """Ordered roots beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) of a reduced word.
+    """Ordered roots beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) of a word.
 
-    Rejects words whose sequence repeats a root or leaves the positive cone,
-    which certifies reducedness for words of full length.
+    W = s_{i_1}...s_{i_{k-1}} is kept as its columns W(alpha_j), so beta_k is
+    column i_k; W s_i replaces column j by column j - a_ij column i, which
+    changes only the columns with a_ij != 0.  Rejects words whose sequence
+    repeats a root or leaves the positive cone, which certifies reducedness.
     """
+    t = cartan.rank
+    cols = [simple_root(cartan, j).coeffs for j in range(t)]
+    links = [[(j, a) for j, a in enumerate(row) if a] for row in cartan.entries]
     betas = []
-    for k, idx in enumerate(word):
-        if not 0 <= idx < cartan.rank:
-            raise IndexOutOfRange(f"word letter {idx + 1} outside 1..{cartan.rank}")
-        root = simple_root(cartan, idx)
-        for j in range(k - 1, -1, -1):
-            root = simple_reflection(cartan, word[j], root)
-        if not root.is_positive():
-            raise NotReduced(f"beta_{k + 1} = {root} is not positive; word is not reduced")
-        betas.append(root)
+    for k, i in enumerate(word):
+        if not 0 <= i < t:
+            raise IndexOutOfRange(f"word letter {i + 1} outside 1..{t}")
+        beta = Root(cols[i])
+        if not beta.is_positive():
+            raise NotReduced(f"beta_{k + 1} = {beta} is not positive; word is not reduced")
+        betas.append(beta)
+        for j, a in links[i]:
+            cols[j] = tuple(x - a * y for x, y in zip(cols[j], beta.coeffs))
     if len(set(betas)) != len(betas):
         raise NotReduced("beta sequence repeats a root; word is not reduced")
     return tuple(betas)

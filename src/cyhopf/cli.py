@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, metavar="S",
                         help="seed recorded in the report (reserved for sampling front ends)")
     common.add_argument("--tie-break", choices=("min", "max"), default="min",
-                        help="simple-index tie-break for the longest-word peeling")
+                        help="simple-index tie-break for the longest-word descent")
     for verb, help_text in (
         ("check-cy", "full CY report for a Cartan datum"),
         ("hdet", "quantum-affine homological determinant and balance report"),

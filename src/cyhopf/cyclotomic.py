@@ -314,8 +314,8 @@ class CycloNumber:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
+        if isinstance(other, (int, Fraction, float)):
+            other = CycloNumber.from_rational(other)  # _rational refuses a float
         if not isinstance(other, CycloNumber):
             return NotImplemented
         a, b = self._pair(other)

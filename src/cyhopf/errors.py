@@ -29,7 +29,7 @@ class GroupTooLarge(InputError):
 
 
 class NotFiniteType(InputError):
-    """Root closure of the Cartan matrix does not terminate within bounds."""
+    """The Cartan matrix has more positive roots than its rank allows, or infinitely many."""
 
 
 class NotReduced(InputError):

@@ -7,10 +7,12 @@ rejected, every quantity in the system is exact.  Every integer in a file
 (exponents, invariant factors, Cartan entries, indices, counts) is read by
 errors.read_int: an int or a decimal string of one, never a float or a boolean.
 Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
-rank and root count of a Cartan matrix (cartan.MAX_RANK, ROOT_WORK_BUDGET),
-the Lie dimension and the entries of action-matrix powers (lie.MAX_DIMENSION,
-POWER_BIT_CAP), word length, normal words and the pair family's cost
-(smash.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET, PAIR_COST_BUDGET).
+rank and positive-root count of a Cartan matrix (cartan.MAX_RANK,
+ROOT_WORK_BUDGET; the longest-word descent refuses a matrix of infinite type
+when it passes that count), the Lie dimension and the entries of
+action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length, normal
+words and the pair family's cost (smash.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET,
+PAIR_COST_BUDGET).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from .cyclotomic import euler_phi
 from .datum import CriterionResult, CyReport, report_scalars
 from .errors import InputError
-from .groups import AbelianGroup, Character, GroupElement
+from .groups import AbelianGroup, Character
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 # Largest dimension an input file may declare.  The Jacobi check costs
@@ -186,15 +186,6 @@ class GroupActionData:
     def dimension(self) -> int:
         return len(self.matrices[0]) if self.matrices else 0
 
-    def matrix_of(self, g: GroupElement) -> Matrix:
-        if g.group != self.group:
-            raise InputError("element outside the action's group")
-        out = mat_identity(self.dimension)
-        for m, e in zip(self.matrices, g.exp):
-            if e:
-                out = mat_mul(out, mat_pow(m, e))
-        return out
-
     def validate(self, algebra: LieAlgebraData) -> None:
         d = algebra.dimension
         if self.matrices and self.dimension != d:
@@ -210,11 +201,6 @@ class GroupActionData:
                         raise InputError(
                             f"matrix is not a Lie algebra automorphism at ({i + 1},{j + 1})"
                         )
-
-
-def hdet_lie(action: GroupActionData, g: GroupElement) -> Fraction:
-    """Homological determinant of the action at g: det of the acting matrix."""
-    return mat_det(action.matrix_of(g))
 
 
 def _det_character(action: GroupActionData, dets: list[Fraction]) -> Character:

@@ -274,7 +274,7 @@ class PresentedAlgebra:
     def group_like(self, g: GroupElement) -> SmashElement:
         return self.monomial((), g)
 
-    def monomial(self, word: Word, g: GroupElement, coeff=1) -> SmashElement:
+    def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
         return self.normalize((*word, g), coeff)
 
     # -- rewriting -----------------------------------------------------------------
@@ -329,14 +329,15 @@ class PresentedAlgebra:
     def is_normal(self, word: Word) -> bool:
         return next(self._redexes(word), None) is None
 
-    def normalize(self, tokens, coeff=1) -> SmashElement:
-        """Normalize a mixed product of generators and group elements.
+    def normalize(self, tokens, coeff=None) -> SmashElement:
+        """Normalize a mixed product of generators and group elements, times
+        coeff (default 1).
 
         tokens is a sequence whose items are generator indices (int) or
         GroupElements; group elements are pushed to the right tail through
         the smash relation g x_i = chi_i(g) x_i g before word rewriting.
         """
-        c = self.scalar(coeff)
+        c = one(self.order) if coeff is None else self.scalar(coeff)
         word: list[int] = []
         tail = self.group.identity()
         for tok in tokens:
@@ -903,10 +904,6 @@ class DiagonalAutomorphism:
             c = c * self.scalars[i]
         return c
 
-    def apply(self, elem: SmashElement) -> SmashElement:
-        terms = {key: c * self._word_scale(key[0]) for key, c in elem.terms.items()}
-        return SmashElement(self.algebra, terms)
-
 
 def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashElement) -> SmashElement:
     """[xi](a) = sum xi(a_1) a_2 for a character xi of Gamma extended by zero
@@ -920,20 +917,6 @@ def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashEl
             continue
         _accumulate(out, (w2, g2), c * xi(g1))
     return SmashElement(algebra, out)
-
-
-def phi_smash_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
-    """The squared smash antipode restricted to the braided factor, computed
-    on generators; must come out diagonal with c_i = chi_i(g_i^{-1})."""
-    scalars = []
-    for i, image in enumerate(algebra.s2_generators):
-        c = _diagonal_coefficient(algebra, image, i)
-        expected = algebra.actions[i](algebra.degrees[i].inverse())
-        if c != expected:
-            raise InternalError(f"squared antipode on x{i + 1} is {c}, "
-                                f"expected chi_{i + 1}(g_{i + 1}^-1)")
-        scalars.append(c)
-    return DiagonalAutomorphism(algebra, tuple(scalars))
 
 
 def _diagonal_coefficient(algebra: PresentedAlgebra, elem: SmashElement, i: int) -> CycloNumber:

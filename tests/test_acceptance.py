@@ -24,14 +24,13 @@ from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from cyhopf.smash import (
     PresentedAlgebra,
     nakayama_automorphism,
-    phi_smash_formula,
     verify_double_antipode,
     verify_hopf_axioms,
     winding_endomorphism,
 )
 from conftest import a1a1_znzn_datum
 from test_lie import brackets_from_pairs, sl2, sl2_sign_action
-from test_smash import double_antipode_failure, normal_monomials, phi_graded_formula
+from test_smash import double_antipode_failure, normal_monomials, phi_graded_formula, phi_smash_formula
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

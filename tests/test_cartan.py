@@ -1,5 +1,9 @@
+import time
+
 import pytest
 
+from cyhopf import cartan as cartan_module
+from cyhopf import cli, datum
 from cyhopf.cartan import (
     CartanMatrix,
     Root,
@@ -9,8 +13,9 @@ from cyhopf.cartan import (
     simple_reflection,
     simple_root,
 )
+from cyhopf.datum import check_cy, quantum_affine_report
 from cyhopf.errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced
-from conftest import type_a
+from conftest import a1a1_znzn_datum, a2_z2z2_datum, type_a
 
 A1 = CartanMatrix(((2,),))
 A1xA1 = CartanMatrix(((2, 0), (0, 2)))
@@ -102,6 +107,20 @@ def test_root_work_budget_is_exact_at_its_edge():
         positive_roots_closure(rank_129)
 
 
+@pytest.mark.parametrize("cartan, count", COUNTS, ids=[f"t{c.rank}-p{n}" for c, n in COUNTS])
+def test_descent_and_closure_refuse_at_the_same_edge(monkeypatch, cartan, count):
+    """With the budget at exactly p^2 t both accept the matrix; one below,
+    both refuse it."""
+    edge = count * count * cartan.rank
+    monkeypatch.setattr(cartan_module, "ROOT_WORK_BUDGET", edge)
+    assert len(longest_word(cartan)) == len(positive_roots_closure(cartan)) == count
+    monkeypatch.setattr(cartan_module, "ROOT_WORK_BUDGET", edge - 1)
+    with pytest.raises(NotFiniteType):
+        longest_word(cartan)
+    with pytest.raises(NotFiniteType):
+        positive_roots_closure(cartan)
+
+
 def test_longest_word_small_cases():
     assert longest_word(A1) == (0,)
     assert longest_word(A1xA1) == (0, 1)
@@ -151,3 +170,130 @@ def test_a1_power_detection():
 
 def test_json_round_trip():
     assert CartanMatrix.from_json(A2.to_json()) == A2
+
+
+# -- the peeling oracle for the descent ------------------------------------------
+
+
+def reflect(cartan: CartanMatrix, i: int, r: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i on a bare coefficient tuple: r - (sum_j a_ij r_j) alpha_i."""
+    pairing = sum(a * c for a, c in zip(cartan.entries[i], r) if a)
+    return r[:i] + (r[i] - pairing,) + r[i + 1:]
+
+
+def peeled_longest_word(cartan: CartanMatrix, closure, tie_break: str) -> tuple[int, ...]:
+    """Reduced longest word by inversion-set peeling, about p^2 t steps.
+
+    Start from B = all positive roots (the closure); repeatedly pick a simple
+    alpha_i in B (smallest index for "min", largest for "max"), record i, and
+    replace B by s_i(B minus alpha_i), which must shrink B by exactly one
+    positive root; the word length equals the number of positive roots."""
+    simples = {simple_root(cartan, i).coeffs: i for i in range(cartan.rank)}
+    remaining = {r.coeffs for r in closure}
+    word = []
+    while remaining:
+        candidates = sorted(i for r, i in simples.items() if r in remaining)
+        assert candidates, "no simple root left in a nonempty inversion set"
+        i = candidates[0] if tie_break == "min" else candidates[-1]
+        word.append(i)
+        peeled = {reflect(cartan, i, r) for r in remaining - {simple_root(cartan, i).coeffs}}
+        assert len(peeled) == len(remaining) - 1
+        assert all(min(r) >= 0 for r in peeled)
+        remaining = peeled
+    return tuple(word)
+
+
+def reflected_beta_sequence(cartan: CartanMatrix, word) -> tuple[Root, ...]:
+    """beta_k = s_{i_1}...s_{i_{k-1}}(alpha_{i_k}) by k - 1 reflections each."""
+    betas = []
+    for k, i in enumerate(word):
+        root = simple_root(cartan, i).coeffs
+        for j in reversed(word[:k]):
+            root = reflect(cartan, j, root)
+        betas.append(Root(root))
+    return tuple(betas)
+
+
+def block_diagonal(*blocks) -> CartanMatrix:
+    """The Cartan matrix of a product of types, one block per factor."""
+    t = sum(len(b) for b in blocks)
+    rows = [[0] * t for _ in range(t)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset:offset + len(row)] = row
+        offset += len(b)
+    return CartanMatrix.from_json(rows)
+
+
+def type_e(n: int) -> list[list[int]]:
+    """E_n: the chain 1..n-1 with node n joined to node 3."""
+    rows = [row + [0] for row in type_a(n - 1)] + [[0] * (n - 1) + [2]]
+    rows[2][n - 1] = rows[n - 1][2] = -1
+    return rows
+
+
+def transposed(cartan: CartanMatrix) -> CartanMatrix:
+    return CartanMatrix(tuple(zip(*cartan.entries)))
+
+
+F4 = CartanMatrix(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
+DESCENT_TYPES = {
+    "A2": A2, "G2": G2, "G2^T": transposed(G2), "B3": B3, "B3^T": transposed(B3),
+    "F4": F4, "F4^T": transposed(F4),
+    **{f"E{n}": CartanMatrix.from_json(type_e(n)) for n in (6, 7, 8)},
+    "A12": CartanMatrix.from_json(type_a(12)),
+    "A31": CartanMatrix.from_json(type_a(31)),
+    "A14xA1^114": block_diagonal(type_a(14), *[[[2]]] * 114),
+    "A1^128": block_diagonal(*[[[2]]] * 128),
+    "B3xG2xA3": block_diagonal(B3.to_json(), G2.to_json(), type_a(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_TYPES))
+def test_descent_matches_the_peeling_oracle(name):
+    """The descent's word and beta sequence are the peeled word and its
+    reflected beta sequence, for both tie-breaks, and enumerate the closure."""
+    cartan = DESCENT_TYPES[name]
+    closure = positive_roots_closure(cartan)
+    for tie in ("min", "max"):
+        word = longest_word(cartan, tie_break=tie)
+        assert word == peeled_longest_word(cartan, closure, tie)
+        betas = beta_sequence(cartan, word)
+        assert betas == reflected_beta_sequence(cartan, word)
+        assert set(betas) == closure and len(betas) == len(closure)
+
+
+@pytest.mark.parametrize("rows", [((2, -2), (-2, 2)), ((2, -3), (-3, 2)), ((2, -4), (-1, 2))],
+                         ids=["affine-A1", "hyperbolic", "affine-A2-twisted"])
+def test_descent_refuses_infinite_types_fast(rows):
+    cartan = CartanMatrix(rows)
+    for tie in ("min", "max"):
+        start = time.perf_counter()
+        with pytest.raises(NotFiniteType):
+            longest_word(cartan, tie_break=tie)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_only_the_roots_verb_runs_the_closure(monkeypatch, tmp_path, capsys):
+    """check_cy with either tie-break and quantum_affine_report never compute
+    the reflection closure; the roots verb computes it exactly once."""
+    calls = []
+
+    def counting_closure(cartan):
+        calls.append(cartan)
+        return positive_roots_closure(cartan)
+
+    monkeypatch.setattr(cartan_module, "positive_roots_closure", counting_closure)
+    monkeypatch.setattr(cli, "positive_roots_closure", counting_closure)
+    datum._root_counts.cache_clear()
+    for d in (a2_z2z2_datum(), a1a1_znzn_datum(3)):
+        for tie in ("min", "max"):
+            check_cy(d, tie_break=tie)
+    quantum_affine_report(a1a1_znzn_datum(3))
+    assert calls == []
+    path = tmp_path / "a3.json"
+    path.write_text('{"schema": "cy-hopf/1", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}')
+    assert cli.main(["roots", str(path), "--json"]) == 0
+    assert '"closure_count": 6' in capsys.readouterr().out
+    assert len(calls) == 1

@@ -208,7 +208,11 @@ def test_inverse_matches_sympy_in_larger_fields(m):
     lambda: 0.5 - one(3),
     lambda: one(3) * 0.5,
     lambda: 0.5 * one(3),
-], ids=["constructor", "from_rational", "wrap", "rsub-wrap", "mul-scalar", "rmul-scalar"])
+    lambda: one(1) == 1.0,
+    lambda: one(1) != 1.0,
+    lambda: 0.5 == one(3),
+], ids=["constructor", "from_rational", "wrap", "rsub-wrap", "mul-scalar", "rmul-scalar",
+        "eq", "ne", "req"])
 def test_floats_are_refused(build):
     with pytest.raises(TypeError):
         build()

@@ -14,13 +14,23 @@ from cyhopf.lie import (
     adjoint_trace,
     check_cy_lie_smash,
     finite_order_bound,
-    hdet_lie,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_pow,
 )
 
 Z = Fraction(0)
+
+
+def hdet_lie(action: GroupActionData, g) -> Fraction:
+    """Homological determinant of the action at g: det of the matrix by which
+    g acts, the product of the generator matrices to g's exponents."""
+    assert g.group == action.group
+    m = mat_identity(action.dimension)
+    for gen, e in zip(action.matrices, g.exp):
+        m = mat_mul(m, mat_pow(gen, e))
+    return mat_det(m)
 
 
 def brackets_from_pairs(d, pairs):

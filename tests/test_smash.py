@@ -25,7 +25,6 @@ from cyhopf.smash import (
     format_word,
     nakayama_automorphism,
     parse_word,
-    phi_smash_formula,
     quantum_affine_presentation,
     verify_double_antipode,
     verify_hopf_axioms,
@@ -146,6 +145,27 @@ def test_normalize_pushes_group_elements_right():
     # g x_1 = chi_1(g) x_1 g
     assert algebra.normalize((y1, 0)) == algebra.monomial((0,), y1, q)
     assert algebra.group_like(y1) * algebra.generator(0) == algebra.monomial((0,), y1, q)
+
+
+def test_default_coefficient_builds_no_scalar(monkeypatch):
+    """monomial and normalize without a coefficient use the cached one of the
+    session field; an explicit rational coefficient is still converted."""
+    algebra = qa_algebra(3)
+    e = algebra.group.identity()
+    calls = []
+    from_rational = CycloNumber.from_rational
+
+    def counting(value, order=1):
+        calls.append(value)
+        return from_rational(value, order)
+
+    monkeypatch.setattr(CycloNumber, "from_rational", staticmethod(counting))
+    for w in ((), (0,), (1, 0), (1, 1, 0)):
+        assert algebra.monomial(w, e) == algebra.monomial(w, e, one(algebra.order))
+    assert algebra.normalize((1, 0)).terms
+    assert calls == []
+    assert algebra.monomial((0,), e, 2) == algebra.generator(0).scale(2)
+    assert calls
 
 
 def test_normalize_a2_cubic_rule():
@@ -632,6 +652,24 @@ def double_antipode_failure(algebra: PresentedAlgebra) -> str | None:
     return None
 
 
+def phi_smash_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
+    """The squared smash antipode restricted to the braided factor, computed
+    on generators; must come out diagonal with c_i = chi_i(g_i^{-1})."""
+    scalars = []
+    for i, image in enumerate(algebra.s2_generators):
+        c = smash._diagonal_coefficient(algebra, image, i)
+        expected = algebra.actions[i](algebra.degrees[i].inverse())
+        assert c == expected, f"squared antipode on x{i + 1} is {c}, expected {expected}"
+        scalars.append(c)
+    return DiagonalAutomorphism(algebra, tuple(scalars))
+
+
+def apply_diagonal(auto: DiagonalAutomorphism, elem: SmashElement) -> SmashElement:
+    """The automorphism x_i -> c_i x_i applied to a combination of monomials."""
+    terms = {key: c * auto._word_scale(key[0]) for key, c in elem.terms.items()}
+    return SmashElement(auto.algebra, terms)
+
+
 def phi_graded_formula(algebra: PresentedAlgebra) -> DiagonalAutomorphism:
     """Nakayama-style automorphism of the braided factor via its grading:
     each generator is sent through S_R^2 and then acted on by its degree's
@@ -839,12 +877,12 @@ def test_diagonal_automorphism_consistency_check():
     with pytest.raises(InvalidPresentation):
         DiagonalAutomorphism(algebra, (one(4), one(4), root_of_unity(1, 4)))
     good = DiagonalAutomorphism(algebra, (one(4), one(4), -one(4)))
-    assert good.apply(algebra.generator(2)).terms
+    assert apply_diagonal(good, algebra.generator(2)).terms
     # multiset-preserving rules accept any diagonal; scalars cancel on even words
     a2 = a2_algebra()
     auto = DiagonalAutomorphism(a2, (-one(2), -one(2)))
     x1x2 = a2.monomial((0, 1), a2.group.identity())
-    assert auto.apply(x1x2) == x1x2
+    assert apply_diagonal(auto, x1x2) == x1x2
 
 
 # -- confluence -------------------------------------------------------------------------
