@@ -163,8 +163,9 @@ def beta_sequence(cartan: CartanMatrix, word: tuple[int, ...]) -> tuple[Root, ..
 
     W = s_{i_1}...s_{i_{k-1}} is kept as its columns W(alpha_j), so beta_k is
     column i_k; W s_i replaces column j by column j - a_ij column i, which
-    changes only the columns with a_ij != 0.  Rejects words whose sequence
-    repeats a root or leaves the positive cone, which certifies reducedness.
+    changes only the columns with a_ij != 0.  Positivity certifies reducedness,
+    since W s_i is longer than W exactly when W(alpha_i) > 0 (Humphreys 1.6-1.7);
+    a reduced word's betas are its inversions, all distinct.
     """
     t = cartan.rank
     cols = [simple_root(cartan, j).coeffs for j in range(t)]
@@ -179,6 +180,4 @@ def beta_sequence(cartan: CartanMatrix, word: tuple[int, ...]) -> tuple[Root, ..
         betas.append(beta)
         for j, a in links[i]:
             cols[j] = tuple(x - a * y for x, y in zip(cols[j], beta.coeffs))
-    if len(set(betas)) != len(betas):
-        raise NotReduced("beta sequence repeats a root; word is not reduced")
     return tuple(betas)

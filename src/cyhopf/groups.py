@@ -5,7 +5,8 @@ are both stored as exponent vectors reduced mod n_i, which makes equality
 canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
-The order and exponent are computed once.  Every element is built by the
+The order and exponent are computed once, each inverse on first use, and
+identity() reads the interned element.  Every element is built by the
 interning AbelianGroup.element.  from_json takes only lists of integers
 (errors.read_ints): a float or boolean exponent is an input error.
 """
@@ -42,7 +43,7 @@ class AbelianGroup:
         return len(self.invariant_factors)
 
     def identity(self) -> GroupElement:
-        return self.element((0,) * self.rank)
+        return self._interned.get((0,) * self.rank) or self.element((0,) * self.rank)
 
     def element(self, exponents) -> GroupElement:
         """Interned element constructor; exponents are reduced mod n_i."""
@@ -128,7 +129,9 @@ class GroupElement:
         return self.group.element(tuple(e * n for e in self.exp))
 
     def inverse(self) -> GroupElement:
-        return self.group.element(tuple(-e for e in self.exp))
+        if "_inverse" not in self.__dict__:  # reduced once, then kept on the element
+            object.__setattr__(self, "_inverse", self.group.element(tuple(-e for e in self.exp)))
+        return self._inverse
 
     def is_identity(self) -> bool:
         return not any(self.exp)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from .errors import (
@@ -353,7 +354,7 @@ class PresentedAlgebra:
         terms: dict = {}
         for nw, nc in self._normal_combination(tuple(word)):
             _accumulate(terms, (nw, tail), nc * c)
-        return SmashElement(self, terms)
+        return SmashElement._of(self, terms if c else {})
 
     # -- monomial multiplication ----------------------------------------------------
 
@@ -415,7 +416,7 @@ class PresentedAlgebra:
         return result
 
     def comultiply(self, elem: SmashElement) -> TensorElement:
-        return TensorElement(self, 1, {(k,): c for k, c in elem.terms.items()}).coproduct_on_leg(0)
+        return TensorElement._of(self, {(k,): c for k, c in elem.terms.items()}).coproduct_on_leg(0)
 
     def _antipode_word(self, word: Word):
         """S(x^w # e) as normal terms (nw, tail, coeff)."""
@@ -437,15 +438,18 @@ class PresentedAlgebra:
         self._antipode_cache[word] = result
         return result
 
+    def _antipode_mono(self, w: Word, g: GroupElement):
+        """S(x^w # g) = (1 # g^{-1}) S(x^w # e) as normal terms (nw, tail, coeff)."""
+        g_inv = g.inverse()
+        return [(sw, g_inv * sg, sc * self._char_value(sw, g_inv))
+                for sw, sg, sc in self._antipode_word(w)]
+
     def antipode(self, elem: SmashElement) -> SmashElement:
         terms: dict = {}
         for (w, g), c in elem.terms.items():
-            g_inv = g.inverse()
-            # S(x^w # g) = (1 # g^{-1}) S(x^w # e)
-            for sw, sg, sc in self._antipode_word(w):
-                scalar = self._char_value(sw, g_inv)
-                _accumulate(terms, (sw, g_inv * sg), c * sc * scalar)
-        return SmashElement(self, terms)
+            for sw, tail, sc in self._antipode_mono(w, g):
+                _accumulate(terms, (sw, tail), c * sc)
+        return SmashElement._of(self, terms)
 
     @cached_property
     def s2_generators(self) -> tuple[SmashElement, ...]:
@@ -457,15 +461,25 @@ class PresentedAlgebra:
 
 
 class _Combination:
-    """Exact linear combination of keys with nonzero CycloNumber coefficients;
-    the linear operations shared by SmashElement and TensorElement, each of
-    which supplies _like(terms), an element of its own kind and arity."""
+    """Exact linear combination of keys with nonzero, canonical CycloNumber
+    coefficients, shared by SmashElement (arity 1) and TensorElement: equal
+    elements have equal term dicts.  The public constructor drops zeros; _of
+    wraps a zero-free dict, as _accumulate keeps it, without a copy."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "arity")
 
-    def __init__(self, algebra: PresentedAlgebra, terms: dict) -> None:
-        self.algebra = algebra
+    def __init__(self, algebra: PresentedAlgebra, terms: dict, arity: int = 1) -> None:
+        self.algebra, self.arity = algebra, arity
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, algebra: PresentedAlgebra, terms: dict, arity: int = 1):
+        out = object.__new__(cls)
+        out.algebra, out.terms, out.arity = algebra, terms, arity
+        return out
+
+    def _like(self, terms: dict):
+        return self._of(self.algebra, terms, self.arity)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -485,13 +499,15 @@ class _Combination:
         return self + (-other)
 
     def scale(self, c):
-        c = self.algebra.scalar(c)
-        return self._like({k: v * c for k, v in self.terms.items()})
+        c = self.algebra.scalar(c)  # c * v is zero only when c is
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.arity != other.arity:
+            raise InternalError("tensor arity mismatch")
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -500,10 +516,6 @@ class SmashElement(_Combination):
     """Exact linear combination of PBW normal monomials x^w * g."""
 
     __slots__ = ()
-    arity = 1  # an element of the first tensor power
-
-    def _like(self, terms: dict) -> SmashElement:
-        return SmashElement(self.algebra, terms)
 
     def __mul__(self, other):
         if not isinstance(other, SmashElement):
@@ -515,7 +527,7 @@ class SmashElement(_Combination):
                 c12 = c1 * c2
                 for nw, tail, nc in alg._mul_mono(w1, g1, w2, g2):
                     _accumulate(out, (nw, tail), c12 * nc)
-        return SmashElement(alg, out)
+        return self._like(out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -536,14 +548,10 @@ class SmashElement(_Combination):
 class TensorElement(_Combination):
     """Element of a tensor power of the smash product, multiplied legwise."""
 
-    __slots__ = ("arity",)
+    __slots__ = ()
 
     def __init__(self, algebra: PresentedAlgebra, arity: int, terms: dict) -> None:
-        super().__init__(algebra, terms)
-        self.arity = arity
-
-    def _like(self, terms: dict) -> TensorElement:
-        return TensorElement(self.algebra, self.arity, terms)
+        super().__init__(algebra, terms, arity)
 
     def __mul__(self, other: TensorElement) -> TensorElement:
         if self.arity != other.arity:
@@ -561,7 +569,7 @@ class TensorElement(_Combination):
                     partial = nxt
                 for key, c in partial:
                     _accumulate(out, key, c)
-        return TensorElement(alg, self.arity, out)
+        return self._like(out)
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
@@ -571,7 +579,7 @@ class TensorElement(_Combination):
             for u, v, tc in alg._delta_word(w):
                 expanded = key[:leg] + ((u, alg._degree_of(v) * g), (v, g)) + key[leg + 1:]
                 _accumulate(out, expanded, c * tc)
-        return TensorElement(alg, self.arity + 1, out)
+        return self._of(alg, out, self.arity + 1)
 
     def counit_on_leg(self, leg: int) -> SmashElement:
         """Apply the counit to one leg of an arity-2 tensor."""
@@ -579,24 +587,24 @@ class TensorElement(_Combination):
         for key, c in self.terms.items():
             if not key[leg][0]:
                 _accumulate(out, key[1 - leg], c)
-        return SmashElement(self.algebra, out)
+        return SmashElement._of(self.algebra, out)
 
-    def fold_with(self, left_map=None, right_map=None) -> SmashElement:
-        """Multiply the two legs of an arity-2 tensor, optionally mapping
-        either leg first (used for the antipode axioms)."""
+    def fold_with(self, antipode_leg: int) -> SmashElement:
+        """The sum of S(a) b (antipode_leg 0) or of a S(b) (antipode_leg 1)
+        over the terms a (x) b of an arity-2 tensor, in one dict."""
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
         alg = self.algebra
-        total = alg.zero()
+        out: dict = {}
         for ((w1, g1), (w2, g2)), c in self.terms.items():
-            left = SmashElement(alg, {(w1, g1): one(alg.order)})
-            if left_map is not None:
-                left = left_map(left)
-            right = SmashElement(alg, {(w2, g2): c})
-            if right_map is not None:
-                right = right_map(right)
-            total = total + left * right
-        return total
+            if antipode_leg == 0:
+                pairs = ((sw, sg, w2, g2, c * sc) for sw, sg, sc in alg._antipode_mono(w1, g1))
+            else:
+                pairs = ((w1, g1, sw, sg, c * sc) for sw, sg, sc in alg._antipode_mono(w2, g2))
+            for lw, lg, rw, rg, pc in pairs:
+                for nw, tail, nc in alg._mul_mono(lw, lg, rw, rg):
+                    _accumulate(out, (nw, tail), pc * nc)
+        return SmashElement._of(alg, out)
 
 
 def _accumulate(store: dict, key, value) -> None:
@@ -777,11 +785,10 @@ def _rules_respected(algebra: PresentedAlgebra) -> bool:
     if not conf.ok or conf.skipped_over_bound or max(map(len, algebra.rules), default=0) > bound:
         return False
     words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
-    cost = 0
+    cost, phi = 0, euler_phi(algebra.order)
     for prefix in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=graded_lex_key):
         head = prefix[:-1]
-        cost += (2 * len(algebra._delta_word(head)) + len(algebra._antipode_word(head))) \
-            * euler_phi(algebra.order)
+        cost += (2 * len(algebra._delta_word(head)) + len(algebra._antipode_word(head))) * phi
         if cost > PAIR_COST_BUDGET:
             return False
 
@@ -805,15 +812,11 @@ def _monomial_families(algebra: PresentedAlgebra,
     counterexample among the (w, x^w # e, Delta(x^w # e)) in swept.  It forms
     no pair products, so PAIR_COST_BUDGET does not bind it."""
     e, one_element = algebra.group.identity(), algebra.one_element()
-
-    def unit(elem):  # eps(elem) 1, the right-hand side of both antipode axioms
-        return one_element.scale(algebra.counit(elem))
-
-    families = {
+    families = {  # eps(m) 1 is the right-hand side of both antipode axioms
         "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
         "counit": lambda m, d: d.counit_on_leg(0) == m and d.counit_on_leg(1) == m,
-        "antipode-left": lambda m, d: d.fold_with(left_map=algebra.antipode) == unit(m),
-        "antipode-right": lambda m, d: d.fold_with(right_map=algebra.antipode) == unit(m),
+        "antipode-left": lambda m, d: d.fold_with(0) == one_element.scale(algebra.counit(m)),
+        "antipode-right": lambda m, d: d.fold_with(1) == one_element.scale(algebra.counit(m)),
     }
     return [_entry(name, next((format_monomial(w, e) for w, m, d in swept if not holds(m, d)),
                               None))
@@ -899,24 +902,20 @@ class DiagonalAutomorphism:
                                               f"on {format_word(lhs)}")
 
     def _word_scale(self, word: Word) -> CycloNumber:
-        c = one(self.algebra.order)
-        for i in word:
-            c = c * self.scalars[i]
-        return c
+        return prod((self.scalars[i] for i in word), start=one(self.algebra.order))
 
 
 def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashElement) -> SmashElement:
     """[xi](a) = sum xi(a_1) a_2 for a character xi of Gamma extended by zero
-    on the generators."""
+    on the generators: only the terms of Delta(x^w # g) with u = () count."""
     if xi.group != algebra.group:
         raise InputError("winding character outside the presentation group")
-    t2 = algebra.comultiply(elem)
     out: dict = {}
-    for ((w1, g1), (w2, g2)), c in t2.terms.items():
-        if w1:
-            continue
-        _accumulate(out, (w2, g2), c * xi(g1))
-    return SmashElement(algebra, out)
+    for (w, g), c in elem.terms.items():
+        for u, v, tc in algebra._delta_word(w):
+            if not u:
+                _accumulate(out, (v, g), c * tc * xi(algebra._degree_of(v) * g))
+    return SmashElement._of(algebra, out)
 
 
 def _diagonal_coefficient(algebra: PresentedAlgebra, elem: SmashElement, i: int) -> CycloNumber:
@@ -931,9 +930,7 @@ def nakayama_automorphism(algebra: PresentedAlgebra,
     """psi = [xi] o S^2, computed by composition and cross-checked against the
     closed form psi(x_i) = xi(g_i) chi_i(g_i^{-1}) x_i, psi(g) = xi(g) g, the
     latter on generators of Gamma (both sides are multiplicative)."""
-    entries = []
-    scalars = []
-    failure = None
+    entries, scalars, failure = [], [], None
     for i, s2x in enumerate(algebra.s2_generators):
         image = winding_endomorphism(algebra, xi, s2x)
         c = _diagonal_coefficient(algebra, image, i)

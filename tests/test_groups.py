@@ -133,6 +133,17 @@ def test_char_inverse_is_value_at_inverse(data):
 
 
 @given(group_with_data())
+def test_identity_and_inverse_are_the_interned_elements(data):
+    """identity() and inverse() hand back the interned elements that
+    element() builds, and inverting twice returns the element itself."""
+    group, g, _h, _chi, _psi = data
+    assert g.inverse() is group.element(tuple(-e for e in g.exp))
+    assert g.inverse().inverse() is g
+    assert g * g.inverse() is group.identity() is group.element((0,) * group.rank)
+    assert group.identity().inverse() is group.identity()
+
+
+@given(group_with_data())
 def test_eval_multiplicative_both_slots(data):
     _group, g, h, chi, psi = data
     assert chi(g * h) == chi(g) * chi(h)

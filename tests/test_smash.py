@@ -11,6 +11,7 @@ from cyhopf.cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from cyhopf.errors import (
     DegreeBoundExceeded,
     InputError,
+    InternalError,
     InvalidPresentation,
 )
 from cyhopf.groups import AbelianGroup, GroupElement
@@ -321,6 +322,82 @@ def test_counit():
     assert algebra.counit(elem) == CycloNumber.from_rational(3, 3)
 
 
+# -- equality on term dicts ------------------------------------------------------------
+
+
+def _z5_presentation() -> PresentedAlgebra:
+    group = AbelianGroup((5,))
+    g = group.generator(0)
+    return quantum_affine_presentation(
+        group, (g, g * g), (group.character((1,)), group.character((3,))), 4)
+
+
+def _z8_half_presentation() -> PresentedAlgebra:
+    """Z8, two generators of one degree and character, rule scalars 1/2 and
+    zeta_8 + 1/2: coefficients with denominator 2 in a field with phi = 4."""
+    group = AbelianGroup((8,))
+    g, chi = group.generator(0), group.character((3,))
+    half = CycloNumber.from_rational(Fraction(1, 2))
+    rules = {(1, 1): (((0, 0), half),), (1, 0): (((0, 1), root_of_unity(1, 8) + half),)}
+    return PresentedAlgebra(group, (g, g), (chi, chi), rules, 4)
+
+
+def _element_pools(algebra: PresentedAlgebra, rng: random.Random) -> list[list]:
+    """Smash elements, arity-2 and arity-3 tensors, each pool holding pairs
+    equal by construction (built two ways) among pairs that differ."""
+    keys = normal_monomials(algebra, 2)
+    scalars = [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 1, -1]
+
+    def draw(degree):
+        picks = rng.sample([k for k in keys if len(k[0]) <= degree], rng.randint(0, 3))
+        return SmashElement(algebra, {
+            k: algebra.scalar(rng.choice(scalars)) * root_of_unity(rng.randrange(8), algebra.order)
+            for k in picks})
+
+    smash_pool, arity2, arity3 = [], [], []
+    for _ in range(5):
+        a, b = draw(2), draw(1)
+        half = a.scale(Fraction(1, 2))
+        key = next(iter(b.terms), ((), algebra.group.identity()))
+        smash_pool += [a, half + half, a.scale(2), a + b - b, b.scale(0) + a, a - a, a * b,
+                       (a + b) * b - b * b,
+                       # an explicit zero, and a coefficient not lifted to the session field
+                       SmashElement(algebra, {**a.terms, key: zero(algebra.order)}),
+                       SmashElement(algebra, {key: one(1)}), algebra.monomial(*key)]
+        da, db = algebra.comultiply(a), algebra.comultiply(b)
+        arity2 += [da, da + db - db, da.scale(-1) + da.scale(2), da.scale(2),
+                   algebra.comultiply(a * b), da * db,
+                   TensorElement(algebra, 2, {**da.terms, **{k: zero(1) for k in db.terms}})]
+        arity3 += [da.coproduct_on_leg(0), da.coproduct_on_leg(1), db.coproduct_on_leg(0)]
+    return [smash_pool, arity2, arity3]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_z5_presentation, _z8_half_presentation, lambda: _nonconfluent_presentation(),
+     lambda: a2_algebra()],
+    ids=["qa-z5", "z8-half-scalars", "nonconfluent-file", "a2-z2z2"],
+)
+def test_term_dict_equality_agrees_with_subtraction(build):
+    """a == b compares term dicts; it agrees with (a - b).is_zero() on every
+    pair of a seeded pool, equal pairs and unequal pairs both occurring."""
+    algebra = build()
+    rng = random.Random(7070 + algebra.order)
+    seen = {True: 0, False: 0}
+    for pool in _element_pools(algebra, rng):
+        for a in pool:
+            for b in pool:
+                diff = a - b
+                assert (a == b) is diff.is_zero() and (a != b) is not diff.is_zero()
+                assert diff.is_zero() is not any(diff.terms.values())  # no zero kept
+                seen[a == b] += a is not b
+    assert seen[True] >= 20 and seen[False] >= 20
+    t2, t3 = algebra.comultiply(algebra.one_element()), algebra.one_element()
+    with pytest.raises(InternalError):
+        _ = t2 == t2.coproduct_on_leg(0)
+    assert (t2 == t3) is False and (t3 == t2) is False
+
+
 # -- axiom sweeps ------------------------------------------------------------------
 
 
@@ -555,6 +632,31 @@ def test_rule_path_forms_no_pair_products(monkeypatch):
         report = verify_hopf_axioms(algebra)
         assert report.passed and report.notes[-1] == RULE_NOTE
         assert report.entries[-1].check == "coproduct-multiplicative"
+
+
+def test_antipode_axioms_see_a_sign_flipped_antipode(monkeypatch):
+    """With S(x_i) = +g_i^{-1} x_i, fold_with must still apply the (mutated)
+    antipode: on both bundled confluent presentations the rule path fails,
+    and the sweep reports both antipode axioms failing at x1#e.  The S
+    template of every nonempty word changes sign, so the rule checks still
+    pass and only the antipode families catch it."""
+    from cyhopf.io import load_json_file, parse_presentation
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    antipode_word = PresentedAlgebra._antipode_word
+
+    def sign_flipped(self, word):
+        terms = antipode_word(self, word)
+        return tuple((w, g, -c) for w, g, c in terms) if len(word) == 1 else terms
+
+    monkeypatch.setattr(PresentedAlgebra, "_antipode_word", sign_flipped)
+    for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"):
+        algebra = parse_presentation(load_json_file(str(data_dir / name)))[0]
+        report = verify_hopf_axioms(algebra)
+        assert report.notes[-1] == SWEEP_NOTE
+        entries = {e.check: (e.status, e.counterexample) for e in report.entries}
+        assert entries["antipode-left"] == entries["antipode-right"] == ("fail", "x1#e")
+        assert entries["coassociativity"] == entries["counit"] == ("pass", None)
 
 
 def _one_generator(rules, chi=0, n=2, bound=4) -> PresentedAlgebra:
@@ -803,6 +905,39 @@ def test_winding_by_counit_is_identity():
     for w, g in normal_monomials(algebra):
         m = algebra.monomial(w, g)
         assert winding_endomorphism(algebra, eps, m) == m
+
+
+def winding_oracle(algebra: PresentedAlgebra, xi, elem: SmashElement) -> SmashElement:
+    """[xi](a) = sum xi(a_1) a_2 read off the whole tensor comultiply(a)."""
+    out = {}
+    for ((w1, g1), key2), c in algebra.comultiply(elem).terms.items():
+        if not w1:
+            out[key2] = out.get(key2, zero(algebra.order)) + c * xi(g1)
+    return SmashElement(algebra, out)
+
+
+def test_winding_matches_the_tensor_oracle(seeded_family):
+    """winding_endomorphism, which reads the u = () terms of the Delta
+    templates, equals the tensor-based oracle on every normal monomial up to
+    degree 3 at every tail, on S^2 of the generators and on a random sum, for
+    the bundled presentations and the 21 quantum-affine ones of C4."""
+    from cyhopf.io import load_json_file, parse_presentation
+
+    data_dir = Path(__file__).resolve().parent.parent / "data"
+    bundled = [parse_presentation(load_json_file(str(data_dir / name)))[0]
+               for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json",
+                            "presentation_nonconfluent.json")]
+    assert len(seeded_family[1]) == 21
+    rng = random.Random(6060)
+    for algebra in bundled + seeded_family[1]:
+        characters = list(algebra.group.characters())
+        elems = [algebra.monomial(w, g) for w, g in normal_monomials(algebra, 3)]
+        total = algebra.zero()
+        for m in rng.sample(elems, min(8, len(elems))):
+            total = total + m.scale(rng.randint(-3, 3))
+        for elem in elems + list(algebra.s2_generators) + [total]:
+            xi = rng.choice(characters)
+            assert winding_endomorphism(algebra, xi, elem) == winding_oracle(algebra, xi, elem)
 
 
 def test_winding_values_and_composition():
