@@ -2,10 +2,10 @@
 
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
-invalid input or a standard output closed before the report was written, 2
-internal invariant violation or any other unexpected exception, each error
-reported as one stderr line.  JSON mode emits exactly one report object; text
-mode renders the same data.
+invalid input (a malformed command line too) or a standard output closed
+before the report was written, 2 internal invariant violation or any other
+unexpected exception, each reported as one stderr line.  JSON mode emits one
+report object; text mode renders the same data.  A verb imports only its layers.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-from .cartan import beta_sequence, longest_word, positive_roots_closure
-from .datum import check_cy, quantum_affine_report
 from .errors import InputError, InternalError
 from .io import (
     SCHEMA,
@@ -28,17 +26,21 @@ from .io import (
     parse_presentation,
     render_cy_report_text,
 )
-from .lie import check_cy_lie_smash
-from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is invalid input
+        raise InputError(f"{self.prog}: {message}")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyhopf",
         description="Exact Calabi-Yau checks for braided Hopf algebras of finite "
         "Cartan type over finite abelian groups and their smash products.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("input", help="path to a cy-hopf/1 JSON input file")
     common.add_argument("--json", action="store_true", help="emit a single JSON report")
     common.add_argument("--degree-bound", type=int, default=None, metavar="N",
@@ -101,16 +103,19 @@ def _check_report_text(report) -> str:
 
 def run(args) -> int:
     if args.verb == "check-cy":
+        from .datum import check_cy
         datum = parse_datum(load_json_file(args.input))
         report = check_cy(datum, tie_break=args.tie_break)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     if args.verb == "hdet":
+        from .datum import quantum_affine_report
         datum = parse_datum(load_json_file(args.input))
         report = quantum_affine_report(datum)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     if args.verb == "roots":
+        from .cartan import beta_sequence, longest_word, positive_roots_closure
         cartan = parse_cartan_only(load_json_file(args.input))
         word = longest_word(cartan, tie_break=args.tie_break)
         betas = beta_sequence(cartan, word)
@@ -135,11 +140,13 @@ def run(args) -> int:
         return _emit(args, None, report, text)
 
     if args.verb == "lie-check":
+        from .lie import check_cy_lie_smash
         algebra, action = parse_lie(load_json_file(args.input))
         report = check_cy_lie_smash(algebra, action)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     # remaining verbs consume a presentation file
+    from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
     algebra, xi = parse_presentation(load_json_file(args.input), degree_bound=args.degree_bound)
     bound = algebra.degree_bound
 
@@ -187,10 +194,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = run(args)
+        code = run(build_parser().parse_args(argv))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

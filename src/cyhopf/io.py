@@ -20,13 +20,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cartan import CartanMatrix
-from .cyclotomic import CycloNumber
-from .datum import CartanDatum, CyReport, LinkingParameter
 from .errors import InputError, read_int
-from .groups import AbelianGroup, Character, character_from_json, element_from_json
-from .lie import MAX_DIMENSION, GroupActionData, LieAlgebraData
-from .smash import DEFAULT_DEGREE_BOUND, MAX_WORD_LENGTH, PresentedAlgebra, parse_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # each parser imports the layers it builds when it is called
+    from .cartan import CartanMatrix
+    from .cyclotomic import CycloNumber
+    from .datum import CartanDatum, CyReport
+    from .groups import AbelianGroup, Character
+    from .lie import GroupActionData, LieAlgebraData
+    from .smash import PresentedAlgebra
 
 SCHEMA = "cy-hopf/1"
 
@@ -39,6 +42,8 @@ def load_json_file(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal over the int-string digit limit
+        raise InputError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} is nested too deeply") from exc
     if not isinstance(obj, dict):
@@ -62,12 +67,14 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_scalar(value) -> CycloNumber:
+    from .cyclotomic import CycloNumber
     if isinstance(value, dict):
         return CycloNumber.from_json(value)
     return CycloNumber.from_rational(parse_rational(value))
 
 
 def parse_group(obj) -> AbelianGroup:
+    from .groups import AbelianGroup
     if not isinstance(obj, dict):
         raise InputError(f"malformed group: {obj!r}")
     return AbelianGroup.from_json(obj)
@@ -80,6 +87,9 @@ def _list(name: str, raw) -> list:
 
 
 def parse_datum(obj: dict) -> CartanDatum:
+    from .cartan import CartanMatrix
+    from .datum import CartanDatum, LinkingParameter
+    from .groups import character_from_json, element_from_json
     try:
         group = parse_group(obj["group"])
         cartan = CartanMatrix.from_json(obj["cartan"])
@@ -99,6 +109,7 @@ def parse_datum(obj: dict) -> CartanDatum:
 
 
 def _degree_bound(obj: dict, override: int | None) -> int:
+    from .smash import DEFAULT_DEGREE_BOUND
     if override is not None:
         name, raw = "--degree-bound", override
     elif "degree_bound" in obj:
@@ -119,6 +130,8 @@ def parse_presentation(
 
     The degree bound is degree_bound if given, else the file's "degree_bound",
     else the default."""
+    from .groups import character_from_json, element_from_json
+    from .smash import MAX_WORD_LENGTH, PresentedAlgebra, parse_word
     bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])
@@ -153,6 +166,8 @@ def parse_presentation(
 
 
 def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
+    from .groups import AbelianGroup
+    from .lie import MAX_DIMENSION, GroupActionData, LieAlgebraData
     if "dim" not in obj:
         raise InputError("lie file needs an integer 'dim'")
     d = read_int("dim", obj["dim"])
@@ -196,6 +211,7 @@ def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
 
 
 def parse_cartan_only(obj: dict) -> CartanMatrix:
+    from .cartan import CartanMatrix
     try:
         return CartanMatrix.from_json(obj["cartan"])
     except KeyError as exc:

@@ -285,7 +285,6 @@ def test_only_the_roots_verb_runs_the_closure(monkeypatch, tmp_path, capsys):
         return positive_roots_closure(cartan)
 
     monkeypatch.setattr(cartan_module, "positive_roots_closure", counting_closure)
-    monkeypatch.setattr(cli, "positive_roots_closure", counting_closure)
     datum._root_counts.cache_clear()
     for d in (a2_z2z2_datum(), a1a1_znzn_datum(3)):
         for tie in ("min", "max"):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyhopf import cli
+from cyhopf import smash
 from cyhopf.cli import main
 from conftest import type_a
 
@@ -167,6 +167,9 @@ COMMUTING_Z593 = dict(
     degrees=[{"exp": [1]}] * 6, actions=[{"exp": [0]}] * 6, degree_bound=3,
     rules=[{"lhs": f"x{j}*x{i}", "rhs": [{"word": f"x{i}*x{j}", "coeff": "1"}]}
            for i in range(1, 7) for j in range(i + 1, 7)])
+# A Cartan entry of 5000 nines, as raw JSON text: json.load refuses an integer
+# literal over the interpreter's int-string digit limit (4300) with a ValueError.
+HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace('"N"', "9" * 5000)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +222,8 @@ COMMUTING_Z593 = dict(
         ("roots", {"cartan": type_a(60)}),
         ("check-cy", A32_DATUM),
         ("roots", {"cartan": [[2 * (i == j) for j in range(129)] for i in range(129)]}),
+        ("roots", HUGE_CARTAN_ENTRY),
+        ("check-cy", HUGE_CARTAN_ENTRY),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -229,14 +234,40 @@ COMMUTING_Z593 = dict(
          "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
          "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit",
-         "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit"],
+         "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
+         "roots-int-over-digit-limit", "check-cy-int-over-digit-limit"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     assert main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["frobnicate", str(DATA / DATUM_A2)], ["check-cy"],
+     ["verify-s2", str(DATA / PRES_A2), "--degree-bound", "x"],
+     ["roots", str(DATA / "cartan_a2.json"), "--tie-break", "middle"],
+     ["roots", str(DATA / "cartan_a2.json"), "--no-such-flag"]],
+    ids=["no-verb", "unknown-verb", "no-input-path", "degree-bound-not-int",
+         "tie-break-not-a-choice", "unknown-flag"],
+)
+def test_malformed_command_line_is_one_error_line(capsys, argv):
+    """A bad command line is invalid input like a bad file: exit 1, one line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: cyhopf")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check-cy", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: cyhopf" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])
@@ -291,7 +322,7 @@ def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
     def broken(_algebra):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "verify_double_antipode", broken)
+    monkeypatch.setattr(smash, "verify_double_antipode", broken)
     assert main(["verify-s2", str(DATA / "presentation_a2_z2z2.json")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: RuntimeError: boom"]

@@ -7,7 +7,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-import cyhopf.cli  # noqa: F401  (imports every module the tracer patches)
+import cyhopf.cli  # noqa: F401  (a CLI call imports its layers lazily; current() loads each)
 from cyhopf.datum import check_cy, quantum_affine_report
 from cyhopf.sampling import random_a1t_datum
 
