@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cyhopf.datum import check_cy, hdet_quantum_affine  # noqa: E402
+from cyhopf.datum import check_cy  # noqa: E402
 from cyhopf.sampling import random_a1t_datum  # noqa: E402
 
 
@@ -32,7 +32,7 @@ def main() -> int:
     for k in range(args.samples):
         datum = random_a1t_datum(rng, balanced=(k % 2 == 0))
         report = check_cy(datum)
-        hdet_trivial = hdet_quantum_affine(datum).is_trivial()
+        hdet_trivial = report.hdet.is_trivial()
         table[(report.cy_R, hdet_trivial, report.cy_smash)] += 1
         if report.cy_R and report.cy_smash:
             violations += 1

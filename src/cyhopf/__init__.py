@@ -11,8 +11,8 @@ _EXPORTS = {
     "cartan": ("CartanMatrix", "Root", "beta_sequence", "longest_word", "positive_roots_closure"),
     "cyclotomic": ("CycloNumber", "one", "root_of_unity", "zero"),
     "datum": ("CartanDatum", "CyReport", "LinkingParameter", "check_cy", "check_cy_braided",
-              "check_cy_smash", "chi_beta", "hdet_quantum_affine", "inner_witness_search",
-              "integral_character", "quantum_affine_balance", "quantum_affine_report"),
+              "check_cy_smash", "chi_beta", "inner_witness_search", "integral_character",
+              "quantum_affine_report"),
     "groups": ("AbelianGroup", "Character", "GroupElement"),
     "lie": ("GroupActionData", "LieAlgebraData", "adjoint_trace", "check_cy_lie_smash"),
     "smash": ("DiagonalAutomorphism", "PresentedAlgebra", "SmashElement", "TensorElement",

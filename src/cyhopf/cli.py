@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simple-index tie-break for the longest-word descent")
     for verb, help_text in (
         ("check-cy", "full CY report for a Cartan datum"),
-        ("hdet", "quantum-affine homological determinant and balance report"),
+        ("hdet", "check-cy's report, which for A1 x ... x A1 carries the homological "
+                 "determinant and the balance criterion; refuses other types"),
         ("nakayama", "winding-twisted squared antipode of a presentation"),
         ("roots", "positive roots and longest-word data of a Cartan matrix"),
         ("verify-hopf", "Hopf axioms, decided on generators and rules (in every degree) "
@@ -102,16 +103,11 @@ def _check_report_text(report) -> str:
 
 
 def run(args) -> int:
-    if args.verb == "check-cy":
-        from .datum import check_cy
+    if args.verb in ("check-cy", "hdet"):
+        from .datum import check_cy, quantum_affine_report
         datum = parse_datum(load_json_file(args.input))
-        report = check_cy(datum, tie_break=args.tie_break)
-        return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
-
-    if args.verb == "hdet":
-        from .datum import quantum_affine_report
-        datum = parse_datum(load_json_file(args.input))
-        report = quantum_affine_report(datum)
+        build = check_cy if args.verb == "check-cy" else quantum_affine_report
+        report = build(datum, args.tie_break)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     if args.verb == "roots":

@@ -18,17 +18,24 @@ The verdicts are exact character computations:
   squared antipode by conjugation, chi_k(g) = chi_k(g_k)^{-1}, solved as
   linear congruences (inner_witness_search);
 * the braided-factor CY check: triviality of the Nakayama diagonal
-  c_k = prod_{i != j_k} chi_{beta_i}(g_k) = xi(g_k) chi_k(g_k)^{-1};
-* for type A1 x ... x A1, the quantum-affine-space specializations: the
-  homological determinant g -> prod chi_i(g^{-1}) and the balance criterion
-  q_{1i}...q_{(i-1)i} = q_{i(i+1)}...q_{it}.
+  c_k = prod_{i != j_k} chi_{beta_i}(g_k) = xi(g_k) chi_k(g_k)^{-1}.
+
+The two verdicts never both hold on a valid datum: a CY smash product needs
+xi trivial, and then c_k = q_kk^{-1}, which construction keeps from 1.
+
+For type A1 x ... x A1, 2 rho = (1, ..., 1) and a_ij = 0 forces
+q_ij q_ji = 1, so the quantum-affine-space criteria are these same objects:
+the homological determinant g -> prod chi_i(g^{-1}) is xi^{-1}, and the
+balance criterion q_{1k}...q_{(k-1)k} = q_{k(k+1)}...q_{kt} has residual
+c_k^{-1}, so it holds iff the braided factor is CY.  quantum_affine_report is
+check_cy restricted to these data.
 
 The longest word and 2 rho, hence p and xi, are derived per tie-break ("min"
 or "max", memoized per matrix), so the two cross-check each other.  The
-witness and the quantum-affine criteria do not depend on the tie-break: each
-is computed on first use and kept on its datum
-(CartanDatum.squared_antipode_witness, CartanDatum.quantum_affine_criteria).
-Building a datum computes neither.
+witness does not depend on the tie-break; it is computed on first use and
+kept on its datum (CartanDatum.squared_antipode_witness), and so is
+check_cy's report for each tie-break (CartanDatum.reports).  Building a datum
+computes none of them.
 """
 
 from __future__ import annotations
@@ -120,15 +127,9 @@ class CartanDatum:
         return inner_witness_search(self, squared_antipode_diag(self))
 
     @cached_property
-    def quantum_affine_criteria(self) -> tuple[Character, tuple[CriterionResult, ...]]:
-        """hdet, and the balance and hdet-trivial criteria of an A1^t datum."""
-        balanced, residuals = quantum_affine_balance(self)
-        hdet = hdet_quantum_affine(self)
-        listing = _listing(report_scalars(self.group.exponent, residuals))
-        return hdet, (
-            CriterionResult("quantum-affine-balance", balanced, "residuals " + listing),
-            CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
-        )
+    def reports(self) -> dict[str, CyReport]:
+        """check_cy's report per tie-break, each built on first use."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class CriterionResult:
         return {"criterion": self.criterion, "satisfied": self.satisfied, "detail": self.detail}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CyReport:
     """Machine-readable verdict for one datum (or one Lie-action input)."""
 
@@ -190,29 +191,6 @@ def _root_data(datum: CartanDatum, tie_break: str) -> tuple[int, Character]:
 def integral_character(datum: CartanDatum, tie_break: str = "min") -> Character:
     """Character of the homological integral on the group: prod of chi_beta."""
     return _root_data(datum, tie_break)[1]
-
-
-def hdet_quantum_affine(datum: CartanDatum) -> Character:
-    """Homological determinant g -> prod_i chi_i(g^{-1}) for type A1 x ... x A1."""
-    if not datum.cartan.is_a1_power():
-        raise WrongCartanType("homological determinant is only computed for A1 x ... x A1 data")
-    return _chi_product(datum, (-1,) * datum.rank)
-
-
-def quantum_affine_balance(datum: CartanDatum) -> tuple[bool, tuple[int, ...]]:
-    """Balance criterion for quantum affine space: for each i the product of
-    q_{ki} over k < i equals the product of q_{ik} over k > i.  Returns the
-    verdict and the exponents mod N of the per-index residual ratios
-    (left * right^{-1})."""
-    if not datum.cartan.is_a1_power():
-        raise WrongCartanType("balance criterion is only defined for A1 x ... x A1 data")
-    t, m = datum.rank, datum.group.exponent
-    e = datum.braiding_exponents
-    residuals = tuple(
-        (sum(e[k][i] for k in range(i)) - sum(e[i][k] for k in range(i + 1, t))) % m
-        for i in range(t)
-    )
-    return not any(residuals), residuals
 
 
 def _nakayama_exponents(datum: CartanDatum, xi: Character) -> tuple[int, ...]:
@@ -365,74 +343,54 @@ def report_scalars(order: int, exponents) -> tuple[CycloNumber, ...]:
     return tuple(root_of_unity(x, order) for x in exponents)
 
 
-def _report_witness(order: int, g: GroupElement | None) -> tuple[CycloNumber, GroupElement] | None:
-    return None if g is None else (*report_scalars(order, (0,)), g)
-
-
 def _listing(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-def _witness_criterion(name: str, g: GroupElement | None) -> CriterionResult:
-    found = g is not None
-    return CriterionResult(name, found, f"witness {g}" if found else "no group-like witness")
-
-
 def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
-    A1 x ... x A1 data, the quantum-affine-space specializations."""
+    A1 x ... x A1 data, the homological determinant xi^{-1} and the balance
+    criterion, whose residuals are the c_k^{-1}.  Built once per tie-break
+    and kept on the datum."""
+    kept = datum.reports.get(tie_break)
+    if kept is not None:
+        return kept
     cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
+    m = datum.group.exponent
     exponents = _nakayama_exponents(datum, xi)
     cy_r = not any(exponents)
-    diag = report_scalars(datum.group.exponent, exponents)
+    diag = report_scalars(m, exponents)
+    found = witness is not None
     criteria = [
         CriterionResult("integral-character-trivial", xi.is_trivial(), str(xi)),
-        _witness_criterion("squared-antipode-inner", witness),
+        CriterionResult("squared-antipode-inner", found,
+                        f"witness {witness}" if found else "no group-like witness"),
         CriterionResult("braided-nakayama-trivial", cy_r, "diag " + _listing(diag)),
     ]
     hdet = None
     if datum.cartan.is_a1_power():
-        hdet, affine = datum.quantum_affine_criteria
-        criteria.extend(affine)
-    return CyReport(
+        hdet = xi.inverse()
+        residuals = report_scalars(m, (-x % m for x in exponents))
+        criteria += [
+            CriterionResult("quantum-affine-balance", cy_r, "residuals " + _listing(residuals)),
+            CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
+        ]
+    report = datum.reports[tie_break] = CyReport(
         cy_R=cy_r,
         cy_smash=cy_smash,
         cy_dimension=p,
         integral_character=xi,
         hdet=hdet,
         nakayama_diag=diag,
-        inner_witness=_report_witness(datum.group.exponent, witness),
+        inner_witness=(*report_scalars(m, (0,)), witness) if found else None,
         criteria=tuple(criteria),
         notes=(UNIT_GROUP_NOTE, _shift_note(p)),
     )
+    return report
 
 
-def quantum_affine_report(datum: CartanDatum) -> CyReport:
-    """Three-condition report for A1 x ... x A1 data.
-
-    (i) the balance criterion for the braided factor, (ii) triviality of the
-    homological determinant, (iii) a group-like witness for the diagonal
-    x_j -> chi_j(g_j^{-1}) x_j.  The conjunction of all three is equivalent
-    to both algebras being CY and is reported as cy_smash.
-    """
+def quantum_affine_report(datum: CartanDatum, tie_break: str = "min") -> CyReport:
+    """check_cy's report, for A1 x ... x A1 data only."""
     if not datum.cartan.is_a1_power():
         raise WrongCartanType("quantum-affine report needs a Cartan matrix of type A1 x ... x A1")
-    hdet, affine = datum.quantum_affine_criteria
-    witness = datum.squared_antipode_witness
-    criteria = affine + (_witness_criterion("nakayama-inner", witness),)
-    m = datum.group.exponent
-    return CyReport(
-        cy_R=affine[0].satisfied,
-        cy_smash=all(c.satisfied for c in criteria),
-        cy_dimension=datum.rank,
-        integral_character=hdet,
-        hdet=hdet,
-        nakayama_diag=report_scalars(m, squared_antipode_diag(datum)),
-        inner_witness=_report_witness(m, witness),
-        criteria=criteria,
-        notes=(
-            UNIT_GROUP_NOTE,
-            "cy_smash here is the three-condition conjunction: it holds exactly "
-            "when the braided factor and the smash product are both CY",
-        ),
-    )
+    return check_cy(datum, tie_break)

@@ -209,24 +209,3 @@ def element_from_json(group: AbelianGroup, obj: dict) -> GroupElement:
 def character_from_json(group: AbelianGroup, obj: dict) -> Character:
     return Character(group, _exp_from_json("character", obj))
 
-
-def parse_element(group: AbelianGroup, text: str) -> GroupElement:
-    """Parse multiplicative notation like "y1^2*y3" ("e" is the identity)."""
-    text = text.strip()
-    if text in ("e", "1", ""):
-        return group.identity()
-    exps = [0] * group.rank
-    for token in text.split("*"):
-        token = token.strip()
-        name, _, power = token.partition("^")
-        if not name.startswith("y"):
-            raise InputError(f"bad group element token {token!r}")
-        try:
-            idx = int(name[1:]) - 1
-            k = int(power) if power else 1
-        except ValueError as exc:
-            raise InputError(f"bad group element token {token!r}") from exc
-        if not 0 <= idx < group.rank:
-            raise InputError(f"generator y{idx + 1} outside rank-{group.rank} group")
-        exps[idx] += k
-    return group.element(exps)

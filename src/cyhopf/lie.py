@@ -143,11 +143,6 @@ class LieAlgebraData:
                             out[k] += c * x
         return tuple(out)
 
-    def ad_matrix(self, i: int) -> Matrix:
-        """(ad x_i) in the chosen basis: column j holds the coords of [x_i, x_j]."""
-        d = self.dimension
-        return tuple(tuple(self.brackets[i][j][k] for j in range(d)) for k in range(d))
-
 
 def adjoint_trace(algebra: LieAlgebraData, i: int) -> Fraction:
     """tr(ad x_i) = sum_j c_{ij}^j."""
@@ -232,7 +227,6 @@ def check_cy_lie_smash(algebra: LieAlgebraData, action: GroupActionData) -> CyRe
     dets = [mat_det(m) for m in action.matrices]
     special = all(det == 1 for det in dets)
     det_char = _det_character(action, dets)
-    m = action.group.exponent
     criteria = (
         CriterionResult(
             "adjoint-traces-vanish",
@@ -251,8 +245,8 @@ def check_cy_lie_smash(algebra: LieAlgebraData, action: GroupActionData) -> CyRe
         cy_dimension=d,
         integral_character=det_char,
         hdet=det_char,
-        nakayama_diag=report_scalars(m, (0,) * d),
-        inner_witness=(*report_scalars(m, (0,)), action.group.identity()),
+        nakayama_diag=report_scalars(1, (0,) * d),
+        inner_witness=(*report_scalars(1, (0,)), action.group.identity()),
         criteria=criteria,
         notes=(
             "twisting automorphism is the identity (trivial coaction), "

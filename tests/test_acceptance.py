@@ -11,13 +11,7 @@ from time import perf_counter
 from cyhopf.cartan import CartanMatrix, beta_sequence, longest_word, positive_roots_closure
 from cyhopf.cli import main
 from cyhopf.cyclotomic import CycloNumber, one, root_of_unity
-from cyhopf.datum import (
-    check_cy,
-    hdet_quantum_affine,
-    integral_character,
-    quantum_affine_balance,
-    quantum_affine_report,
-)
+from cyhopf.datum import check_cy, integral_character, quantum_affine_report
 from cyhopf.groups import AbelianGroup
 from cyhopf.lie import GroupActionData, LieAlgebraData, check_cy_lie_smash
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
@@ -29,6 +23,7 @@ from cyhopf.smash import (
     winding_endomorphism,
 )
 from conftest import a1a1_znzn_datum
+from test_datum import hdet_quantum_affine, quantum_affine_balance
 from test_lie import brackets_from_pairs, sl2, sl2_sign_action
 from test_smash import double_antipode_failure, normal_monomials, phi_graded_formula, phi_smash_formula
 
@@ -91,13 +86,12 @@ def test_criterion_3_hdet_identity_and_mutual_exclusion(capsys):
             datum = random_a1t_datum(rng, balanced=True)
             balanced, _ = quantum_affine_balance(datum)
             assert balanced
-            hdet = hdet_quantum_affine(datum)
+            report = quantum_affine_report(datum)
+            assert report is check_cy(datum)
+            assert report.cy_R and report.hdet == hdet_quantum_affine(datum)
             for j in range(datum.rank):
-                assert hdet(datum.g[j]) == datum.chi[j](datum.g[j]).inverse()
-            qa = quantum_affine_report(datum)
-            assert not (qa.cy_R and qa.cy_smash)
-            full = check_cy(datum)
-            assert not (full.cy_R and full.cy_smash)
+                assert report.hdet(datum.g[j]) == datum.chi[j](datum.g[j]).inverse()
+            assert not report.cy_smash
             count += 1
 
 

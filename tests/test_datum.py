@@ -12,10 +12,8 @@ from cyhopf.datum import (
     check_cy_braided,
     check_cy_smash,
     chi_beta,
-    hdet_quantum_affine,
     inner_witness_search,
     integral_character,
-    quantum_affine_balance,
     quantum_affine_report,
     squared_antipode_diag,
 )
@@ -24,6 +22,35 @@ from cyhopf.errors import InputError, InvalidDatum, NegativeRoot, WrongCartanTyp
 from cyhopf.groups import AbelianGroup
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from conftest import a1a1_znzn_datum, a2_z2z2_datum
+
+
+def hdet_quantum_affine(datum):
+    """Homological determinant g -> prod_i chi_i(g^{-1}) of an A1 x ... x A1
+    datum, as the inverse of the product of the chi_i (test-only oracle)."""
+    assert datum.cartan.is_a1_power()
+    out = datum.group.trivial_character()
+    for c in datum.chi:
+        out = out * c
+    return out.inverse()
+
+
+def quantum_affine_balance(datum):
+    """Balance criterion for quantum affine space (test-only oracle): for each
+    i the product of q_{ki} over k < i equals the product of q_{ik} over k > i.
+    Returns the verdict and the exponents mod N of the per-index residual
+    ratios (left * right^{-1})."""
+    assert datum.cartan.is_a1_power()
+    t, m = datum.rank, datum.group.exponent
+    e = datum.braiding_exponents
+    residuals = tuple(
+        (sum(e[k][i] for k in range(i)) - sum(e[i][k] for k in range(i + 1, t))) % m
+        for i in range(t)
+    )
+    return not any(residuals), residuals
+
+
+def criteria(report) -> dict:
+    return {c.criterion: c for c in report.criteria}
 
 
 def test_braiding_matrix_of_the_bundled_examples(example_a2, example_a1a1):
@@ -87,15 +114,15 @@ def test_integral_character_examples(example_a2, example_a1a1):
 
 
 def test_hdet_quantum_affine(example_a1a1):
-    assert hdet_quantum_affine(example_a1a1).is_trivial()
+    assert check_cy(example_a1a1).hdet.is_trivial()
     group = AbelianGroup((5,))
     datum = CartanDatum(
         group, (group.generator(0),), (group.character((1,)),), CartanMatrix(((2,),))
     )
-    hdet = hdet_quantum_affine(datum)
+    hdet = check_cy(datum).hdet
+    assert hdet == integral_character(datum).inverse()
     assert hdet(group.generator(0)) == root_of_unity(4, 5)  # q^{-1}
-    with pytest.raises(WrongCartanType):
-        hdet_quantum_affine(a2_z2z2_datum())
+    assert check_cy(a2_z2z2_datum()).hdet is None
 
 
 def test_balance_criterion(example_a1a1):
@@ -106,10 +133,13 @@ def test_balance_criterion(example_a1a1):
     )
     ok, residuals = quantum_affine_balance(datum)
     assert ok and residuals == (0,)
+    balance = criteria(check_cy(datum))["quantum-affine-balance"]
+    assert balance.satisfied and balance.detail == "residuals (1)"
     # the Zn x Zn example fails balance: residual q = zeta_3 at index 1
     ok2, res2 = quantum_affine_balance(example_a1a1)
     assert not ok2
-    assert res2[0] == 1
+    assert res2 == (1, 2)
+    assert not criteria(check_cy(example_a1a1))["quantum-affine-balance"].satisfied
     # cross-terms all 1 gives balance
     g22 = AbelianGroup((2, 2))
     datum3 = CartanDatum(
@@ -119,6 +149,7 @@ def test_balance_criterion(example_a1a1):
         CartanMatrix(((2, 0), (0, 2))),
     )
     assert quantum_affine_balance(datum3)[0]
+    assert check_cy(datum3).cy_R
 
 
 def test_braided_diag_of_examples(example_a2, example_a1a1):
@@ -186,9 +217,15 @@ def test_check_cy_full_reports(example_a2, example_a1a1):
 
 
 def test_quantum_affine_report_casework(example_a1a1):
-    rep = quantum_affine_report(example_a1a1)
-    assert not rep.cy_R and not rep.cy_smash
-    assert rep.hdet.is_trivial()  # (ii) holds, (i) fails: still not both CY
+    """hdet is check_cy's report, refused beyond A1 x ... x A1."""
+    for tie_break in ("min", "max"):
+        rep = quantum_affine_report(example_a1a1, tie_break)
+        assert rep is check_cy(example_a1a1, tie_break)
+        assert rep.cy_smash and not rep.cy_R  # xi = hdet^{-1} trivial, balance fails
+        assert rep.hdet.is_trivial()
+        assert list(criteria(rep)) == [
+            "integral-character-trivial", "squared-antipode-inner", "braided-nakayama-trivial",
+            "quantum-affine-balance", "hdet-trivial"]
     with pytest.raises(WrongCartanType):
         quantum_affine_report(a2_z2z2_datum())
 
@@ -200,25 +237,37 @@ def test_balanced_data_with_nontrivial_qjj_never_both_cy():
         rep = quantum_affine_report(datum)
         assert rep.cy_R  # balance holds by construction
         assert not rep.cy_smash  # hdet(g_j) = chi_j(g_j)^{-1} != 1
-        hdet = hdet_quantum_affine(datum)
         for j in range(datum.rank):
-            assert hdet(datum.g[j]) == datum.chi[j](datum.g[j]).inverse()
+            assert rep.hdet(datum.g[j]) == datum.chi[j](datum.g[j]).inverse()
 
 
 def test_mutual_exclusion_on_random_valid_data():
     rng = random.Random(99)
     for _ in range(1000):
-        datum = random_a1t_datum(rng)
-        balanced, _res = quantum_affine_balance(datum)
-        hdet_trivial = hdet_quantum_affine(datum).is_trivial()
-        assert not (balanced and hdet_trivial)
+        rep = check_cy(random_a1t_datum(rng))
+        assert not (rep.cy_R and rep.hdet.is_trivial())
+        assert not (rep.cy_R and rep.cy_smash)
 
 
 def test_braided_criterion_agrees_with_balance_on_random_data():
+    """On A1 x ... x A1 data the balance residuals are the c_k^{-1} and hdet
+    is xi^{-1}: the report's criteria equal the oracles' on every draw."""
     rng = random.Random(7)
     for _ in range(200):
         datum = random_a1t_datum(rng)
-        assert check_cy_braided(datum)[0] == quantum_affine_balance(datum)[0]
+        m = datum.group.exponent
+        balanced, residuals = quantum_affine_balance(datum)
+        hdet = hdet_quantum_affine(datum)
+        assert check_cy_braided(datum)[0] == balanced
+        for tie_break in ("min", "max"):
+            rep = check_cy(datum, tie_break)
+            assert quantum_affine_report(datum, tie_break) is rep
+            assert rep.cy_R == balanced and rep.hdet == hdet
+            listing = ", ".join(str(root_of_unity(x, m)) for x in residuals)
+            named = criteria(rep)
+            balance, hdet_trivial = named["quantum-affine-balance"], named["hdet-trivial"]
+            assert (balance.satisfied, balance.detail) == (balanced, f"residuals ({listing})")
+            assert (hdet_trivial.satisfied, hdet_trivial.detail) == (hdet.is_trivial(), str(hdet))
 
 
 def test_integral_character_independent_of_tie_break():
@@ -236,14 +285,6 @@ def _chi_beta_by_products(datum, root):
         if m:
             out = out * c**m
     return out
-
-
-def _hdet_by_products(datum):
-    """hdet as the inverse of the product of the chi_i (test-only oracle)."""
-    out = datum.group.trivial_character()
-    for c in datum.chi:
-        out = out * c
-    return out.inverse()
 
 
 def _product_oracle(datum, tie_break):
@@ -427,7 +468,6 @@ def test_verdicts_build_no_cyclotomic_number():
     assert inner_witness_search(datum, (n - 2,)) is witness
     assert check_cy_smash(datum) == (False, datum.chi[0], witness, 1)  # xi = chi
     assert check_cy_braided(datum) == (True, (0,))  # c_1 = xi(g) chi(g)^{-1} = 1
-    assert quantum_affine_balance(datum) == (True, (0,))
 
 
 def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
@@ -451,20 +491,20 @@ def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
     datum_module._root_counts.cache_clear()
 
 
-def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeypatch):
-    solves, balances = [], []
-    solve, balance = datum_module._first_solution, datum_module.quantum_affine_balance
+def test_witness_and_reports_are_computed_once_per_datum(monkeypatch):
+    solves, builds = [], []
+    solve, diagonal = datum_module._first_solution, datum_module._nakayama_exponents
 
     def counting_solve(*args):
         solves.append(args)
         return solve(*args)
 
-    def counting_balance(datum):
-        balances.append(datum)
-        return balance(datum)
+    def counting_diagonal(datum, xi):
+        builds.append(datum)
+        return diagonal(datum, xi)
 
     monkeypatch.setattr(datum_module, "_first_solution", counting_solve)
-    monkeypatch.setattr(datum_module, "quantum_affine_balance", counting_balance)
+    monkeypatch.setattr(datum_module, "_nakayama_exponents", counting_diagonal)
     rng = random.Random(1211)
     data = [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(20)]
     data += [random_cartan_datum(rng) for _ in range(30)]
@@ -472,13 +512,13 @@ def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeyp
     a1t = [d for d in data if d.cartan.is_a1_power()]
     assert 40 <= len(a1t) < len(data)
     for datum in data:
-        for _ in range(2):
-            reports = [check_cy(datum, "min"), check_cy(datum, "max")]
-            if datum.cartan.is_a1_power():
-                reports.append(quantum_affine_report(datum))
-            assert len({r.inner_witness and r.inner_witness[1] for r in reports}) == 1
+        first = [check_cy(datum, "min"), check_cy(datum, "max")]
+        assert len({r.inner_witness and r.inner_witness[1] for r in first}) == 1
+        assert all(r is kept for r, kept in zip(first, (check_cy(datum), check_cy(datum, "max"))))
+        if datum.cartan.is_a1_power():
+            assert all(quantum_affine_report(datum, tb) is r for tb, r in zip(("min", "max"), first))
     assert len(solves) == len(data)
-    assert [id(d) for d in balances] == [id(d) for d in a1t]
+    assert [id(d) for d in builds] == [id(d) for d in data for _ in range(2)]
     for datum in data:
         fresh = inner_witness_search(datum, squared_antipode_diag(datum))
         assert datum.squared_antipode_witness is fresh
@@ -519,23 +559,22 @@ def test_exponent_vector_characters_match_character_products():
             zero_coefficients += 0 in root.coeffs
             assert chi_beta(datum, root) == _chi_beta_by_products(datum, root)
         if datum.cartan.is_a1_power():
-            assert hdet_quantum_affine(datum) == _hdet_by_products(datum)
+            assert integral_character(datum, tie_break).inverse() == hdet_quantum_affine(datum)
     assert zero_coefficients > 200
 
 
 def test_building_a_datum_runs_no_solver(monkeypatch):
     """Over the witness rank limit a datum still builds and its integral
-    character still answers; check_cy and quantum_affine_report refuse with
-    one line, in the order of the checks: check_cy's witness before its report
-    scalars, quantum_affine_report's residual scalars before its witness."""
+    character still answers; check_cy and quantum_affine_report, which is
+    check_cy on A1 x ... x A1, refuse with one line: the witness is decided
+    before any report scalar is built, so the rank refusal comes first even
+    where Q(zeta_N) has no power table."""
     solves = []
     monkeypatch.setattr(datum_module, "_first_solution", lambda *args: solves.append(args))
     over = datum_module.MAX_WITNESS_RANK + 1
     rank_error = (f"witness solver needs {over} group factors on which a character is "
                   f"nontrivial, over the limit of {over - 1}")
-    for ns, affine_error in (((2,) * over, rank_error),
-                             ((3,) * (over - 1) + (10**30,),
-                              "cyclotomic order 3000000000000000000000000000000 exceeds 4194304")):
+    for ns in ((2,) * over, (3,) * (over - 1) + (10**30,)):
         group = AbelianGroup(ns)
         datum = CartanDatum(group, (group.generator(0),), (group.character((1,) * over),),
                             CartanMatrix(((2,),)))
@@ -546,5 +585,5 @@ def test_building_a_datum_runs_no_solver(monkeypatch):
             assert str(refused.value) == rank_error
             with pytest.raises(InputError) as refused:
                 quantum_affine_report(datum)
-            assert str(refused.value) == affine_error
+            assert str(refused.value) == rank_error
     assert not solves

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cyhopf.cyclotomic import root_of_unity
 from cyhopf.errors import GroupMismatch, GroupTooLarge, InputError
-from cyhopf.groups import AbelianGroup, element_from_json, parse_element
+from cyhopf.groups import AbelianGroup, GroupElement, element_from_json
 
 invariant_factors = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
 
@@ -158,6 +158,28 @@ def test_element_power_matches_repeated_product(data, n):
     for _ in range(abs(n)):
         expected = expected * step
     assert g**n == expected
+
+
+def parse_element(group: AbelianGroup, text: str) -> GroupElement:
+    """Parse multiplicative notation like "y1^2*y3" ("e" is the identity)."""
+    text = text.strip()
+    if text in ("e", "1", ""):
+        return group.identity()
+    exps = [0] * group.rank
+    for token in text.split("*"):
+        token = token.strip()
+        name, _, power = token.partition("^")
+        if not name.startswith("y"):
+            raise InputError(f"bad group element token {token!r}")
+        try:
+            idx = int(name[1:]) - 1
+            k = int(power) if power else 1
+        except ValueError as exc:
+            raise InputError(f"bad group element token {token!r}") from exc
+        if not 0 <= idx < group.rank:
+            raise InputError(f"generator y{idx + 1} outside rank-{group.rank} group")
+        exps[idx] += k
+    return group.element(exps)
 
 
 def test_element_string_round_trip():

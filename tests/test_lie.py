@@ -1,10 +1,13 @@
+import json
 import random
 import time
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+from cyhopf.cli import main
 from cyhopf.cyclotomic import euler_phi
 from cyhopf.errors import InputError
 from cyhopf.groups import AbelianGroup
@@ -20,6 +23,7 @@ from cyhopf.lie import (
     mat_pow,
 )
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 Z = Fraction(0)
 
 
@@ -58,6 +62,11 @@ def sl2_sign_action() -> GroupActionData:
     return GroupActionData(group, (nu,))
 
 
+def ad_matrix(algebra: LieAlgebraData, i: int):
+    """(ad x_i) in the chosen basis: column j holds the coords of [x_i, x_j]."""
+    d = algebra.dimension
+    return tuple(tuple(algebra.brackets[i][j][k] for j in range(d)) for k in range(d))
+
 def test_antisymmetry_enforced():
     d = 2
     bad = (
@@ -87,7 +96,7 @@ def test_adjoint_traces():
     algebra = sl2()
     assert [adjoint_trace(algebra, i) for i in range(3)] == [0, 0, 0]
     # ad h = diag(2, 0, -2) in the basis (e, h, f)
-    assert algebra.ad_matrix(1) == (
+    assert ad_matrix(algebra, 1) == (
         (Fraction(2), Z, Z),
         (Z, Z, Z),
         (Z, Z, Fraction(-2)),
@@ -146,7 +155,7 @@ def test_trace_linearity_on_random_combinations():
         # tr(ad(sum a_i x_i)) computed from the full matrix
         total = [[Z] * d for _ in range(d)]
         for i, a in enumerate(coeffs):
-            m = algebra.ad_matrix(i)
+            m = ad_matrix(algebra, i)
             for r in range(d):
                 for c in range(d):
                     total[r][c] += a * m[r][c]
@@ -172,6 +181,21 @@ def test_cy_reports():
     rep3 = check_cy_lie_smash(one_dim, sign)
     assert rep3.cy_R and not rep3.cy_smash
     assert not rep3.integral_character.is_trivial()
+
+
+def test_group_exponent_does_not_limit_the_report(tmp_path, capsys):
+    """The report's scalars are rational, so they are built at order 1: the
+    sign action on Z_N with N = 10^30, whose Q(zeta_N) has no power table,
+    still gets its report."""
+    path = tmp_path / "lie.json"
+    obj = json.loads((DATA / "lie_sl2_sign.json").read_text())
+    obj["action"]["group"]["invariant_factors"] = [10**30]
+    path.write_text(json.dumps(obj))
+    assert main(["lie-check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["cy_R"] and report["cy_smash"] and report["cy_dimension"] == 3
+    scalars = report["nakayama_diag"] + [report["inner_witness"]["scalar"]]
+    assert [s["order"] for s in scalars] == [1, 1, 1, 1]
 
 
 def test_mat_helpers():
