@@ -491,7 +491,7 @@ def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
     datum_module._root_counts.cache_clear()
 
 
-def test_witness_and_reports_are_computed_once_per_datum(monkeypatch):
+def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeypatch):
     solves, builds = [], []
     solve, diagonal = datum_module._first_solution, datum_module._nakayama_exponents
 
