@@ -15,9 +15,10 @@ _EXPORTS = {
               "quantum_affine_report"),
     "groups": ("AbelianGroup", "Character", "GroupElement"),
     "lie": ("GroupActionData", "LieAlgebraData", "adjoint_trace", "check_cy_lie_smash"),
+    "rewriting": ("check_local_confluence",),
     "smash": ("DiagonalAutomorphism", "PresentedAlgebra", "SmashElement", "TensorElement",
-              "check_local_confluence", "nakayama_automorphism", "quantum_affine_presentation",
-              "verify_double_antipode", "verify_hopf_axioms", "winding_endomorphism"),
+              "nakayama_automorphism", "quantum_affine_presentation", "verify_double_antipode",
+              "verify_hopf_axioms", "winding_endomorphism"),
 }
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
 rank and positive-root count of a Cartan matrix (cartan.MAX_RANK,
 ROOT_WORK_BUDGET; the longest-word descent refuses a matrix of infinite type
 when it passes that count), the Lie dimension and the entries of
-action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length, normal
-words and the pair family's cost (smash.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET,
-PAIR_COST_BUDGET).
+action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length and
+normal words (rewriting.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET), and the pair
+family's cost (smash.PAIR_COST_BUDGET).
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def parse_presentation(
     The degree bound is degree_bound if given, else the file's "degree_bound",
     else the default."""
     from .groups import character_from_json, element_from_json
-    from .smash import MAX_WORD_LENGTH, PresentedAlgebra, parse_word
+    from .rewriting import MAX_WORD_LENGTH, parse_word
+    from .smash import PresentedAlgebra
     bound = _degree_bound(obj, degree_bound)
     try:
         group = parse_group(obj["group"])

@@ -161,12 +161,18 @@ A32_DATUM = {"group": {"invariant_factors": [3] * 32},
              "g": [{"exp": [int(i == j) for j in range(32)]} for i in range(32)],
              "chi": [{"exp": [a % 3 for a in row]} for row in type_a(32)], "cartan": type_a(32)}
 # Six commuting generators of degree gamma over Z_593, trivial action, bound 3: the
-# rule checks cost 99456 units, the degree <= 1 pairs alone 169 * 592 = 100048.
+# rule check costs 78144 units, the degree <= 1 pairs alone 169 * 592 = 100048.
 COMMUTING_Z593 = dict(
     PRES_Z2, group={"invariant_factors": [593]}, generators=6,
     degrees=[{"exp": [1]}] * 6, actions=[{"exp": [0]}] * 6, degree_bound=3,
     rules=[{"lhs": f"x{j}*x{i}", "rhs": [{"word": f"x{i}*x{j}", "coeff": "1"}]}
            for i in range(1, 7) for j in range(i + 1, 7)])
+# x1^11 -> 0 over Z_781 with q = chi(g) of order 11, bound 21: the Delta check
+# costs 11 * 12 * 720 = 95040 units and fits the budget; it used to charge the S
+# templates too (100100 units), and the sweep refuses the input for pair cost.
+NILPOTENT_Z781 = dict(PRES_Z2, group={"invariant_factors": [781]}, generators=1,
+                      degrees=[{"exp": [1]}], actions=[{"exp": [71]}],
+                      rules=[{"lhs": "x1^11", "rhs": []}], degree_bound=21)
 # A Cartan entry of 5000 nines, as raw JSON text: json.load refuses an integer
 # literal over the interpreter's int-string digit limit (4300) with a ValueError.
 HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace('"N"', "9" * 5000)
@@ -282,10 +288,35 @@ def test_huge_degree_bound_fails_fast(tmp_path, capsys, verb):
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+# Two generators of degree 1 and action 1 over Z3, and a rule whose left-hand
+# side is a generator: x2 -> x1, or x1 -> 0.
+REWRITES_A_GENERATOR = [
+    dict(PRES_Z2, group={"invariant_factors": [3]}, rules=[{"lhs": lhs, "rhs": rhs}])
+    for lhs, rhs in (("x2", [{"word": "x1", "coeff": "1"}]), ("x1", []))]
+
+
+@pytest.mark.parametrize("obj", REWRITES_A_GENERATOR, ids=["x2-to-x1", "x1-to-0"])
+def test_nakayama_refuses_a_rewritten_generator(tmp_path, capsys, obj):
+    """nakayama reads psi(x_i) as one scalar on the basis word x_i, so a rule
+    that rewrites x_i is invalid input for it: exit 1 with one error line, not
+    an internal invariant violation.  The other presentation verbs still get
+    a verdict."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    assert main(["nakayama", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    for verb in ("verify-hopf", "verify-s2", "confluence"):
+        assert main([verb, str(path)]) == 0, verb
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "obj",
-    [edited(PRES_A2, ("degree_bound",), 11), ONE_GENERATOR, COMMUTING_Z593],
-    ids=["a2-bound-11", "one-free-generator-bound-87", "six-commuting-over-z593"],
+    [edited(PRES_A2, ("degree_bound",), 11), ONE_GENERATOR, COMMUTING_Z593, NILPOTENT_Z781],
+    ids=["a2-bound-11", "one-free-generator-bound-87", "six-commuting-over-z593",
+         "nilpotent-over-z781"],
 )
 def test_confluent_input_over_pair_budget_gets_a_verdict(tmp_path, capsys, obj):
     """The sweep refuses these for pair cost; the rule path decides them in

@@ -30,7 +30,7 @@ SCOPES = [
     ("roots", "cartan_a2.json", 0, FRONT | {"cyhopf.cartan"}),
     ("check-cy", "datum_a2_z2z2.json", 0, FRONT | DATUM_LAYERS),
     ("verify-hopf", "presentation_a2_z2z2.json", 0,
-     FRONT | {"cyhopf.cyclotomic", "cyhopf.groups", "cyhopf.smash"}),
+     FRONT | {"cyhopf.cyclotomic", "cyhopf.groups", "cyhopf.rewriting", "cyhopf.smash"}),
     ("lie-check", "lie_sl2_sign.json", 0, FRONT | DATUM_LAYERS | {"cyhopf.lie"}),
     # the wrong kind of file: refused after reading its group, before any smash work
     ("check-cy", "presentation_a2_z2z2.json", 1, FRONT | DATUM_LAYERS),
@@ -45,9 +45,10 @@ EXPORTS = {
               "quantum_affine_report"],
     "groups": ["AbelianGroup", "Character", "GroupElement"],
     "lie": ["GroupActionData", "LieAlgebraData", "adjoint_trace", "check_cy_lie_smash"],
+    "rewriting": ["check_local_confluence"],
     "smash": ["DiagonalAutomorphism", "PresentedAlgebra", "SmashElement", "TensorElement",
-              "check_local_confluence", "nakayama_automorphism", "quantum_affine_presentation",
-              "verify_double_antipode", "verify_hopf_axioms", "winding_endomorphism"],
+              "nakayama_automorphism", "quantum_affine_presentation", "verify_double_antipode",
+              "verify_hopf_axioms", "winding_endomorphism"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -69,6 +70,14 @@ def test_a_verb_loads_only_its_layers(verb, name, code, modules):
 def test_import_cyhopf_loads_no_submodule():
     out = child("-c", "import sys, cyhopf; print(*[m for m in sys.modules if m.startswith('cyhopf')])")
     assert out == ["cyhopf"]
+
+
+def test_the_rewriting_layer_loads_no_group_layer():
+    """rewriting is Gamma-free: importing it loads cyclotomic and errors
+    only, no group, smash or datum code."""
+    out = child("-c", "import sys, cyhopf.rewriting; "
+                      "print(*[m for m in sys.modules if m.startswith('cyhopf')])")
+    assert set(out) == {"cyhopf", "cyhopf.rewriting", "cyhopf.cyclotomic", "cyhopf.errors"}
 
 
 def test_every_export_resolves_to_its_module():

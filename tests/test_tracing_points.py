@@ -10,6 +10,7 @@ from pathlib import Path
 import cyhopf.cli  # noqa: F401  (a CLI call imports its layers lazily; current() loads each)
 from cyhopf.datum import check_cy, quantum_affine_report
 from cyhopf.sampling import random_a1t_datum
+from cyhopf.smash import quantum_affine_presentation
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -66,3 +67,18 @@ def test_tracer_sees_the_one_witness_search_of_a_datum():
         tracer.uninstall()
     assert tracer.counts["datum.validate"] == 1
     assert tracer.counts["datum.witness_search"] == 1
+
+
+def test_tracer_sees_the_confluence_check_of_a_presentation():
+    """The confluence check lives in rewriting and is called through that
+    module's global, which the tracer replaces as it does smash's re-export:
+    building one presentation counts one build and one confluence check."""
+    tracer = load_tracing().Tracer()
+    datum = random_a1t_datum(random.Random(5))
+    tracer.install()
+    try:
+        quantum_affine_presentation(datum.group, datum.g, datum.chi)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["smash.build"] == 1
+    assert tracer.counts["smash.confluence"] == 1
