@@ -53,7 +53,8 @@ class InvalidDatum(InputError):
 
 
 class InvalidPresentation(InputError):
-    """Rewriting system violates orientation, homogeneity, or equivariance."""
+    """Rewriting system violates orientation, homogeneity, or equivariance, or a
+    scalar lies outside the presentation's field."""
 
 
 class DegreeBoundExceeded(InputError):

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # each parser imports the layers it builds when it is called
     from .cartan import CartanMatrix
     from .cyclotomic import CycloNumber
     from .datum import CartanDatum, CyReport
-    from .groups import AbelianGroup, Character
+    from .groups import Character
     from .lie import GroupActionData, LieAlgebraData
     from .smash import PresentedAlgebra
 
@@ -73,13 +73,6 @@ def parse_scalar(value) -> CycloNumber:
     return CycloNumber.from_rational(parse_rational(value))
 
 
-def parse_group(obj) -> AbelianGroup:
-    from .groups import AbelianGroup
-    if not isinstance(obj, dict):
-        raise InputError(f"malformed group: {obj!r}")
-    return AbelianGroup.from_json(obj)
-
-
 def _list(name: str, raw) -> list:
     if not isinstance(raw, list):
         raise InputError(f"{name} must be a list, got {raw!r}")
@@ -89,9 +82,9 @@ def _list(name: str, raw) -> list:
 def parse_datum(obj: dict) -> CartanDatum:
     from .cartan import CartanMatrix
     from .datum import CartanDatum, LinkingParameter
-    from .groups import character_from_json, element_from_json
+    from .groups import AbelianGroup, character_from_json, element_from_json
     try:
-        group = parse_group(obj["group"])
+        group = AbelianGroup.from_json(obj["group"])
         cartan = CartanMatrix.from_json(obj["cartan"])
         g = tuple(element_from_json(group, e) for e in _list("g", obj["g"]))
         chi = tuple(character_from_json(group, c) for c in _list("chi", obj["chi"]))
@@ -130,15 +123,15 @@ def parse_presentation(
 
     The degree bound is degree_bound if given, else the file's "degree_bound",
     else the default."""
-    from .groups import character_from_json, element_from_json
+    from .groups import AbelianGroup, character_from_json, element_from_json
     from .rewriting import MAX_WORD_LENGTH, parse_word
     from .smash import PresentedAlgebra
     bound = _degree_bound(obj, degree_bound)
     try:
-        group = parse_group(obj["group"])
+        group = AbelianGroup.from_json(obj["group"])
         t = read_int("generators", obj["generators"])
-        degrees = tuple(element_from_json(group, e) for e in obj["degrees"])
-        actions = tuple(character_from_json(group, c) for c in obj["actions"])
+        degrees = tuple(element_from_json(group, e) for e in _list("degrees", obj["degrees"]))
+        actions = tuple(character_from_json(group, c) for c in _list("actions", obj["actions"]))
     except KeyError as exc:
         raise InputError(f"presentation file missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -197,7 +190,7 @@ def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
         action = GroupActionData(group, ())
     else:
         try:
-            group = parse_group(action_obj["group"])
+            group = AbelianGroup.from_json(action_obj["group"])
             matrices = tuple(
                 tuple(tuple(parse_rational(x) for x in _list("matrix row", row))
                       for row in _list("matrix", m))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import euler_phi
+from .cyclotomic import _rational, euler_phi
 from .datum import CriterionResult, CyReport, report_scalars
 from .errors import InputError
 from .groups import AbelianGroup, Character
@@ -32,7 +32,7 @@ POWER_BIT_CAP = 4096
 
 
 def _as_matrix(rows, d: int) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(map(_rational, row)) for row in rows)
     if len(out) != d or any(len(row) != d for row in out):
         raise InputError(f"expected a {d}x{d} matrix")
     return out
@@ -110,7 +110,7 @@ class LieAlgebraData:
     def __post_init__(self):
         d = self.dimension
         table = tuple(
-            tuple(tuple(Fraction(x) for x in self.brackets[i][j]) for j in range(d))
+            tuple(tuple(map(_rational, self.brackets[i][j])) for j in range(d))
             for i in range(d)
         )
         object.__setattr__(self, "brackets", table)

@@ -183,11 +183,10 @@ class OverlapResult:
     word: Word
     first: str
     second: str
-    resolved: bool
 
     def to_json(self) -> dict:
         return {"word": format_word(self.word), "first_branch": self.first,
-                "second_branch": self.second, "resolved": self.resolved}
+                "second_branch": self.second}
 
 
 @dataclass
@@ -246,8 +245,7 @@ def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
                     _accumulate(acc, nw, rc * nc)
             branches.append(acc)
         if branches[0] != branches[1]:  # both hold nonzero coefficients only
-            divergent.append(OverlapResult(word, *map(_render_combination, branches),
-                                           resolved=False))
+            divergent.append(OverlapResult(word, *map(_render_combination, branches)))
     return ConfluenceReport(checked=checked, skipped_over_bound=skipped, divergent=divergent)
 
 

@@ -11,9 +11,14 @@ report.
 
 Elements of the smash product (SmashElement) and of its tensor powers
 (TensorElement) are exact linear combinations of PBW normal monomials x^w * g,
-sharing one implementation of their linear operations.  Group elements are
-pushed to the right tail through g x_i = chi_i(g) x_i g.  The Hopf structure is
-defined on generators -- Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
+sharing one implementation of their linear operations.  Monomials are built
+only by PresentedAlgebra.monomial, and two monomials are multiplied only in
+_mul_mono, which moves the left tail past the right word by the smash relation
+g x_i = chi_i(g) x_i g.  Every chi-value, there and in the Hopf templates, comes
+from _char_value, which keeps one row of exponents of chi_i(g) per group
+element.  Scalars enter the session field Q(zeta_N) only through
+PresentedAlgebra.scalar.  The Hopf structure is defined on generators --
+Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
 The Hopf-axiom check decides a presentation whose overlaps fit the degree bound
@@ -35,6 +40,7 @@ from math import prod
 from .cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from .errors import (
     DegreeBoundExceeded,
+    GroupMismatch,
     IndexOutOfRange,
     InputError,
     InternalError,
@@ -121,9 +127,8 @@ class PresentedAlgebra(RewritingSystem):
         self.order = group.exponent
         self._delta_cache: dict[Word, tuple] = {}
         self._antipode_cache: dict[Word, tuple] = {}
-        self._wordchar: dict[Word, Character] = {}
         self._worddeg: dict[Word, GroupElement] = {}
-        self._charval: dict[tuple[Word, GroupElement], CycloNumber] = {}
+        self._char_rows: dict[GroupElement, tuple[int, ...]] = {}  # g -> exponents of chi_i(g)
         super().__init__(self.t, self.order, self._validate_rules(rules or {}), degree_bound)
 
     # -- construction helpers ---------------------------------------------
@@ -150,11 +155,7 @@ class PresentedAlgebra(RewritingSystem):
                     if broken:
                         rule = f"rule {format_word(lhs)} -> {format_word(word)}"
                         raise InvalidPresentation(f"{rule} {what}")
-                if not isinstance(coeff, CycloNumber):
-                    coeff = CycloNumber.from_rational(coeff)
-                coeff = coeff.lift(self.order) if self.order % coeff.order == 0 else None
-                if coeff is None:
-                    raise InvalidPresentation("rule scalar lies outside the session field")
+                coeff = self.scalar(coeff)
                 if not coeff.is_zero():
                     cleaned.append((word, coeff))
             out[lhs] = tuple(cleaned)
@@ -180,33 +181,25 @@ class PresentedAlgebra(RewritingSystem):
         return d
 
     def _char_of(self, word: Word) -> Character:
-        cached = self._wordchar.get(word)
-        if cached is not None:
-            return cached
-        c = self.group.trivial_character()
-        for i in word:
-            c = c * self.actions[i]
-        self._wordchar[word] = c
-        return c
+        return prod((self.actions[i] for i in word), start=self.group.trivial_character())
 
     def _char_value(self, word: Word, g: GroupElement) -> CycloNumber:
         """chi_{w_1}(g) * ... * chi_{w_k}(g), the scalar for g acting on x^w."""
         if not word or g.is_identity():
             return one(self.order)
-        key = (word, g)
-        val = self._charval.get(key)
-        if val is None:
-            val = root_of_unity(self._char_of(word).value_exponent(g), self.order)
-            self._charval[key] = val
-        return val
+        row = self._char_rows.get(g)
+        if row is None:
+            row = self._char_rows[g] = tuple(a.value_exponent(g) for a in self.actions)
+        return root_of_unity(sum(map(row.__getitem__, word)), self.order)
 
     # -- scalars and elements -------------------------------------------------
 
     def scalar(self, value) -> CycloNumber:
+        """value lifted into the session field Q(zeta_N), N the group exponent."""
         if not isinstance(value, CycloNumber):
             value = CycloNumber.from_rational(value)
         if self.order % value.order != 0:
-            raise InputError(f"scalar of order {value.order} outside the session field")
+            raise InvalidPresentation(f"scalar of order {value.order} outside the session field")
         return value.lift(self.order)
 
     def zero(self) -> SmashElement:
@@ -216,40 +209,21 @@ class PresentedAlgebra(RewritingSystem):
         return self.monomial((), self.group.identity())
 
     def generator(self, i: int) -> SmashElement:
-        self._check_indices((i,))
         return self.monomial((i,), self.group.identity())
 
     def group_like(self, g: GroupElement) -> SmashElement:
         return self.monomial((), g)
 
     def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
-        return self.normalize((*word, g), coeff)
-
-    def normalize(self, tokens, coeff=None) -> SmashElement:
-        """Normalize a mixed product of generators and group elements, times
-        coeff (default 1).
-
-        tokens is a sequence whose items are generator indices (int) or
-        GroupElements; group elements are pushed to the right tail through
-        the smash relation g x_i = chi_i(g) x_i g before word rewriting.
-        """
+        """coeff (default 1) times x^w # g, in normal form."""
         c = one(self.order) if coeff is None else self.scalar(coeff)
-        word: list[int] = []
-        tail = self.group.identity()
-        for tok in tokens:
-            if isinstance(tok, GroupElement):
-                tail = tail * tok
-            else:
-                i = int(tok)
-                self._check_indices((i,))
-                # (x^w # tail) x_i = chi_i(tail) x^w x_i # tail
-                c = c * self._char_value((i,), tail)
-                word.append(i)
+        word = tuple(word)
+        self._check_indices(word)
+        if g.group != self.group:
+            raise GroupMismatch(f"group-like {g} of {g.group} outside {self.group}")
         self._check_degree("word", len(word))
-        terms: dict = {}
-        for nw, nc in self._normal_combination(tuple(word)):
-            _accumulate(terms, (nw, tail), nc * c)
-        return SmashElement._of(self, terms if c else {})
+        terms = {(nw, g): nc * c for nw, nc in self._normal_combination(word)} if c else {}
+        return SmashElement._of(self, terms)
 
     # -- monomial multiplication ----------------------------------------------------
 

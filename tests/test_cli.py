@@ -230,6 +230,8 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("roots", {"cartan": [[2 * (i == j) for j in range(129)] for i in range(129)]}),
         ("roots", HUGE_CARTAN_ENTRY),
         ("check-cy", HUGE_CARTAN_ENTRY),
+        ("verify-hopf", dict(PRES_Z2, degrees={"exp": [1]})),
+        ("verify-hopf", dict(PRES_Z2, actions={"exp": [1]})),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -241,7 +243,8 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
          "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit",
          "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
-         "roots-int-over-digit-limit", "check-cy-int-over-digit-limit"],
+         "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
+         "actions-not-list"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -249,6 +252,16 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     assert main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["degrees", "actions"])
+def test_presentation_list_keys_must_be_lists(tmp_path, capsys, key):
+    """A presentation's degrees and actions are read as JSON lists, as a
+    datum's g and chi are: an object there is named in the error line."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(dict(PRES_Z2, **{key: {"exp": [1]}})))
+    assert main(["verify-hopf", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a list")
 
 
 @pytest.mark.parametrize(

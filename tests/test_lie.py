@@ -119,6 +119,18 @@ def test_action_validation():
         action.validate(sl2())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LieAlgebraData(2, (((0, 0), (0.25, 0)), ((-0.25, 0), (0, 0)))),
+    lambda: LieAlgebraData(2, (((0, 0), (0.0, 0)), ((0, 0), (0, 0)))),
+    lambda: GroupActionData(AbelianGroup((2,)), (((-1.0, 0), (0, 1.0)),)),
+    lambda: GroupActionData(AbelianGroup((1,)), (((1.0, 0), (0, 1)),)),
+], ids=["brackets", "zero-bracket", "action-matrix", "identity-action-matrix"])
+def test_floats_are_refused(build):
+    """No floating point: a float entry raises TypeError, as CycloNumber does."""
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_hdet_is_determinant_and_multiplicative():
     action = sl2_sign_action()
     group = action.group

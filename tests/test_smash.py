@@ -10,6 +10,7 @@ from cyhopf import rewriting, smash
 from cyhopf.cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
 from cyhopf.errors import (
     DegreeBoundExceeded,
+    GroupMismatch,
     InputError,
     InternalError,
     InvalidPresentation,
@@ -131,24 +132,34 @@ def test_rule_scalar_outside_session_field_rejected():
 
 def test_normalize_quantum_affine_swap():
     algebra = qa_algebra(3)
+    e = algebra.group.identity()
     q = root_of_unity(1, 3)
+    x1, x2 = algebra.generator(0), algebra.generator(1)
     # x2 x1 = q x1 x2 (one swap), x1 x2 already normal
-    assert algebra.normalize((1, 0)) == algebra.monomial((0, 1), algebra.group.identity(), q)
-    assert algebra.normalize((0, 1)) == algebra.monomial((0, 1), algebra.group.identity())
+    assert algebra.monomial((1, 0), e) == algebra.monomial((0, 1), e, q) == x2 * x1
+    assert algebra.monomial((0, 1), e).terms == {((0, 1), e): one(3)}
+    assert x1 * x2 == algebra.monomial((0, 1), e)
 
 
 def test_normalize_pushes_group_elements_right():
     algebra = qa_algebra(3)
     y1 = algebra.group.element((1, 0))
     q = root_of_unity(1, 3)
-    # g x_1 = chi_1(g) x_1 g
-    assert algebra.normalize((y1, 0)) == algebra.monomial((0,), y1, q)
+    # g x_1 = chi_1(g) x_1 g, and x_1 g is the monomial x_1 # g
     assert algebra.group_like(y1) * algebra.generator(0) == algebra.monomial((0,), y1, q)
+    assert algebra.generator(0) * algebra.group_like(y1) == algebra.monomial((0,), y1)
+
+
+def test_monomial_refuses_a_group_like_of_another_group():
+    algebra = qa_algebra(3)
+    with pytest.raises(GroupMismatch):
+        algebra.monomial((), AbelianGroup((5,)).identity())
 
 
 def test_default_coefficient_builds_no_scalar(monkeypatch):
-    """monomial and normalize without a coefficient use the cached one of the
-    session field; an explicit rational coefficient is still converted."""
+    """monomial without a coefficient, and so a product of generators, uses the
+    cached one of the session field; an explicit rational coefficient is still
+    converted."""
     algebra = qa_algebra(3)
     e = algebra.group.identity()
     calls = []
@@ -161,7 +172,7 @@ def test_default_coefficient_builds_no_scalar(monkeypatch):
     monkeypatch.setattr(CycloNumber, "from_rational", staticmethod(counting))
     for w in ((), (0,), (1, 0), (1, 1, 0)):
         assert algebra.monomial(w, e) == algebra.monomial(w, e, one(algebra.order))
-    assert algebra.normalize((1, 0)).terms
+    assert (algebra.generator(1) * algebra.generator(0)).terms
     assert calls == []
     assert algebra.monomial((0,), e, 2) == algebra.generator(0).scale(2)
     assert calls
@@ -169,7 +180,9 @@ def test_default_coefficient_builds_no_scalar(monkeypatch):
 
 def test_normalize_a2_cubic_rule():
     algebra = a2_algebra()
-    assert algebra.normalize((1, 0, 0)) == algebra.monomial((0, 0, 1), algebra.group.identity())
+    e = algebra.group.identity()
+    x1, x2 = algebra.generator(0), algebra.generator(1)
+    assert algebra.monomial((1, 0, 0), e) == algebra.monomial((0, 0, 1), e) == x2 * x1 * x1
 
 
 def test_normalize_idempotent_and_strategy_independent():
@@ -201,7 +214,7 @@ def test_long_rewrite_chain_needs_no_recursion():
 def test_degree_bound_enforced():
     algebra = qa_algebra(3, bound=3)
     with pytest.raises(DegreeBoundExceeded):
-        algebra.normalize((0, 1, 0, 1))
+        algebra.monomial((0, 1, 0, 1), algebra.group.identity())
     with pytest.raises(DegreeBoundExceeded):
         algebra.monomial((0, 0), algebra.group.identity()) * algebra.monomial(
             (1, 1), algebra.group.identity()
