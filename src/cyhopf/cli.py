@@ -5,7 +5,9 @@ lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
 invalid input (a malformed command line too) or a standard output closed
 before the report was written, 2 internal invariant violation or any other
 unexpected exception, each reported as one stderr line.  JSON mode emits one
-report object; text mode renders the same data.  A verb imports only its layers.
+report object; text mode renders the same data.  A verb parses its file before
+it imports the layers it runs, and imports only those: a file of another kind is
+refused with only cli, io and errors loaded.
 """
 
 from __future__ import annotations
@@ -104,15 +106,15 @@ def _check_report_text(report) -> str:
 
 def run(args) -> int:
     if args.verb in ("check-cy", "hdet"):
-        from .datum import check_cy, quantum_affine_report
         datum = parse_datum(load_json_file(args.input))
+        from .datum import check_cy, quantum_affine_report
         build = check_cy if args.verb == "check-cy" else quantum_affine_report
         report = build(datum, args.tie_break)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     if args.verb == "roots":
-        from .cartan import beta_sequence, longest_word, positive_roots_closure
         cartan = parse_cartan_only(load_json_file(args.input))
+        from .cartan import beta_sequence, longest_word, positive_roots_closure
         word = longest_word(cartan, tie_break=args.tie_break)
         betas = beta_sequence(cartan, word)
         closure = positive_roots_closure(cartan)
@@ -136,14 +138,14 @@ def run(args) -> int:
         return _emit(args, None, report, text)
 
     if args.verb == "lie-check":
-        from .lie import check_cy_lie_smash
         algebra, action = parse_lie(load_json_file(args.input))
+        from .lie import check_cy_lie_smash
         report = check_cy_lie_smash(algebra, action)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     # remaining verbs consume a presentation file
-    from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
     algebra, xi = parse_presentation(load_json_file(args.input), degree_bound=args.degree_bound)
+    from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
     bound = algebra.degree_bound
 
     if args.verb == "verify-hopf":

@@ -62,14 +62,21 @@ class DegreeBoundExceeded(InputError):
 
 
 def read_int(name: str, raw) -> int:
-    """An integer read from an input file: an int, or a decimal string of one.
-    Booleans, floats and anything else raise InputError instead of truncating."""
-    if isinstance(raw, (bool, float)):
+    """An integer read from an input file: an int, or a decimal string of one
+    (an optional sign, then ASCII digits only).  Booleans, floats and anything
+    else raise InputError instead of truncating."""
+    if isinstance(raw, (bool, float)) or isinstance(raw, str) and not _is_decimal(raw):
         raise InputError(f"{name} must be an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+def _is_decimal(text: str) -> bool:
+    """int() also takes spaces, underscores and non-ASCII digits; a file may not."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def read_ints(name: str, raw) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import pytest
 
 from cyhopf import smash
 from cyhopf.cli import main
+from cyhopf.errors import InputError, read_int
 from conftest import type_a
 
 REPO = Path(__file__).resolve().parent.parent
@@ -232,6 +233,10 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("check-cy", HUGE_CARTAN_ENTRY),
         ("verify-hopf", dict(PRES_Z2, degrees={"exp": [1]})),
         ("verify-hopf", dict(PRES_Z2, actions={"exp": [1]})),
+        # strings that int() reads but that are not a sign followed by ASCII digits
+        ("roots", {"cartan": [[2, " -1 "], [-1, 2]]}),
+        ("lie-check", edited("lie_sl2_sign.json", ("dim",), "\u0663")),
+        ("verify-s2", edited(PRES_A1A1, ("degree_bound",), "1_0")),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -244,7 +249,8 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
          "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit",
          "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
          "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
-         "actions-not-list"],
+         "actions-not-list", "cartan-entry-padded", "lie-dim-non-ascii-digit",
+         "degree-bound-underscore"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -252,6 +258,73 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     assert main([verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw", ["1_000", " 7 ", "\u0663", "", "+", "-", "+-5", "\u00b2"])
+def test_read_int_takes_only_a_sign_and_ascii_digits(raw):
+    """int() also reads underscores, surrounding spaces and non-ASCII digits
+    (here Arabic-Indic three and superscript two); an input file may not."""
+    with pytest.raises(InputError, match="must be an integer"):
+        read_int("n", raw)
+
+
+def test_read_int_reads_decimal_strings():
+    assert [read_int("n", raw) for raw in ("12", "-3", "+4", "007", 5, -2)] == [12, -3, 4, 7, 5, -2]
+
+
+PRESENTATION_STEMS = ("presentation_a1a1_z3z3", "presentation_a2_z2z2",
+                      "presentation_nonconfluent")
+DATUM_STEMS = ("datum_a1a1_z3z3", "datum_a2_z2z2")
+# Every call on a bundled file that exits 1, as (verb, file stem, stderr line).  Each
+# is a file of another kind, refused for a missing top-level key, except hdet on A2.
+REFUSALS = [
+    *[(verb, stem, line) for verb in ("check-cy", "hdet") for stem, line in (
+        ("cartan_a2", "datum file missing key 'group'"),
+        ("lie_sl2_sign", "datum file missing key 'group'"),
+        *[(stem, "datum file missing key 'cartan'") for stem in PRESENTATION_STEMS])],
+    ("hdet", "datum_a2_z2z2",
+     "quantum-affine report needs a Cartan matrix of type A1 x ... x A1"),
+    *[(verb, stem, line) for verb in ("nakayama", "verify-hopf", "verify-s2", "confluence")
+      for stem, line in (
+        ("cartan_a2", "presentation file missing key 'group'"),
+        ("lie_sl2_sign", "presentation file missing key 'group'"),
+        *[(stem, "presentation file missing key 'generators'") for stem in DATUM_STEMS])],
+    *[("lie-check", stem, "lie file needs an integer 'dim'")
+      for stem in ("cartan_a2", *DATUM_STEMS, *PRESENTATION_STEMS)],
+    *[("roots", stem, "cartan file needs a 'cartan' key")
+      for stem in ("lie_sl2_sign", *PRESENTATION_STEMS)],
+]
+
+
+def test_every_bundled_call_is_pinned():
+    """Each verb on each bundled file either has a golden or a pinned refusal."""
+    verbs = ("check-cy", "hdet", "nakayama", "roots", "verify-hopf", "verify-s2",
+             "confluence", "lie-check")
+    accepted = {(verb, stem) for verb, stem in JSON_GOLDENS} | {
+        ("check-cy", stem) for stem in DATUM_STEMS}
+    refused = {(verb, stem) for verb, stem, _ in REFUSALS}
+    assert len(REFUSALS) == len(refused) == 37 and not accepted & refused
+    assert accepted | refused == set(itertools.product(verbs, (p.stem for p in DATA.glob("*.json"))))
+
+
+@pytest.mark.parametrize("verb, stem, line", REFUSALS,
+                         ids=[f"{stem}.{verb}" for verb, stem, _ in REFUSALS])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_refused_bundled_call_prints_its_one_line(capsys, verb, stem, line, flags):
+    assert main([verb, str(DATA / f"{stem}.json"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {line}\n"
+
+
+def test_a_missing_key_comes_before_a_malformed_earlier_value(tmp_path, capsys):
+    """A file of the wrong kind is refused for its first missing top-level key
+    before any value is read: a presentation with a malformed group, given to
+    check-cy, is refused for lacking 'cartan', not for its group."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(edited(PRES_A2, ("group",), "x")))
+    assert main(["check-cy", str(path)]) == 1
+    assert capsys.readouterr().err == "error: datum file missing key 'cartan'\n"
 
 
 @pytest.mark.parametrize("key", ["degrees", "actions"])

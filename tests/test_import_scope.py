@@ -32,8 +32,13 @@ SCOPES = [
     ("verify-hopf", "presentation_a2_z2z2.json", 0,
      FRONT | {"cyhopf.cyclotomic", "cyhopf.groups", "cyhopf.rewriting", "cyhopf.smash"}),
     ("lie-check", "lie_sl2_sign.json", 0, FRONT | DATUM_LAYERS | {"cyhopf.lie"}),
-    # the wrong kind of file: refused after reading its group, before any smash work
-    ("check-cy", "presentation_a2_z2z2.json", 1, FRONT | DATUM_LAYERS),
+    # the wrong kind of file: refused for a missing top-level key before any layer loads
+    ("check-cy", "presentation_a2_z2z2.json", 1, FRONT),
+    ("roots", "presentation_a2_z2z2.json", 1, FRONT),
+    ("lie-check", "datum_a2_z2z2.json", 1, FRONT),
+    ("verify-hopf", "datum_a2_z2z2.json", 1, FRONT),
+    # a valid datum of the wrong Cartan type: refused after the datum is built
+    ("hdet", "datum_a2_z2z2.json", 1, FRONT | DATUM_LAYERS),
 ]
 
 # Every name `from cyhopf import ...` provides, with the module that defines it.
