@@ -13,10 +13,10 @@ verb's closure_count and is the tests' oracle for the beta sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from .errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced, read_ints
+from .errors import (Frozen, IndexOutOfRange, InputError, NotFiniteType, NotReduced, read_ints,
+                     set_field)
 
 # Largest rank the root layer accepts.
 MAX_RANK = 128
@@ -29,13 +29,11 @@ MAX_RANK = 128
 ROOT_WORK_BUDGET = 8_000_000
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    entries: tuple[tuple[int, ...], ...]
+class CartanMatrix(Frozen):
+    """Equal and hashed by its entries."""
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(a) for a in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(a) for a in row) for row in entries)
         t = len(rows)
         if t == 0:
             raise InputError("Cartan matrix must have rank >= 1")
@@ -51,7 +49,16 @@ class CartanMatrix:
                     if (a == 0) != (rows[j][i] == 0):
                         raise InputError(f"a_{i + 1}{j + 1} and a_{j + 1}{i + 1} must vanish together")
         a1_power = all(a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j)
-        object.__setattr__(self, "_a1_power", a1_power)
+        set_field(self, "entries", rows)
+        set_field(self, "_a1_power", a1_power)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @property
     def rank(self) -> int:
@@ -71,9 +78,19 @@ class CartanMatrix:
         return CartanMatrix(tuple(read_ints("Cartan matrix row", row) for row in obj))
 
 
-@dataclass(frozen=True)
-class Root:
-    coeffs: tuple[int, ...]
+class Root(Frozen):
+    """Equal and hashed by its coefficients."""
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     def is_positive(self) -> bool:
         return any(self.coeffs) and all(c >= 0 for c in self.coeffs)

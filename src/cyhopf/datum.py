@@ -40,14 +40,14 @@ computes none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import mul
 
 from .cartan import CartanMatrix, Root, beta_sequence, longest_word
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import InputError, InternalError, InvalidDatum, NegativeRoot, WrongCartanType
+from .errors import (Frozen, InputError, InternalError, InvalidDatum, NegativeRoot,
+                     WrongCartanType, set_field)
 from .groups import AbelianGroup, Character, GroupElement
 
 # Most group factors the witness solver works on; its echelon step costs
@@ -69,22 +69,27 @@ def _shift_note(p: int) -> str:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LinkingParameter:
-    i: int  # 0-based, i < j
-    j: int
-    value: CycloNumber
+class LinkingParameter(Frozen):
+    def __init__(self, i: int, j: int, value: CycloNumber) -> None:
+        set_field(self, "i", i)  # 0-based, i < j
+        set_field(self, "j", j)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False)
-class CartanDatum:
-    group: AbelianGroup
-    g: tuple[GroupElement, ...]
-    chi: tuple[Character, ...]
-    cartan: CartanMatrix
-    linking: tuple[LinkingParameter, ...] = ()
+class CartanDatum(Frozen):
+    def __init__(self, group: AbelianGroup, g: tuple[GroupElement, ...],
+                 chi: tuple[Character, ...], cartan: CartanMatrix,
+                 linking: tuple[LinkingParameter, ...] = ()) -> None:
+        set_field(self, "group", group)
+        set_field(self, "g", g)
+        set_field(self, "chi", chi)
+        set_field(self, "cartan", cartan)
+        set_field(self, "linking", linking)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the datum and keep its braiding exponents; a method of its
+        own, which perfbench/tracing.py times as datum.validate."""
         t = self.cartan.rank
         if len(self.g) != t or len(self.chi) != t:
             raise InvalidDatum(f"need {t} group-likes and {t} characters for a rank-{t} matrix")
@@ -97,7 +102,7 @@ class CartanDatum:
         m, ns = self.group.exponent, self.group.invariant_factors
         scaled = [[a * (m // n) for a, n in zip(c.exp, ns)] for c in self.chi]
         e = tuple(tuple(sum(map(mul, s, x.exp)) % m for s in scaled) for x in self.g)
-        object.__setattr__(self, "braiding_exponents", e)  # q_ij = chi_j(g_i) = zeta_N^e_ij
+        set_field(self, "braiding_exponents", e)  # q_ij = chi_j(g_i) = zeta_N^e_ij
         for i in range(t):
             if e[i][i] == 0:
                 raise InvalidDatum(f"q_{i + 1}{i + 1} = chi_{i + 1}(g_{i + 1}) must differ from 1")
@@ -132,33 +137,58 @@ class CartanDatum:
         return {}
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    criterion: str
-    satisfied: bool
-    detail: str
+class CriterionResult(Frozen):
+    """Equal and hashed by its three fields."""
+
+    def __init__(self, criterion: str, satisfied: bool, detail: str) -> None:
+        set_field(self, "criterion", criterion)
+        set_field(self, "satisfied", satisfied)
+        set_field(self, "detail", detail)
+
+    def _key(self) -> tuple:
+        return (self.criterion, self.satisfied, self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {"criterion": self.criterion, "satisfied": self.satisfied, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CyReport:
-    """Machine-readable verdict for one datum (or one Lie-action input)."""
+class CyReport(Frozen):
+    """Machine-readable verdict for one datum (or one Lie-action input).
+    Equal by its fields; unhashable, as the CycloNumbers it holds are."""
 
-    cy_R: bool
-    cy_smash: bool
-    cy_dimension: int
-    integral_character: Character
-    hdet: Character | None
-    nakayama_diag: tuple[CycloNumber, ...]
-    inner_witness: tuple[CycloNumber, GroupElement] | None
-    criteria: tuple[CriterionResult, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.cy_smash and not self.integral_character.is_trivial():
+    def __init__(self, cy_R: bool, cy_smash: bool, cy_dimension: int,
+                 integral_character: Character, hdet: Character | None,
+                 nakayama_diag: tuple[CycloNumber, ...],
+                 inner_witness: tuple[CycloNumber, GroupElement] | None,
+                 criteria: tuple[CriterionResult, ...], notes: tuple[str, ...] = ()) -> None:
+        if cy_smash and not integral_character.is_trivial():
             raise InternalError("cy_smash verdict with nontrivial integral character")
+        set_field(self, "cy_R", cy_R)
+        set_field(self, "cy_smash", cy_smash)
+        set_field(self, "cy_dimension", cy_dimension)
+        set_field(self, "integral_character", integral_character)
+        set_field(self, "hdet", hdet)
+        set_field(self, "nakayama_diag", nakayama_diag)
+        set_field(self, "inner_witness", inner_witness)
+        set_field(self, "criteria", criteria)
+        set_field(self, "notes", notes)
+
+    def _key(self) -> tuple:
+        return (self.cy_R, self.cy_smash, self.cy_dimension, self.integral_character, self.hdet,
+                self.nakayama_diag, self.inner_witness, self.criteria, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def _chi_product(datum: CartanDatum, powers) -> Character:

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, and the integer readers every
-parser of an input file goes through.
+"""Exception hierarchy shared by all modules, the integer readers every
+parser of an input file goes through, and the base of the library's immutable
+classes.
 
 Input-side problems (bad files, invalid data, out-of-range requests) derive
 from InputError and map to CLI exit code 1.  Violations of internal
@@ -59,6 +60,22 @@ class InvalidPresentation(InputError):
 
 class DegreeBoundExceeded(InputError):
     """Requested computation leaves the configured degree bound."""
+
+
+class Frozen:
+    """Base of an immutable class: its __init__ sets each field once with
+    set_field, and assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+set_field = object.__setattr__  # bypasses Frozen.__setattr__
 
 
 def read_int(name: str, raw) -> int:

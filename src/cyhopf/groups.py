@@ -13,30 +13,39 @@ interning AbelianGroup.element.  from_json takes only lists of integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm, prod
-from typing import Iterator
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import GroupMismatch, GroupTooLarge, InputError, read_ints
+from .errors import Frozen, GroupMismatch, GroupTooLarge, InputError, read_ints, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 ENUMERATION_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    invariant_factors: tuple[int, ...]
+class AbelianGroup(Frozen):
+    """Equal and hashed by its invariant factors."""
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.invariant_factors):
-            raise InputError(f"invariant factors must be >= 1: {self.invariant_factors}")
-        factors = tuple(int(n) for n in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
-        object.__setattr__(self, "order", prod(factors))
-        object.__setattr__(self, "exponent", lcm(*factors))
-        object.__setattr__(self, "_interned", {})  # exponent tuple -> GroupElement
-        object.__setattr__(self, "_mul_cache", {})  # (exp, exp) -> GroupElement
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        if any(n < 1 for n in invariant_factors):
+            raise InputError(f"invariant factors must be >= 1: {invariant_factors}")
+        factors = tuple(int(n) for n in invariant_factors)
+        set_field(self, "invariant_factors", factors)
+        set_field(self, "order", prod(factors))
+        set_field(self, "exponent", lcm(*factors))
+        set_field(self, "_interned", {})  # exponent tuple -> GroupElement
+        set_field(self, "_mul_cache", {})  # (exp, exp) -> GroupElement
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash((self.invariant_factors,))
 
     @property
     def rank(self) -> int:
@@ -100,15 +109,19 @@ def _check_same_group(a, b) -> None:
         raise GroupMismatch(f"operands live in {a.group} and {b.group}")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Built only by AbelianGroup.element, which reduces exp mod the factors."""
+class GroupElement(Frozen):
+    """Built only by AbelianGroup.element, which reduces exp mod the factors.
+    Equal and hashed by group and exponents; never equal to a Character."""
 
-    group: AbelianGroup
-    exp: tuple[int, ...]
+    def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
+        set_field(self, "group", group)
+        set_field(self, "exp", exp)
+        set_field(self, "_hash", hash((group.invariant_factors, exp)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.group.invariant_factors, self.exp)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.group == other.group and self.exp == other.exp)
 
     def __hash__(self) -> int:
         return self._hash
@@ -130,7 +143,7 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         if "_inverse" not in self.__dict__:  # reduced once, then kept on the element
-            object.__setattr__(self, "_inverse", self.group.element(tuple(-e for e in self.exp)))
+            set_field(self, "_inverse", self.group.element(tuple(-e for e in self.exp)))
         return self._inverse
 
     def is_identity(self) -> bool:
@@ -143,18 +156,24 @@ class GroupElement:
         return {"exp": list(self.exp)}
 
 
-@dataclass(frozen=True)
-class Character:
-    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}."""
+class Character(Frozen):
+    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}.
+    Equal and hashed by group and exponents; never equal to a GroupElement."""
 
-    group: AbelianGroup
-    exp: tuple[int, ...]
+    def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
+        ns = group.invariant_factors
+        if len(exp) != len(ns):
+            raise InputError(f"character needs {len(ns)} exponents, got {len(exp)}")
+        set_field(self, "group", group)
+        set_field(self, "exp", tuple(int(a) % n for a, n in zip(exp, ns)))
 
-    def __post_init__(self):
-        ns = self.group.invariant_factors
-        if len(self.exp) != len(ns):
-            raise InputError(f"character needs {len(ns)} exponents, got {len(self.exp)}")
-        object.__setattr__(self, "exp", tuple(int(a) % n for a, n in zip(self.exp, ns)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.group == other.group and self.exp == other.exp)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.exp))
 
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""

@@ -26,12 +26,13 @@ missing top-level key is reported before a malformed value of another key.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import InputError, read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # each parser imports the layers it builds when it is called
+    from fractions import Fraction
+
     from .cartan import CartanMatrix
     from .cyclotomic import CycloNumber
     from .datum import CartanDatum, CyReport
@@ -62,6 +63,7 @@ def load_json_file(path: str) -> dict:
 
 
 def parse_rational(value) -> Fraction:
+    from fractions import Fraction
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"exact rational required, got {value!r}")
     if isinstance(value, int):
@@ -99,13 +101,10 @@ def parse_datum(obj: dict) -> CartanDatum:
     from .cartan import CartanMatrix
     from .datum import CartanDatum, LinkingParameter
     from .groups import AbelianGroup, character_from_json, element_from_json
-    try:
-        group = AbelianGroup.from_json(obj["group"])
-        cartan = CartanMatrix.from_json(obj["cartan"])
-        g = tuple(element_from_json(group, e) for e in _list("g", obj["g"]))
-        chi = tuple(character_from_json(group, c) for c in _list("chi", obj["chi"]))
-    except KeyError as exc:
-        raise InputError(f"datum file missing key {exc}") from exc
+    group = AbelianGroup.from_json(obj["group"])
+    cartan = CartanMatrix.from_json(obj["cartan"])
+    g = tuple(element_from_json(group, e) for e in _list("g", obj["g"]))
+    chi = tuple(character_from_json(group, c) for c in _list("chi", obj["chi"]))
     linking = []
     for entry in _list("lambda", obj.get("lambda", [])):
         try:
@@ -153,8 +152,6 @@ def parse_presentation(
         t = read_int("generators", obj["generators"])
         degrees = tuple(element_from_json(group, e) for e in _list("degrees", obj["degrees"]))
         actions = tuple(character_from_json(group, c) for c in _list("actions", obj["actions"]))
-    except KeyError as exc:
-        raise InputError(f"presentation file missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed presentation: {exc}") from exc
     if len(degrees) != t or len(actions) != t:
@@ -184,6 +181,8 @@ def parse_lie(obj: dict) -> tuple[LieAlgebraData, GroupActionData]:
     if "dim" not in obj:
         raise InputError("lie file needs an integer 'dim'")
     d = read_int("dim", obj["dim"])
+    from fractions import Fraction
+
     from .groups import AbelianGroup
     from .lie import MAX_DIMENSION, GroupActionData, LieAlgebraData
     if not 0 <= d <= MAX_DIMENSION:

@@ -10,13 +10,12 @@ one.  The automorphism twisting the dualizing complex is the identity here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import _rational, euler_phi
 from .datum import CriterionResult, CyReport, report_scalars
-from .errors import InputError
+from .errors import Frozen, InputError, set_field
 from .groups import AbelianGroup, Character
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -100,20 +99,19 @@ def mat_det(a: Matrix) -> Fraction:
     return det
 
 
-@dataclass(frozen=True, eq=False)
-class LieAlgebraData:
-    """Structure constants c_{ij}^k with [x_i, x_j] = sum_k c_{ij}^k x_k."""
+class LieAlgebraData(Frozen):
+    """Structure constants c_{ij}^k with [x_i, x_j] = sum_k c_{ij}^k x_k;
+    brackets[i][j] holds the coordinates of [x_i, x_j]."""
 
-    dimension: int
-    brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]  # brackets[i][j] = coords of [x_i, x_j]
-
-    def __post_init__(self):
-        d = self.dimension
+    def __init__(self, dimension: int,
+                 brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> None:
+        d = dimension
         table = tuple(
-            tuple(tuple(map(_rational, self.brackets[i][j])) for j in range(d))
+            tuple(tuple(map(_rational, brackets[i][j])) for j in range(d))
             for i in range(d)
         )
-        object.__setattr__(self, "brackets", table)
+        set_field(self, "dimension", d)
+        set_field(self, "brackets", table)
         for i in range(d):
             for j in range(d):
                 if len(table[i][j]) != d:
@@ -149,23 +147,21 @@ def adjoint_trace(algebra: LieAlgebraData, i: int) -> Fraction:
     return sum(algebra.brackets[i][j][j] for j in range(algebra.dimension))
 
 
-@dataclass(frozen=True, eq=False)
-class GroupActionData:
+class GroupActionData(Frozen):
     """Action of a finite abelian group by Lie algebra automorphisms.
 
     Given on group generators only and extended multiplicatively; the
     generator-order relations and pairwise commutation are verified here,
     the automorphism property against a specific algebra in validate()."""
 
-    group: AbelianGroup
-    matrices: tuple[Matrix, ...]  # one matrix per group generator
-
-    def __post_init__(self):
-        if len(self.matrices) != self.group.rank:
+    def __init__(self, group: AbelianGroup, matrices: tuple[Matrix, ...]) -> None:
+        if len(matrices) != group.rank:
             raise InputError("one action matrix per group generator required")
+        set_field(self, "group", group)
+        set_field(self, "matrices", matrices)
         d = self.dimension
-        mats = tuple(_as_matrix(m, d) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
+        mats = tuple(_as_matrix(m, d) for m in matrices)
+        set_field(self, "matrices", mats)
         ident = mat_identity(d)
         order_bound = finite_order_bound(d)
         for idx, (m, n) in enumerate(zip(mats, self.group.invariant_factors)):

@@ -16,7 +16,6 @@ each raises InputError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cyclotomic import CycloNumber, one
@@ -178,22 +177,36 @@ class RewritingSystem:
 # -- local confluence ----------------------------------------------------------
 
 
-@dataclass
 class OverlapResult:
-    word: Word
-    first: str
-    second: str
+    """A divergent ambiguity and its two normal forms; equal by its fields."""
+
+    def __init__(self, word: Word, first: str, second: str) -> None:
+        self.word, self.first, self.second = word, first, second
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.first, self.second) == (other.word, other.first, other.second)
 
     def to_json(self) -> dict:
         return {"word": format_word(self.word), "first_branch": self.first,
                 "second_branch": self.second}
 
 
-@dataclass
 class ConfluenceReport:
-    checked: int
-    skipped_over_bound: int
-    divergent: list[OverlapResult]
+    """Equal by its fields."""
+
+    def __init__(self, checked: int, skipped_over_bound: int,
+                 divergent: list[OverlapResult]) -> None:
+        self.checked = checked
+        self.skipped_over_bound = skipped_over_bound
+        self.divergent = divergent
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.checked, self.skipped_over_bound, self.divergent)
+                == (other.checked, other.skipped_over_bound, other.divergent))
 
     @property
     def ok(self) -> bool:

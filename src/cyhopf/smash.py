@@ -34,7 +34,6 @@ layer's limits do; it binds only the rule path's Delta check and the sweep.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 
 from .cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
@@ -65,11 +64,18 @@ def format_monomial(word: Word, g: GroupElement) -> str:
     return f"{format_word(word)}#{g}"
 
 
-@dataclass
 class CheckEntry:
-    check: str
-    status: str  # "pass" | "fail"
-    counterexample: str | None = None
+    """One check's status, "pass" or "fail", and its counterexample if any;
+    equal by its fields."""
+
+    def __init__(self, check: str, status: str, counterexample: str | None = None) -> None:
+        self.check, self.status, self.counterexample = check, status, counterexample
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check, self.status, self.counterexample)
+                == (other.check, other.status, other.counterexample))
 
     def to_json(self) -> dict:
         out = {"check": self.check, "status": self.status}
@@ -82,10 +88,16 @@ def _entry(check: str, failure: str | None) -> CheckEntry:
     return CheckEntry(check, "fail" if failure else "pass", failure)
 
 
-@dataclass
 class CheckReport:
-    entries: list[CheckEntry]
-    notes: tuple[str, ...] = ()
+    """Equal by its fields."""
+
+    def __init__(self, entries: list[CheckEntry], notes: tuple[str, ...] = ()) -> None:
+        self.entries, self.notes = entries, notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.notes) == (other.entries, other.notes)
 
     @property
     def passed(self) -> bool:
@@ -610,14 +622,11 @@ def verify_double_antipode(algebra: PresentedAlgebra) -> CheckReport:
     return CheckReport([entry], notes=confluence_notes(algebra) + notes)
 
 
-@dataclass(eq=False)
 class DiagonalAutomorphism:
     """Algebra automorphism x_i -> c_i x_i, identity on the group part."""
 
-    algebra: PresentedAlgebra
-    scalars: tuple[CycloNumber, ...]
-
-    def __post_init__(self):
+    def __init__(self, algebra: PresentedAlgebra, scalars: tuple[CycloNumber, ...]) -> None:
+        self.algebra, self.scalars = algebra, scalars
         if len(self.scalars) != self.algebra.t:
             raise InputError("one scalar per generator required")
         for lhs, rhs in self.algebra.rules.items():

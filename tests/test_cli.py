@@ -327,6 +327,25 @@ def test_a_missing_key_comes_before_a_malformed_earlier_value(tmp_path, capsys):
     assert capsys.readouterr().err == "error: datum file missing key 'cartan'\n"
 
 
+@pytest.mark.parametrize("verb, filename, key, value, line", [
+    ("check-cy", DATUM_A2, "group", {}, "malformed group: {}"),
+    ("check-cy", DATUM_A2, "g", [{}], "malformed group element: {}"),
+    ("check-cy", DATUM_A2, "chi", [{}], "malformed character: {}"),
+    ("verify-hopf", PRES_A2, "group", {}, "malformed group: {}"),
+    ("verify-hopf", PRES_A2, "degrees", [{}], "malformed group element: {}"),
+    ("verify-hopf", PRES_A2, "actions", [{}], "malformed character: {}"),
+], ids=["datum-group", "g", "chi", "presentation-group", "degrees", "actions"])
+def test_a_nested_key_is_named_by_its_reader(tmp_path, capsys, verb, filename, key, value, line):
+    """A top-level key that is present but lacks a key inside is refused by
+    the reader of that value, with its own one line."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(edited(filename, (key,), value)))
+    assert main([verb, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("key", ["degrees", "actions"])
 def test_presentation_list_keys_must_be_lists(tmp_path, capsys, key):
     """A presentation's degrees and actions are read as JSON lists, as a

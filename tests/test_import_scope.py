@@ -1,6 +1,6 @@
 """A CLI call loads only the layers its verb runs, and `import cyhopf` loads
 none: each verb kind runs in a fresh interpreter, which then lists the
-cyhopf modules it holds."""
+modules it holds."""
 
 import os
 import subprocess
@@ -20,7 +20,7 @@ import contextlib, io, sys
 from cyhopf.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("cyhopf")))
+print(code, *sorted(sys.modules))
 """
 FRONT = {"cyhopf", "cyhopf.cli", "cyhopf.errors", "cyhopf.io"}
 DATUM_LAYERS = {"cyhopf.cartan", "cyhopf.cyclotomic", "cyhopf.datum", "cyhopf.groups"}
@@ -69,7 +69,35 @@ def child(*args: str) -> list[str]:
 def test_a_verb_loads_only_its_layers(verb, name, code, modules):
     out = child("-c", CHILD, verb, str(DATA / name))
     assert int(out[0]) == code
-    assert set(out[1:]) == modules
+    assert {m for m in out[1:] if m.startswith("cyhopf")} == modules
+
+
+# One accepted call per verb.  Under -S no site hook preloads a module, so the
+# child holds only what the interpreter and the call itself imported.
+ACCEPTED = [("roots", "cartan_a2.json"), ("check-cy", "datum_a2_z2z2.json"),
+            ("hdet", "datum_a1a1_z3z3.json"), ("lie-check", "lie_sl2_sign.json"),
+            ("verify-hopf", "presentation_a2_z2z2.json"),
+            ("verify-s2", "presentation_a1a1_z3z3.json"),
+            ("confluence", "presentation_nonconfluent.json"),
+            ("nakayama", "presentation_a2_z2z2.json")]
+
+
+@pytest.mark.parametrize("verb, name", ACCEPTED, ids=[verb for verb, _ in ACCEPTED])
+def test_an_accepted_call_imports_no_dataclasses_or_typing(verb, name):
+    """No layer imports dataclasses (and with it inspect, ast and dis), or
+    typing for an annotation."""
+    out = child("-S", "-c", CHILD, verb, str(DATA / name))
+    assert int(out[0]) == 0
+    assert not {"dataclasses", "inspect", "typing"} & set(out[1:])
+
+
+@pytest.mark.parametrize("verb, name", [(verb, name) for verb, name, code, modules in SCOPES
+                                        if modules == FRONT],
+                         ids=lambda x: x.split("_")[0])
+def test_a_wrong_kind_refusal_loads_no_fractions(verb, name):
+    out = child("-S", "-c", CHILD, verb, str(DATA / name))
+    assert int(out[0]) == 1
+    assert not {"fractions", "decimal"} & set(out[1:])
 
 
 def test_import_cyhopf_loads_no_submodule():
