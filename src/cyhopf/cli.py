@@ -1,5 +1,16 @@
 """Command-line front door.
 
+Grammar: cyhopf VERB INPUT [--json] [--degree-bound N] [--seed S]
+[--tie-break {min,max}] [-h|--help].  The verb comes first.  The options may
+stand before or after INPUT, as `--opt value` or `--opt=value`, under any
+unique prefix of their name (`--deg 3`); a repeated option keeps its last
+value, a value may begin with `-` (`--seed -5`), and `--` ends the options.
+`--degree-bound` and `--seed` are read by errors.read_int, as every integer in
+an input file is.  `-h`/`--help` prints the usage and the verb table to stdout
+and raises SystemExit(0).  The line is read left to right, as argparse read
+it: a bad verb or option value is refused where it stands, while a missing
+argument, an unknown option or an extra positional is refused at the end.
+
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
 invalid input (a malformed command line too) or a standard output closed
@@ -12,12 +23,11 @@ refused with only cli, io and errors loaded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, read_int
 from .io import (
     SCHEMA,
     cy_report_to_json,
@@ -29,65 +39,145 @@ from .io import (
     render_cy_report_text,
 )
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a malformed command line is invalid input
-        raise InputError(f"{self.prog}: {message}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cyhopf",
-        description="Exact Calabi-Yau checks for braided Hopf algebras of finite "
-        "Cartan type over finite abelian groups and their smash products.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    common = _Parser(add_help=False)
-    common.add_argument("input", help="path to a cy-hopf/1 JSON input file")
-    common.add_argument("--json", action="store_true", help="emit a single JSON report")
-    common.add_argument("--degree-bound", type=int, default=None, metavar="N",
-                        help="override the verification degree bound")
-    common.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="seed recorded in the report (reserved for sampling front ends)")
-    common.add_argument("--tie-break", choices=("min", "max"), default="min",
-                        help="simple-index tie-break for the longest-word descent")
-    for verb, help_text in (
-        ("check-cy", "full CY report for a Cartan datum"),
-        ("hdet", "check-cy's report, which for A1 x ... x A1 carries the homological "
-                 "determinant and the balance criterion; refuses other types"),
-        ("nakayama", "winding-twisted squared antipode of a presentation"),
-        ("roots", "positive roots and longest-word data of a Cartan matrix"),
-        ("verify-hopf", "Hopf axioms, decided on generators and rules (in every degree) "
-                        "when the rewriting system is confluent, else by a sweep over "
-                        "monomials x^w#e; other group tails follow by Gamma-equivariance"),
-        ("verify-s2", "graded squared-antipode identity, decided by Gamma-equivariance "
-                      "of S in every degree (no sweep)"),
-        ("confluence", "diamond-lemma overlap report for a presentation"),
-        ("lie-check", "CY report for an enveloping-algebra smash product"),
-    ):
-        sub.add_parser(verb, parents=[common], help=help_text)
-    return parser
+VERBS = {
+    "check-cy": "full CY report for a Cartan datum",
+    "hdet": "check-cy's report, which for A1 x ... x A1 carries the homological "
+            "determinant and the balance criterion; refuses other types",
+    "nakayama": "winding-twisted squared antipode of a presentation",
+    "roots": "positive roots and longest-word data of a Cartan matrix",
+    "verify-hopf": "Hopf axioms, decided on generators and rules (in every degree) when the "
+                   "rewriting system is confluent, else by a sweep over monomials x^w#e; "
+                   "other group tails follow by Gamma-equivariance",
+    "verify-s2": "graded squared-antipode identity, decided by Gamma-equivariance of S in "
+                 "every degree (no sweep)",
+    "confluence": "diamond-lemma overlap report for a presentation",
+    "lie-check": "CY report for an enveloping-algebra smash product",
+}
+TIE_BREAKS = ("min", "max")
+# long option -> (metavar, help line); an option without a metavar is a flag
+OPTIONS = {
+    "--json": (None, "emit a single JSON report"),
+    "--degree-bound": ("N", "override the verification degree bound"),
+    "--seed": ("S", "seed recorded in the report (reserved for sampling front ends)"),
+    "--tie-break": ("{min,max}", "simple-index tie-break for the longest-word descent"),
+    "--help": (None, "show this help and exit (also -h)"),
+}
+USAGE = ("usage: cyhopf VERB INPUT [--json] [--degree-bound N] [--seed S] "
+         "[--tie-break {min,max}] [-h]")
 
 
-def _envelope(args, bound: int | None, report: dict) -> dict:
+def _help() -> str:
+    lines = [USAGE, "", "Exact Calabi-Yau checks for braided Hopf algebras of finite Cartan type "
+             "over finite abelian groups and their smash products.", "", "verbs:"]
+    lines += [f"  {verb:<13}{text}" for verb, text in VERBS.items()]
+    lines += ["", "arguments:", f"  {'INPUT':<24}path to a cy-hopf/1 JSON input file"]
+    lines += [f"  {name + (' ' + metavar if metavar else ''):<24}{text}"
+              for name, (metavar, text) in OPTIONS.items()]
+    return "\n".join(lines)
+
+
+def _is_option(token: str) -> bool:
+    """As in argparse: "-" alone and a negative number such as -5 or -.5 are
+    positionals, any other token that begins with "-" is an option."""
+    if token[:1] != "-" or token == "-":
+        return False
+    head, dot, tail = token[1:].partition(".")
+    number = tail.isdecimal() and (not head or head.isdecimal()) if dot else head.isdecimal()
+    return not number
+
+
+def _choice(prog: str, argument: str, value: str, choices) -> str:
+    if value not in choices:
+        raise InputError(f"{prog}: argument {argument}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The command line as a dict of verb, input, json, degree_bound, seed and
+    tie_break; raises InputError for a malformed one (see the module docstring)."""
+    args = {"json": False, "degree_bound": None, "seed": None, "tie_break": "min"}
+    verb, positionals, unrecognized, input_at = None, [], [], None
+    prog, known = "cyhopf", ("--help",)  # before the verb only help is known
+    tokens = enumerate(argv)
+    for i, token in tokens:
+        if token == "--" and verb:
+            # the rest are positionals; this "--" is one too unless it stands next to INPUT
+            if positionals and i != input_at + 1:
+                positionals.append(token)
+            positionals += [rest for _, rest in tokens]
+            break
+        if token == "--" or not _is_option(token):
+            if verb is None:
+                verb, prog, known = _choice(prog, "verb", token, VERBS), f"cyhopf {token}", OPTIONS
+            else:
+                if not positionals:
+                    input_at = i
+                positionals.append(token)
+            continue
+        if token[1] != "-":  # -h only; "-hh" repeats it, "-hx" and "-h=x" give it a value
+            if token[1] != "h":
+                unrecognized.append(token)
+                continue
+            name, has_value, value = "--help", token.rstrip("h") != "-", token[2:].lstrip("h")
+            value = value.removeprefix("=")
+        else:
+            prefix, has_value, value = token.partition("=")
+            matches = [name for name in known if name.startswith(prefix)]
+            if not matches:
+                unrecognized.append(token)
+                continue
+            if len(matches) > 1:  # only "--=..." matches more than one
+                raise InputError(f"{prog}: ambiguous option: {token}")
+            name = matches[0]
+        if OPTIONS[name][0] is None:
+            if has_value:
+                raise InputError(f"{prog}: argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                print(_help())
+                raise SystemExit(0)
+            args["json"] = True
+            continue
+        if not has_value:
+            _, value = next(tokens, (None, None))
+            if value is None:
+                raise InputError(f"{prog}: argument {name}: expected one argument")
+        if name == "--tie-break":
+            args["tie_break"] = _choice(prog, name, value, TIE_BREAKS)
+        else:
+            try:
+                args[name[2:].replace("-", "_")] = read_int(name, value)
+            except InputError as exc:
+                raise InputError(f"{prog}: {exc}") from None
+    if verb is None:
+        raise InputError("cyhopf: the following arguments are required: verb")
+    if not positionals:
+        raise InputError(f"{prog}: the following arguments are required: input")
+    if unrecognized or positionals[1:]:
+        raise InputError("cyhopf: unrecognized arguments: "
+                         + " ".join(positionals[1:] + unrecognized))
+    return dict(args, verb=verb, input=positionals[0])
+
+
+def _envelope(args: dict, bound: int | None, report: dict) -> dict:
     return {
         "schema": SCHEMA,
-        "command": args.verb,
+        "command": args["verb"],
         "degree_bound": bound,
-        "tie_break": args.tie_break,
-        "seed": args.seed,
+        "tie_break": args["tie_break"],
+        "seed": args["seed"],
         "report": report,
     }
 
 
-def _emit(args, bound: int | None, report_json: dict, text: str) -> int:
-    if args.json:
+def _emit(args: dict, bound: int | None, report_json: dict, text: str) -> int:
+    if args["json"]:
         print(json.dumps(_envelope(args, bound, report_json), indent=2))
     else:
-        header = f"[cyhopf {args.verb}]"
+        header = f"[cyhopf {args['verb']}]"
         if bound is not None:
             header += f" degree_bound={bound}"
-        header += f" tie_break={args.tie_break}"
+        header += f" tie_break={args['tie_break']}"
         print(header)
         print(text)
     return 0
@@ -104,18 +194,18 @@ def _check_report_text(report) -> str:
     return "\n".join(lines)
 
 
-def run(args) -> int:
-    if args.verb in ("check-cy", "hdet"):
-        datum = parse_datum(load_json_file(args.input))
+def run(args: dict) -> int:
+    if args["verb"] in ("check-cy", "hdet"):
+        datum = parse_datum(load_json_file(args["input"]))
         from .datum import check_cy, quantum_affine_report
-        build = check_cy if args.verb == "check-cy" else quantum_affine_report
-        report = build(datum, args.tie_break)
+        build = check_cy if args["verb"] == "check-cy" else quantum_affine_report
+        report = build(datum, args["tie_break"])
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
-    if args.verb == "roots":
-        cartan = parse_cartan_only(load_json_file(args.input))
+    if args["verb"] == "roots":
+        cartan = parse_cartan_only(load_json_file(args["input"]))
         from .cartan import beta_sequence, longest_word, positive_roots_closure
-        word = longest_word(cartan, tie_break=args.tie_break)
+        word = longest_word(cartan, tie_break=args["tie_break"])
         betas = beta_sequence(cartan, word)
         closure = positive_roots_closure(cartan)
         report = {
@@ -137,26 +227,27 @@ def run(args) -> int:
         )
         return _emit(args, None, report, text)
 
-    if args.verb == "lie-check":
-        algebra, action = parse_lie(load_json_file(args.input))
+    if args["verb"] == "lie-check":
+        algebra, action = parse_lie(load_json_file(args["input"]))
         from .lie import check_cy_lie_smash
         report = check_cy_lie_smash(algebra, action)
         return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
 
     # remaining verbs consume a presentation file
-    algebra, xi = parse_presentation(load_json_file(args.input), degree_bound=args.degree_bound)
+    algebra, xi = parse_presentation(load_json_file(args["input"]),
+                                     degree_bound=args["degree_bound"])
     from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
     bound = algebra.degree_bound
 
-    if args.verb == "verify-hopf":
+    if args["verb"] == "verify-hopf":
         report = verify_hopf_axioms(algebra)
         return _emit(args, bound, report.to_json(), _check_report_text(report))
 
-    if args.verb == "verify-s2":
+    if args["verb"] == "verify-s2":
         report = verify_double_antipode(algebra)
         return _emit(args, bound, report.to_json(), _check_report_text(report))
 
-    if args.verb == "confluence":
+    if args["verb"] == "confluence":
         report = algebra.confluence
         text_lines = [
             f"locally confluent: {str(report.ok).lower()}",
@@ -169,7 +260,7 @@ def run(args) -> int:
             )
         return _emit(args, bound, report.to_json(), "\n".join(text_lines))
 
-    if args.verb == "nakayama":
+    if args["verb"] == "nakayama":
         if xi is None:
             xi = algebra.group.trivial_character()
         auto, report = nakayama_automorphism(algebra, xi)
@@ -188,12 +279,13 @@ def run(args) -> int:
         )
         return _emit(args, bound, payload, text)
 
-    raise InternalError(f"unhandled verb {args.verb}")  # unreachable
+    raise InternalError(f"unhandled verb {args['verb']}")  # unreachable
 
 
 def main(argv=None) -> int:
+    """Run one command line, sys.argv[1:] when argv is None; return the exit code."""
     try:
-        code = run(build_parser().parse_args(argv))
+        code = run(parse_args(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -147,13 +147,10 @@ def parse_presentation(
     from .rewriting import MAX_WORD_LENGTH, parse_word
     if bound is None:
         bound = DEFAULT_DEGREE_BOUND
-    try:
-        group = AbelianGroup.from_json(obj["group"])
-        t = read_int("generators", obj["generators"])
-        degrees = tuple(element_from_json(group, e) for e in _list("degrees", obj["degrees"]))
-        actions = tuple(character_from_json(group, c) for c in _list("actions", obj["actions"]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed presentation: {exc}") from exc
+    group = AbelianGroup.from_json(obj["group"])
+    t = read_int("generators", obj["generators"])
+    degrees = tuple(element_from_json(group, e) for e in _list("degrees", obj["degrees"]))
+    actions = tuple(character_from_json(group, c) for c in _list("actions", obj["actions"]))
     if len(degrees) != t or len(actions) != t:
         raise InputError(f"presentation declares {t} generators but lists "
                          f"{len(degrees)} degrees / {len(actions)} actions")

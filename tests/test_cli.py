@@ -356,14 +356,67 @@ def test_presentation_list_keys_must_be_lists(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith(f"error: {key} must be a list")
 
 
+CARTAN = str(DATA / "cartan_a2.json")
+PRES = str(DATA / PRES_A2)
+
+# The accepted forms of the command-line grammar, each with the plain spelling
+# whose stdout it must print.
+GRAMMAR = [
+    ("options-before-input", ["roots", "--json", "--tie-break", "max", CARTAN],
+     ["roots", CARTAN, "--json", "--tie-break", "max"]),
+    ("option-equals-value", ["roots", CARTAN, "--json", "--tie-break=max"],
+     ["roots", CARTAN, "--json", "--tie-break", "max"]),
+    ("unique-prefixes", ["roots", CARTAN, "--js", "--t", "max"],
+     ["roots", CARTAN, "--json", "--tie-break", "max"]),
+    ("prefix-equals-value", ["verify-s2", PRES, "--j", "--deg=3"],
+     ["verify-s2", PRES, "--json", "--degree-bound", "3"]),
+    ("prefix-then-value", ["verify-s2", PRES, "--deg", "3", "--json"],
+     ["verify-s2", PRES, "--json", "--degree-bound", "3"]),
+    ("last-repeat-wins", ["roots", CARTAN, "--tie-break", "min", "--json", "--tie-break", "max",
+                          "--json"],
+     ["roots", CARTAN, "--json", "--tie-break", "max"]),
+    ("negative-value", ["roots", CARTAN, "--json", "--seed", "-5"],
+     ["roots", CARTAN, "--json", "--seed=-5"]),
+    ("signed-value", ["roots", CARTAN, "--json", "--seed", "+5"],
+     ["roots", CARTAN, "--json", "--seed", "5"]),
+    ("double-dash-ends-options", ["roots", "--json", "--", CARTAN], ["roots", CARTAN, "--json"]),
+    ("double-dash-after-input", ["roots", CARTAN, "--"], ["roots", CARTAN]),
+]
+
+
+@pytest.mark.parametrize("argv, plain", [row[1:] for row in GRAMMAR],
+                         ids=[row[0] for row in GRAMMAR])
+def test_an_accepted_spelling_prints_what_the_plain_one_does(capsys, argv, plain):
+    """Each accepted form exits 0 with the stdout of its plain spelling."""
+    expected = run_cli(capsys, *plain)
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_seed_keeps_a_negative_value(capsys):
+    code, out = run_cli(capsys, "roots", CARTAN, "--json", "--seed", "-5")
+    assert code == 0 and json.loads(out)["seed"] == -5
+
+
 @pytest.mark.parametrize(
     "argv",
     [[], ["frobnicate", str(DATA / DATUM_A2)], ["check-cy"],
      ["verify-s2", str(DATA / PRES_A2), "--degree-bound", "x"],
      ["roots", str(DATA / "cartan_a2.json"), "--tie-break", "middle"],
-     ["roots", str(DATA / "cartan_a2.json"), "--no-such-flag"]],
+     ["roots", str(DATA / "cartan_a2.json"), "--no-such-flag"],
+     ["roots", CARTAN, "--seed"], ["roots", CARTAN, "--json=1"], ["roots", CARTAN, "extra"],
+     ["--json", "roots", CARTAN], ["roots", CARTAN, "--json", "--"],
+     ["roots", "--", CARTAN, "--json"], ["roots", CARTAN, "-hx"], ["roots", CARTAN, "-j"],
+     # strings int() reads but a file may not hold (errors.read_int)
+     ["verify-s2", PRES, "--degree-bound", "\u0663"],
+     ["verify-s2", PRES, "--degree-bound", "1_0"], ["verify-s2", PRES, "--degree-bound", " 3"],
+     ["roots", CARTAN, "--seed", "\u0663"]],
     ids=["no-verb", "unknown-verb", "no-input-path", "degree-bound-not-int",
-         "tie-break-not-a-choice", "unknown-flag"],
+         "tie-break-not-a-choice", "unknown-flag", "missing-value", "flag-with-value",
+         "extra-positional", "option-before-verb", "double-dash-after-option",
+         "option-after-double-dash", "help-with-value", "unknown-short-option",
+         "degree-bound-non-ascii-digit", "degree-bound-underscore", "degree-bound-padded",
+         "seed-non-ascii-digit"],
 )
 def test_malformed_command_line_is_one_error_line(capsys, argv):
     """A bad command line is invalid input like a bad file: exit 1, one line."""
@@ -373,7 +426,11 @@ def test_malformed_command_line_is_one_error_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: cyhopf")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check-cy", "--help"]])
+# -h or --help anywhere after the verb, or before it; an unknown option ahead of
+# it is refused only at the end of the line, so it does not stop the help
+@pytest.mark.parametrize("argv", [["--help"], ["check-cy", "--help"], ["-h"], ["--he", "roots"],
+                                  ["roots", CARTAN, "--json", "-h"], ["roots", "--bogus", "--h"],
+                                  ["roots", "-hh"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
