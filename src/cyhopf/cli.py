@@ -10,6 +10,8 @@ an input file is.  `-h`/`--help` prints the usage and the verb table to stdout
 and raises SystemExit(0).  The line is read left to right, as argparse read
 it: a bad verb or option value is refused where it stands, while a missing
 argument, an unknown option or an extra positional is refused at the end.
+Then a `--degree-bound` below 1 is refused, on every verb and before the
+input file is read.
 
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
@@ -156,6 +158,8 @@ def parse_args(argv: list[str]) -> dict:
     if unrecognized or positionals[1:]:
         raise InputError("cyhopf: unrecognized arguments: "
                          + " ".join(positionals[1:] + unrecognized))
+    if args["degree_bound"] is not None and args["degree_bound"] < 1:  # on every verb
+        raise InputError(f"--degree-bound must be >= 1, got {args['degree_bound']}")
     return dict(args, verb=verb, input=positionals[0])
 
 

@@ -2,13 +2,21 @@
 
 A datum bundles a finite abelian group, group-like elements g_i, characters
 chi_i and a finite-type Cartan matrix, with optional linking parameters that
-are carried as data but never influence verdicts.  The braiding matrix is
+are carried as data but never influence verdicts.  A pair with lambda_ij != 0
+must be linkable: chi_i chi_j = epsilon, g_i g_j != 1, and i, j in different
+components of the Dynkin diagram.  The braiding matrix is
 q_ij = chi_j(g_i) = zeta_N^{e_ij}, N the exponent of the group; construction
 enforces q_ii != 1 and q_ij q_ji = q_ii^{a_ij}, i.e. e_ii != 0 and
 e_ij + e_ji = a_ij e_ii mod N.  Every verdict is decided on exponents mod N,
-and every character is summed as one exponent vector.  Only report_scalars,
-which turns exponents into the scalars a CyReport holds, builds CycloNumbers
-and so needs the power table of Q(zeta_N).
+and every character is summed as one exponent vector.
+
+check_cy's report is built in two phases.  At the call it decides the
+verdicts and keeps the fields a verdict is read from: cy_R, cy_smash,
+cy_dimension, the integral character, hdet and the witness, whose scalar is
+one(N), the only CycloNumber built there; so an N whose power table of
+Q(zeta_N) is over budget is refused at the call.  The Nakayama diagonal (by
+report_scalars), the criteria with their detail strings and the notes are
+built from the kept exponents the first time they are read, and then kept.
 
 The verdicts are exact character computations:
 
@@ -45,7 +53,7 @@ from itertools import product
 from operator import mul
 
 from .cartan import CartanMatrix, Root, beta_sequence, longest_word
-from .cyclotomic import CycloNumber, root_of_unity
+from .cyclotomic import CycloNumber, one, root_of_unity
 from .errors import (Frozen, InputError, InternalError, InvalidDatum, NegativeRoot,
                      WrongCartanType, set_field)
 from .groups import AbelianGroup, Character, GroupElement
@@ -121,6 +129,27 @@ class CartanDatum(Frozen):
             if (lp.i, lp.j) in seen:
                 raise InvalidDatum(f"duplicate linking pair ({lp.i + 1},{lp.j + 1})")
             seen.add((lp.i, lp.j))
+            if not lp.value.is_zero():
+                self._check_linkable(lp.i, lp.j)
+
+    def _check_linkable(self, i: int, j: int) -> None:
+        """A pair with lambda_ij != 0 must be linkable (Andruskiewitsch-Schneider):
+        chi_i chi_j = epsilon, g_i g_j != 1, and i, j in different connected
+        components of the Dynkin diagram."""
+        pair = f"linked pair ({i + 1},{j + 1})"
+        if not (self.chi[i] * self.chi[j]).is_trivial():
+            raise InvalidDatum(f"{pair} requires chi_{i + 1} chi_{j + 1} = epsilon")
+        if (self.g[i] * self.g[j]).is_identity():
+            raise InvalidDatum(f"{pair} requires g_{i + 1} g_{j + 1} != 1")
+        component, todo = {i}, [i]
+        while todo:
+            row = self.cartan.entries[todo.pop()]
+            joined = [k for k, a in enumerate(row) if a and k not in component]
+            component.update(joined)
+            todo += joined
+        if j in component:
+            raise InvalidDatum(f"{pair} requires {i + 1} and {j + 1} in different "
+                               f"components of the Dynkin diagram")
 
     @property
     def rank(self) -> int:
@@ -162,13 +191,39 @@ class CriterionResult(Frozen):
 
 class CyReport(Frozen):
     """Machine-readable verdict for one datum (or one Lie-action input).
-    Equal by its fields; unhashable, as the CycloNumbers it holds are."""
+    Equal by its fields; unhashable, as the CycloNumbers it holds are.
+
+    The constructor takes every field.  check_cy builds its report with
+    deferred instead: the verdicts, the characters and the witness are fields
+    at once, while nakayama_diag, criteria and notes, the scalars and strings
+    a report displays, are built from the Nakayama exponents on first read
+    and then kept.  Either way every field is read-only."""
 
     def __init__(self, cy_R: bool, cy_smash: bool, cy_dimension: int,
                  integral_character: Character, hdet: Character | None,
                  nakayama_diag: tuple[CycloNumber, ...],
                  inner_witness: tuple[CycloNumber, GroupElement] | None,
                  criteria: tuple[CriterionResult, ...], notes: tuple[str, ...] = ()) -> None:
+        self._set_verdicts(cy_R, cy_smash, cy_dimension, integral_character, hdet, inner_witness)
+        set_field(self, "nakayama_diag", nakayama_diag)
+        set_field(self, "criteria", criteria)
+        set_field(self, "notes", notes)
+
+    @classmethod
+    def deferred(cls, cy_R: bool, cy_smash: bool, cy_dimension: int,
+                 integral_character: Character, hdet: Character | None,
+                 inner_witness: tuple[CycloNumber, GroupElement] | None,
+                 order: int, nakayama_exponents: tuple[int, ...]) -> CyReport:
+        """A report whose display fields are built on first read from the
+        exponents mod order of the Nakayama diagonal.  It holds no datum."""
+        report = cls.__new__(cls)
+        report._set_verdicts(cy_R, cy_smash, cy_dimension, integral_character, hdet,
+                             inner_witness)
+        set_field(report, "_nakayama", (order, nakayama_exponents))
+        return report
+
+    def _set_verdicts(self, cy_R, cy_smash, cy_dimension, integral_character, hdet,
+                      inner_witness) -> None:
         if cy_smash and not integral_character.is_trivial():
             raise InternalError("cy_smash verdict with nontrivial integral character")
         set_field(self, "cy_R", cy_R)
@@ -176,10 +231,38 @@ class CyReport(Frozen):
         set_field(self, "cy_dimension", cy_dimension)
         set_field(self, "integral_character", integral_character)
         set_field(self, "hdet", hdet)
-        set_field(self, "nakayama_diag", nakayama_diag)
         set_field(self, "inner_witness", inner_witness)
-        set_field(self, "criteria", criteria)
-        set_field(self, "notes", notes)
+
+    # Each is a constructor field, or built from _nakayama on first read.
+    @cached_property
+    def nakayama_diag(self) -> tuple[CycloNumber, ...]:
+        return report_scalars(*self._nakayama)
+
+    @cached_property
+    def criteria(self) -> tuple[CriterionResult, ...]:
+        """For A1 x ... x A1 data (hdet given) also the balance criterion,
+        whose residuals are the c_k^{-1}, and hdet's triviality."""
+        xi, witness = self.integral_character, self.inner_witness
+        criteria = [
+            CriterionResult("integral-character-trivial", xi.is_trivial(), str(xi)),
+            CriterionResult("squared-antipode-inner", witness is not None,
+                            f"witness {witness[1]}" if witness else "no group-like witness"),
+            CriterionResult("braided-nakayama-trivial", self.cy_R,
+                            "diag " + _listing(self.nakayama_diag)),
+        ]
+        if self.hdet is not None:
+            m, exponents = self._nakayama
+            residuals = report_scalars(m, (-x % m for x in exponents))
+            criteria += [
+                CriterionResult("quantum-affine-balance", self.cy_R,
+                                "residuals " + _listing(residuals)),
+                CriterionResult("hdet-trivial", self.hdet.is_trivial(), str(self.hdet)),
+            ]
+        return tuple(criteria)
+
+    @cached_property
+    def notes(self) -> tuple[str, ...]:
+        return (UNIT_GROUP_NOTE, _shift_note(self.cy_dimension))
 
     def _key(self) -> tuple:
         return (self.cy_R, self.cy_smash, self.cy_dimension, self.integral_character, self.hdet,
@@ -368,8 +451,8 @@ def check_cy_smash(
 
 def report_scalars(order: int, exponents) -> tuple[CycloNumber, ...]:
     """zeta_order^x for each exponent x.  Verdicts are decided on exponents;
-    every scalar a CyReport holds or lists is built here: the Nakayama
-    diagonal, the residual and diagonal details, and the witness's scalar 1."""
+    the scalars a report displays are built here on first read: the Nakayama
+    diagonal and the residual and diagonal details."""
     return tuple(root_of_unity(x, order) for x in exponents)
 
 
@@ -381,40 +464,23 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
     A1 x ... x A1 data, the homological determinant xi^{-1} and the balance
     criterion, whose residuals are the c_k^{-1}.  Built once per tie-break
-    and kept on the datum."""
+    and kept on the datum; its display fields are built on first read."""
     kept = datum.reports.get(tie_break)
     if kept is not None:
         return kept
     cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
     m = datum.group.exponent
+    unit = one(m)  # refuses an order whose power table is over budget, witness or not
     exponents = _nakayama_exponents(datum, xi)
-    cy_r = not any(exponents)
-    diag = report_scalars(m, exponents)
-    found = witness is not None
-    criteria = [
-        CriterionResult("integral-character-trivial", xi.is_trivial(), str(xi)),
-        CriterionResult("squared-antipode-inner", found,
-                        f"witness {witness}" if found else "no group-like witness"),
-        CriterionResult("braided-nakayama-trivial", cy_r, "diag " + _listing(diag)),
-    ]
-    hdet = None
-    if datum.cartan.is_a1_power():
-        hdet = xi.inverse()
-        residuals = report_scalars(m, (-x % m for x in exponents))
-        criteria += [
-            CriterionResult("quantum-affine-balance", cy_r, "residuals " + _listing(residuals)),
-            CriterionResult("hdet-trivial", hdet.is_trivial(), str(hdet)),
-        ]
-    report = datum.reports[tie_break] = CyReport(
-        cy_R=cy_r,
+    report = datum.reports[tie_break] = CyReport.deferred(
+        cy_R=not any(exponents),
         cy_smash=cy_smash,
         cy_dimension=p,
         integral_character=xi,
-        hdet=hdet,
-        nakayama_diag=diag,
-        inner_witness=(*report_scalars(m, (0,)), witness) if found else None,
-        criteria=tuple(criteria),
-        notes=(UNIT_GROUP_NOTE, _shift_note(p)),
+        hdet=xi.inverse() if datum.cartan.is_a1_power() else None,
+        inner_witness=(unit, witness) if witness is not None else None,
+        order=m,
+        nakayama_exponents=exponents,
     )
     return report
 

@@ -232,6 +232,8 @@ def parse_cartan_only(obj: dict) -> CartanMatrix:
 
 
 def cy_report_to_json(report: CyReport) -> dict:
+    """Every field of the report, so a check_cy report that no one has read builds its
+    display fields here."""
     witness = None
     if report.inner_witness is not None:
         scalar, element = report.inner_witness

@@ -237,6 +237,11 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("roots", {"cartan": [[2, " -1 "], [-1, 2]]}),
         ("lie-check", edited("lie_sl2_sign.json", ("dim",), "\u0663")),
         ("verify-s2", edited(PRES_A1A1, ("degree_bound",), "1_0")),
+        # lambda_12 != 0 on a pair that is not linkable; both exited 0 before the check
+        ("check-cy", edited(DATUM_A1A1, ("chi", 1, "exp"), [2, 1])),
+        ("check-cy", {"group": {"invariant_factors": [2]}, "g": [{"exp": [1]}, {"exp": [1]}],
+                      "chi": [{"exp": [1]}, {"exp": [1]}], "cartan": [[2, 0], [0, 2]],
+                      "lambda": [{"pair": [1, 2], "value": 1}]}),
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -250,7 +255,8 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
          "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
          "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
          "actions-not-list", "cartan-entry-padded", "lie-dim-non-ascii-digit",
-         "degree-bound-underscore"],
+         "degree-bound-underscore", "linked-characters-not-inverse",
+         "linked-group-likes-inverse"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
@@ -436,6 +442,29 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: cyhopf" in capsys.readouterr().out
+
+
+# One accepted bundled file per verb that reads no degree bound.
+UNBOUNDED_VERBS = [("check-cy", DATUM_A2), ("hdet", DATUM_A1A1), ("roots", "cartan_a2.json"),
+                   ("lie-check", "lie_sl2_sign.json")]
+
+
+@pytest.mark.parametrize("verb, filename", UNBOUNDED_VERBS, ids=[v for v, _ in UNBOUNDED_VERBS])
+def test_every_verb_refuses_a_degree_bound_below_one(capsys, verb, filename):
+    """These verbs read no bound, yet exited 0 on --degree-bound 0 or -5 with
+    "degree_bound": null; they refuse it as the presentation verbs do.  A
+    bound of 1 or more leaves their report as it was."""
+    path = str(DATA / filename)
+    for value in ("0", "-5"):
+        assert main([verb, path, "--degree-bound", value]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: --degree-bound must be >= 1, got {value}\n"
+    code, plain = run_cli(capsys, verb, path, "--json")
+    assert code == 0 and json.loads(plain)["degree_bound"] is None
+    assert run_cli(capsys, verb, path, "--json", "--degree-bound", "1") == (0, plain)
+    assert main(["verify-s2", PRES, "--degree-bound", "0"]) == 1
+    assert capsys.readouterr().err == "error: --degree-bound must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])

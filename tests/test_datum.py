@@ -1,13 +1,16 @@
+import gc
 import random
+import weakref
 from math import gcd, lcm, prod
 
 import pytest
 
 from cyhopf import datum as datum_module
 from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simple_root
-from cyhopf.cyclotomic import one, root_of_unity
+from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
 from cyhopf.datum import (
     CartanDatum,
+    LinkingParameter,
     check_cy,
     check_cy_braided,
     check_cy_smash,
@@ -530,6 +533,159 @@ def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeyp
         check_cy(twin)
         check_cy(twin, "max")
     assert len(solves) == 10
+
+
+def _report_data():
+    """Random A1^t and finite-type data, and both bundled data."""
+    rng = random.Random(2207)
+    data = [random_a1t_datum(rng, balanced=b) for b in (True, False) for _ in range(10)]
+    return data + [random_cartan_datum(rng) for _ in range(20)] + [
+        a2_z2z2_datum(), a1a1_znzn_datum(3)]
+
+
+DEFERRED = ("nakayama_diag", "criteria", "notes")
+
+
+def test_reading_verdicts_renders_nothing(monkeypatch):
+    """The verdicts, characters and witness are fields at the call; neither the
+    call nor reading them builds a display scalar or formats a CycloNumber."""
+    scalars, strings = [], []
+    build, render = datum_module.report_scalars, CycloNumber.__str__
+    monkeypatch.setattr(datum_module, "report_scalars",
+                        lambda *args: scalars.append(args) or build(*args))
+    monkeypatch.setattr(CycloNumber, "__str__", lambda x: strings.append(x) or render(x))
+    data = _report_data()
+    for datum in data:
+        reports = [check_cy(datum, "min"), check_cy(datum, "max")]
+        if datum.cartan.is_a1_power():
+            reports.append(quantum_affine_report(datum))
+        for r in reports:
+            assert r.cy_smash == (r.integral_character.is_trivial() and r.inner_witness is not None)
+            assert r.cy_dimension >= datum.rank and r.cy_R in (True, False)
+            assert (r.hdet is None) != datum.cartan.is_a1_power()
+            if r.inner_witness is not None:
+                assert r.inner_witness[0] == one(datum.group.exponent)
+            assert not any(name in vars(r) for name in DEFERRED)
+    assert not scalars and not strings
+    for datum in data:  # the first read of a display field renders
+        report = check_cy(datum)
+        assert str(report.nakayama_diag[0]) and report.criteria
+    assert len(scalars) == len(data) + sum(d.cartan.is_a1_power() for d in data)
+    assert strings
+
+
+def test_the_first_read_renders_once_and_is_kept(monkeypatch):
+    scalars = []
+    build = datum_module.report_scalars
+    monkeypatch.setattr(datum_module, "report_scalars",
+                        lambda *args: scalars.append(args) or build(*args))
+    for datum in _report_data():
+        report = check_cy(datum, "max")
+        scalars.clear()
+        first = report.criteria
+        # the diagonal, and for A1 x ... x A1 the balance residuals
+        assert len(scalars) == 1 + datum.cartan.is_a1_power()
+        assert report.criteria is first and check_cy(datum, "max").criteria is first
+        assert report.nakayama_diag is report.nakayama_diag
+        assert report.notes is report.notes
+        assert len(scalars) == 1 + datum.cartan.is_a1_power()
+        m = datum.group.exponent
+        assert report.nakayama_diag == tuple(
+            root_of_unity(x, m) for x in check_cy_braided(datum, "max")[1])
+        assert [c.satisfied for c in first[:3]] == [
+            report.integral_character.is_trivial(), report.inner_witness is not None,
+            report.cy_R]
+        eager = datum_module.CyReport(*(getattr(report, name) for name in (
+            "cy_R", "cy_smash", "cy_dimension", "integral_character", "hdet", "nakayama_diag",
+            "inner_witness", "criteria", "notes")))
+        assert eager == report and vars(eager).keys() == vars(report).keys() - {"_nakayama"}
+
+
+@pytest.mark.parametrize("name", DEFERRED)
+def test_a_deferred_field_is_read_only_before_and_after_its_first_read(name):
+    report = check_cy(a1a1_znzn_datum(5))
+    for _ in range(2):  # unread, then read
+        with pytest.raises(AttributeError):
+            setattr(report, name, ())
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+        value = getattr(report, name)
+    assert getattr(report, name) is value and value
+
+
+def test_dropping_a_datum_frees_its_report():
+    """A report holds no reference to its datum, so the datum and its kept
+    reports are freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for read in DEFERRED + (None,):
+            datum = a1a1_znzn_datum(4)
+            report = check_cy(datum)
+            if read is not None:
+                getattr(report, read)
+            refs = weakref.ref(datum), weakref.ref(report)
+            del datum, report
+            assert [ref() for ref in refs] == [None, None], read
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_an_order_over_the_power_table_budget_is_refused_at_the_call():
+    """Z_10001: Q(zeta_N) has no power table.  The witness's scalar 1 is built
+    at the call, so check_cy refuses there, with a witness and without one."""
+    group = AbelianGroup((10001,))
+    with_witness = CartanDatum(group, (group.generator(0),), (group.character((1,)),),
+                               CartanMatrix(((2,),)))
+    # g = (1, -73), chi = (1, 73): a witness h needs h = -1 mod 10001 from chi_1
+    # and 73 h = 73 * 73 mod 10001, so h = 73 mod 137, from chi_2
+    without = CartanDatum(group, (group.element((1,)), group.element((-73,))),
+                          (group.character((1,)), group.character((73,))),
+                          CartanMatrix(((2, 0), (0, 2))))
+    assert with_witness.squared_antipode_witness is not None
+    assert without.squared_antipode_witness is None
+    for datum in (with_witness, without):
+        for _ in range(2):
+            with pytest.raises(InputError, match="power table"):
+                check_cy(datum)
+        assert datum.reports == {}
+
+
+def _a3_over_z2_cubed(value) -> CartanDatum:
+    """A3 over (Z2)^3, g_i = gamma_i, q_ii = -1, with lambda_13 = value: nodes 1
+    and 3 have a_13 = 0, chi_1 chi_3 = epsilon and g_1 g_3 != 1, but lie in
+    one component."""
+    group = AbelianGroup((2, 2, 2))
+    g = tuple(group.generator(i) for i in range(3))
+    chi = (group.character((1, 0, 1)), group.character((1, 1, 1)), group.character((1, 0, 1)))
+    return CartanDatum(group, g, chi, CartanMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+                       (LinkingParameter(0, 2, value),))
+
+
+def test_a_linked_pair_must_be_linkable():
+    """lambda_ij != 0 needs chi_i chi_j = epsilon, g_i g_j != 1 and i, j in
+    different components of the Dynkin diagram; lambda_ij = 0 needs none."""
+    z3 = AbelianGroup((3, 3))
+    z2 = AbelianGroup((2,))
+    a1a1 = CartanMatrix(((2, 0), (0, 2)))
+    cases = [
+        ("chi_1 chi_2 = epsilon",
+         lambda v: CartanDatum(z3, (z3.element((1, 0)), z3.element((0, 1))),
+                               (z3.character((1, 1)), z3.character((2, 1))), a1a1,
+                               (LinkingParameter(0, 1, v),))),
+        ("g_1 g_2 != 1",
+         lambda v: CartanDatum(z2, (z2.element((1,)),) * 2, (z2.character((1,)),) * 2, a1a1,
+                               (LinkingParameter(0, 1, v),))),
+        ("1 and 3 in different components", _a3_over_z2_cubed),
+    ]
+    for reason, build in cases:
+        with pytest.raises(InvalidDatum, match=reason):
+            build(one(1))
+        with pytest.raises(InvalidDatum, match=reason):
+            build(root_of_unity(1, 3))
+        assert build(zero(1)).linking[0].value.is_zero()
+    assert a1a1_znzn_datum(3).linking[0].value == one(1)  # the bundled lambda = 1 is linkable
 
 
 def test_exponent_vector_characters_match_character_products():
