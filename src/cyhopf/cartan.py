@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import (Frozen, IndexOutOfRange, InputError, NotFiniteType, NotReduced, read_ints,
-                     set_field)
+from .errors import (Frozen, IndexOutOfRange, InputError, NotFiniteType, NotReduced, Record,
+                     read_ints, set_field)
 
 # Largest rank the root layer accepts.
 MAX_RANK = 128
@@ -29,8 +29,10 @@ MAX_RANK = 128
 ROOT_WORK_BUDGET = 8_000_000
 
 
-class CartanMatrix(Frozen):
+class CartanMatrix(Frozen, Record):
     """Equal and hashed by its entries."""
+
+    _compared = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(int(a) for a in row) for row in entries)
@@ -52,14 +54,6 @@ class CartanMatrix(Frozen):
         set_field(self, "entries", rows)
         set_field(self, "_a1_power", a1_power)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
     @property
     def rank(self) -> int:
         return len(self.entries)
@@ -78,19 +72,13 @@ class CartanMatrix(Frozen):
         return CartanMatrix(tuple(read_ints("Cartan matrix row", row) for row in obj))
 
 
-class Root(Frozen):
+class Root(Frozen, Record):
     """Equal and hashed by its coefficients."""
+
+    _compared = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         set_field(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     def is_positive(self) -> bool:
         return any(self.coeffs) and all(c >= 0 for c in self.coeffs)

@@ -54,7 +54,7 @@ from operator import mul
 
 from .cartan import CartanMatrix, Root, beta_sequence, longest_word
 from .cyclotomic import CycloNumber, one, root_of_unity
-from .errors import (Frozen, InputError, InternalError, InvalidDatum, NegativeRoot,
+from .errors import (Frozen, InputError, InternalError, InvalidDatum, NegativeRoot, Record,
                      WrongCartanType, set_field)
 from .groups import AbelianGroup, Character, GroupElement
 
@@ -166,30 +166,21 @@ class CartanDatum(Frozen):
         return {}
 
 
-class CriterionResult(Frozen):
+class CriterionResult(Frozen, Record):
     """Equal and hashed by its three fields."""
+
+    _compared = ("criterion", "satisfied", "detail")
 
     def __init__(self, criterion: str, satisfied: bool, detail: str) -> None:
         set_field(self, "criterion", criterion)
         set_field(self, "satisfied", satisfied)
         set_field(self, "detail", detail)
 
-    def _key(self) -> tuple:
-        return (self.criterion, self.satisfied, self.detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def to_json(self) -> dict:
         return {"criterion": self.criterion, "satisfied": self.satisfied, "detail": self.detail}
 
 
-class CyReport(Frozen):
+class CyReport(Frozen, Record):
     """Machine-readable verdict for one datum (or one Lie-action input).
     Equal by its fields; unhashable, as the CycloNumbers it holds are.
 
@@ -198,6 +189,10 @@ class CyReport(Frozen):
     at once, while nakayama_diag, criteria and notes, the scalars and strings
     a report displays, are built from the Nakayama exponents on first read
     and then kept.  Either way every field is read-only."""
+
+    _compared = ("cy_R", "cy_smash", "cy_dimension", "integral_character", "hdet",
+                 "nakayama_diag", "inner_witness", "criteria", "notes")
+    __hash__ = None
 
     def __init__(self, cy_R: bool, cy_smash: bool, cy_dimension: int,
                  integral_character: Character, hdet: Character | None,
@@ -263,15 +258,6 @@ class CyReport(Frozen):
     @cached_property
     def notes(self) -> tuple[str, ...]:
         return (UNIT_GROUP_NOTE, _shift_note(self.cy_dimension))
-
-    def _key(self) -> tuple:
-        return (self.cy_R, self.cy_smash, self.cy_dimension, self.integral_character, self.hdet,
-                self.nakayama_diag, self.inner_witness, self.criteria, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
 
 
 def _chi_product(datum: CartanDatum, powers) -> Character:

@@ -1,12 +1,15 @@
-"""Exception hierarchy shared by all modules, the integer readers every
-parser of an input file goes through, and the base of the library's immutable
-classes.
+"""Exception hierarchy shared by all modules, the integer and digit-string
+readers every parser of an input file goes through, and the two bases of the
+library's classes: Frozen, whose fields are set once, and Record, which
+compares and hashes by the fields it names.
 
 Input-side problems (bad files, invalid data, out-of-range requests) derive
 from InputError and map to CLI exit code 1.  Violations of internal
 invariants derive from InternalError and map to exit code 2.  A negative
 verdict ("not Calabi-Yau") is never an error.
 """
+
+from operator import attrgetter
 
 
 class CyHopfError(Exception):
@@ -78,11 +81,33 @@ class Frozen:
 set_field = object.__setattr__  # bypasses Frozen.__setattr__
 
 
+class Record:
+    """Base of a value class, which names its compared fields in _compared: it
+    is equal to an object of its own class whose compared fields are equal,
+    and hashed by those fields.  A class whose fields are unhashable, or
+    mutable, sets __hash__ = None."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the field's value, or the tuple of the values; not a descriptor, so never bound
+        cls._key = attrgetter(*cls._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
 def read_int(name: str, raw) -> int:
     """An integer read from an input file: an int, or a decimal string of one
     (an optional sign, then ASCII digits only).  Booleans, floats and anything
     else raise InputError instead of truncating."""
-    if isinstance(raw, (bool, float)) or isinstance(raw, str) and not _is_decimal(raw):
+    if isinstance(raw, (bool, float)) or isinstance(raw, str) and not is_decimal(raw):
         raise InputError(f"{name} must be an integer, got {raw!r}")
     try:
         return int(raw)
@@ -90,10 +115,12 @@ def read_int(name: str, raw) -> int:
         raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _is_decimal(text: str) -> bool:
-    """int() also takes spaces, underscores and non-ASCII digits; a file may not."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    return digits.isascii() and digits.isdigit()
+def is_decimal(text: str, signed: bool = True) -> bool:
+    """ASCII digits, after an optional sign if signed.  int() and Fraction()
+    also take spaces, underscores and non-ASCII digits; a file may not."""
+    if signed and text[:1] in ("+", "-"):
+        text = text[1:]
+    return text.isascii() and text.isdigit()
 
 
 def read_ints(name: str, raw) -> tuple[int, ...]:

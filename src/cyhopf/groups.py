@@ -17,7 +17,8 @@ from itertools import product
 from math import lcm, prod
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import Frozen, GroupMismatch, GroupTooLarge, InputError, read_ints, set_field
+from .errors import (Frozen, GroupMismatch, GroupTooLarge, InputError, Record, read_ints,
+                     set_field)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -26,8 +27,10 @@ if TYPE_CHECKING:
 ENUMERATION_BOUND = 10**6
 
 
-class AbelianGroup(Frozen):
+class AbelianGroup(Frozen, Record):
     """Equal and hashed by its invariant factors."""
+
+    _compared = ("invariant_factors",)
 
     def __init__(self, invariant_factors: tuple[int, ...]) -> None:
         if any(n < 1 for n in invariant_factors):
@@ -38,14 +41,6 @@ class AbelianGroup(Frozen):
         set_field(self, "exponent", lcm(*factors))
         set_field(self, "_interned", {})  # exponent tuple -> GroupElement
         set_field(self, "_mul_cache", {})  # (exp, exp) -> GroupElement
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.invariant_factors == other.invariant_factors
-
-    def __hash__(self) -> int:
-        return hash((self.invariant_factors,))
 
     @property
     def rank(self) -> int:
@@ -109,21 +104,18 @@ def _check_same_group(a, b) -> None:
         raise GroupMismatch(f"operands live in {a.group} and {b.group}")
 
 
-class GroupElement(Frozen):
+class GroupElement(Frozen, Record):
     """Built only by AbelianGroup.element, which reduces exp mod the factors.
     Equal and hashed by group and exponents; never equal to a Character."""
+
+    _compared = ("group", "exp")
 
     def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
         set_field(self, "group", group)
         set_field(self, "exp", exp)
         set_field(self, "_hash", hash((group.invariant_factors, exp)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.group == other.group and self.exp == other.exp)
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # cached at construction: the smash engine keys dicts by elements
         return self._hash
 
     def __mul__(self, other: GroupElement) -> GroupElement:
@@ -156,9 +148,11 @@ class GroupElement(Frozen):
         return {"exp": list(self.exp)}
 
 
-class Character(Frozen):
+class Character(Frozen, Record):
     """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}.
     Equal and hashed by group and exponents; never equal to a GroupElement."""
+
+    _compared = ("group", "exp")
 
     def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
         ns = group.invariant_factors
@@ -166,14 +160,6 @@ class Character(Frozen):
             raise InputError(f"character needs {len(ns)} exponents, got {len(exp)}")
         set_field(self, "group", group)
         set_field(self, "exp", tuple(int(a) % n for a, n in zip(exp, ns)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.group == other.group and self.exp == other.exp)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.exp))
 
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""

@@ -1,8 +1,9 @@
 """JSON input parsing and report serialization.
 
 All files and emitted reports carry a top-level {"schema": "cy-hopf/1"} key.
-Scalars in input files may be integers, exact rational strings "a/b", or
-cyclotomic objects {"order": m, "coeffs": [["num","den"], ...]}; floats are
+Scalars in input files may be integers, exact rational strings "a" or "a/b"
+(an optional sign and ASCII digits, then optionally a slash and ASCII digits),
+or cyclotomic objects {"order": m, "coeffs": [["num","den"], ...]}; floats are
 rejected, every quantity in the system is exact.  Every integer in a file
 (exponents, invariant factors, Cartan entries, indices, counts) is read by
 errors.read_int: an int or a decimal string of one (an optional sign, then ASCII
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError, read_int
+from .errors import InputError, is_decimal, read_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # each parser imports the layers it builds when it is called
@@ -69,10 +70,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {value!r}") from exc
+        num, slash, den = value.partition("/")
+        if is_decimal(num) and (not slash or is_decimal(den, signed=False)):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:  # ValueError: over the digit limit
+                raise InputError(f"bad rational {value!r}") from exc
     raise InputError(f"bad rational {value!r}")
 
 

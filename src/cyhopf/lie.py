@@ -157,11 +157,11 @@ class GroupActionData(Frozen):
     def __init__(self, group: AbelianGroup, matrices: tuple[Matrix, ...]) -> None:
         if len(matrices) != group.rank:
             raise InputError("one action matrix per group generator required")
-        set_field(self, "group", group)
-        set_field(self, "matrices", matrices)
-        d = self.dimension
+        d = len(matrices[0]) if matrices else 0
         mats = tuple(_as_matrix(m, d) for m in matrices)
+        set_field(self, "group", group)
         set_field(self, "matrices", mats)
+        set_field(self, "dimension", d)
         ident = mat_identity(d)
         order_bound = finite_order_bound(d)
         for idx, (m, n) in enumerate(zip(mats, self.group.invariant_factors)):
@@ -172,10 +172,6 @@ class GroupActionData(Frozen):
             for b in range(a + 1, len(mats)):
                 if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
                     raise InputError("action matrices of an abelian group must commute")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrices[0]) if self.matrices else 0
 
     def validate(self, algebra: LieAlgebraData) -> None:
         d = algebra.dimension

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .cyclotomic import CycloNumber, one
-from .errors import IndexOutOfRange, InputError
+from .errors import IndexOutOfRange, InputError, Record, is_decimal
 
 Word = tuple[int, ...]
 MAX_WORD_LENGTH = 1000
@@ -31,7 +31,8 @@ def graded_lex_key(word: Word) -> tuple[int, Word]:
 
 
 def parse_word(text: str, t: int) -> Word:
-    """Parse "x2*x1^2" into a generator-index word (0-based)."""
+    """Parse "x2*x1^2" into a generator-index word (0-based).  A token is x and
+    ASCII digits, then optionally ^ and ASCII digits."""
     if not isinstance(text, str):
         raise InputError(f"word must be a string, got {text!r}")
     text = text.strip()
@@ -40,18 +41,16 @@ def parse_word(text: str, t: int) -> Word:
     out: list[int] = []
     for token in text.split("*"):
         token = token.strip()
-        name, _, power = token.partition("^")
-        if not name.startswith("x"):
+        name, caret, power = token.partition("^")
+        if name[:1] != "x" or not is_decimal(name[1:], signed=False) or (
+                caret and not is_decimal(power, signed=False)):
             raise InputError(f"bad word token {token!r}")
         try:
-            idx = int(name[1:]) - 1
-            k = int(power) if power else 1
-        except ValueError as exc:
+            idx, k = int(name[1:]) - 1, int(power) if caret else 1
+        except ValueError as exc:  # a number over the int-string digit limit
             raise InputError(f"bad word token {token!r}") from exc
         if not 0 <= idx < t:
             raise IndexOutOfRange(f"generator x{idx + 1} outside 1..{t}")
-        if k < 0:
-            raise InputError(f"negative power in word token {token!r}")
         if len(out) + k > MAX_WORD_LENGTH:
             raise InputError(f"word longer than {MAX_WORD_LENGTH} letters")
         out.extend([idx] * k)
@@ -177,36 +176,31 @@ class RewritingSystem:
 # -- local confluence ----------------------------------------------------------
 
 
-class OverlapResult:
+class OverlapResult(Record):
     """A divergent ambiguity and its two normal forms; equal by its fields."""
+
+    _compared = ("word", "first", "second")
+    __hash__ = None
 
     def __init__(self, word: Word, first: str, second: str) -> None:
         self.word, self.first, self.second = word, first, second
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.word, self.first, self.second) == (other.word, other.first, other.second)
 
     def to_json(self) -> dict:
         return {"word": format_word(self.word), "first_branch": self.first,
                 "second_branch": self.second}
 
 
-class ConfluenceReport:
+class ConfluenceReport(Record):
     """Equal by its fields."""
+
+    _compared = ("checked", "skipped_over_bound", "divergent")
+    __hash__ = None
 
     def __init__(self, checked: int, skipped_over_bound: int,
                  divergent: list[OverlapResult]) -> None:
         self.checked = checked
         self.skipped_over_bound = skipped_over_bound
         self.divergent = divergent
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.checked, self.skipped_over_bound, self.divergent)
-                == (other.checked, other.skipped_over_bound, other.divergent))
 
     @property
     def ok(self) -> bool:

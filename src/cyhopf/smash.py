@@ -44,6 +44,7 @@ from .errors import (
     InputError,
     InternalError,
     InvalidPresentation,
+    Record,
 )
 from .groups import AbelianGroup, Character, GroupElement
 from .rewriting import (RewritingSystem, Word, _accumulate, confluence_notes, format_word,
@@ -64,18 +65,15 @@ def format_monomial(word: Word, g: GroupElement) -> str:
     return f"{format_word(word)}#{g}"
 
 
-class CheckEntry:
+class CheckEntry(Record):
     """One check's status, "pass" or "fail", and its counterexample if any;
     equal by its fields."""
 
+    _compared = ("check", "status", "counterexample")
+    __hash__ = None
+
     def __init__(self, check: str, status: str, counterexample: str | None = None) -> None:
         self.check, self.status, self.counterexample = check, status, counterexample
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.check, self.status, self.counterexample)
-                == (other.check, other.status, other.counterexample))
 
     def to_json(self) -> dict:
         out = {"check": self.check, "status": self.status}
@@ -88,16 +86,14 @@ def _entry(check: str, failure: str | None) -> CheckEntry:
     return CheckEntry(check, "fail" if failure else "pass", failure)
 
 
-class CheckReport:
+class CheckReport(Record):
     """Equal by its fields."""
+
+    _compared = ("entries", "notes")
+    __hash__ = None
 
     def __init__(self, entries: list[CheckEntry], notes: tuple[str, ...] = ()) -> None:
         self.entries, self.notes = entries, notes
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.notes) == (other.entries, other.notes)
 
     @property
     def passed(self) -> bool:

@@ -1,10 +1,14 @@
 """The library's record classes: constructors, read-only fields, value
 equality and hashing, and the checks their constructors make."""
 
+import importlib
+import pkgutil
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import cyhopf
 from cyhopf import (
     AbelianGroup,
     CartanDatum,
@@ -18,7 +22,7 @@ from cyhopf import (
     one,
 )
 from cyhopf.datum import CriterionResult
-from cyhopf.errors import InternalError, InvalidDatum
+from cyhopf.errors import Frozen, InternalError, InvalidDatum, Record
 from cyhopf.rewriting import ConfluenceReport, OverlapResult
 from cyhopf.smash import CheckEntry, CheckReport
 from conftest import a1a1_znzn_datum, a2_z2z2_datum
@@ -57,6 +61,110 @@ def test_fields_are_read_only(obj, field):
     with pytest.raises(AttributeError):
         obj.unknown = 1
     assert getattr(obj, field) is before
+
+
+def _library_classes() -> list[type]:
+    """Every class defined in a cyhopf module."""
+    classes = []
+    for info in pkgutil.iter_modules(cyhopf.__path__):
+        module = importlib.import_module(f"cyhopf.{info.name}")
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and obj.__module__ == module.__name__]
+    return classes
+
+
+def test_each_field_of_a_frozen_object_is_set_once(monkeypatch):
+    """Frozen's contract: __init__ sets each field once.  Every module's
+    set_field is counted while one object of each Frozen class is built."""
+    counts = Counter()
+    built = []  # keeps every counted object alive, so that no id is reused
+
+    def counting_set_field(obj, name, value):
+        built.append(obj)
+        counts[id(obj), type(obj).__name__, name] += 1
+        object.__setattr__(obj, name, value)
+
+    for info in pkgutil.iter_modules(cyhopf.__path__):
+        module = importlib.import_module(f"cyhopf.{info.name}")
+        if "set_field" in vars(module):
+            monkeypatch.setattr(module, "set_field", counting_set_field)
+    objects = [obj for obj, _ in _frozen_objects()]
+    objects.append(GroupActionData(AbelianGroup((2,)), (((-1,),),)))
+    assert {type(obj) for obj in objects} == {
+        cls for cls in _library_classes() if issubclass(cls, Frozen) and cls is not Frozen}
+    assert {name for _, name, _ in counts} == {type(obj).__name__ for obj in objects}
+    assert [key for key, n in counts.items() if n != 1] == []
+
+
+def _report_fields(report: CyReport) -> dict:
+    return {name: getattr(report, name) for name in CyReport._compared}
+
+
+KEPT = check_cy(a1a1_znzn_datum(3))  # cy_smash holds, so any changed xi stays trivial
+G46 = (4, 6)
+# (instance, an equal instance that is another object, one instance per compared
+# field, in _compared order, that differs from the first in that field alone)
+RECORDS = [
+    (CartanMatrix(((2, -1), (-1, 2))), CartanMatrix([[2, -1], [-1, 2]]),
+     [CartanMatrix(((2, -2), (-1, 2)))]),
+    (Root((1, 0)), Root((1, 0)), [Root((0, 1))]),
+    (AbelianGroup((2, 3)), AbelianGroup([2, 3]), [AbelianGroup((2, 4))]),
+    (AbelianGroup(G46).element((1, 2)), AbelianGroup(G46).element((5, 8)),
+     [AbelianGroup((4, 7)).element((1, 2)), AbelianGroup(G46).element((1, 3))]),
+    (AbelianGroup(G46).character((1, 2)), AbelianGroup(G46).character((5, 8)),
+     [AbelianGroup((4, 7)).character((1, 2)), AbelianGroup(G46).character((1, 3))]),
+    (CriterionResult("c", True, "d"), CriterionResult("c", True, "d"),
+     [CriterionResult("e", True, "d"), CriterionResult("c", False, "d"),
+      CriterionResult("c", True, "e")]),
+    (KEPT, CyReport(**_report_fields(KEPT)),
+     [CyReport(**dict(_report_fields(KEPT), **{name: value})) for name, value in (
+         ("cy_R", not KEPT.cy_R), ("cy_smash", not KEPT.cy_smash),
+         ("cy_dimension", KEPT.cy_dimension + 1),
+         ("integral_character", AbelianGroup((3,)).trivial_character()), ("hdet", None),
+         ("nakayama_diag", KEPT.nakayama_diag[::-1]), ("inner_witness", None),
+         ("criteria", KEPT.criteria[:-1]), ("notes", ()))]),
+    (OverlapResult((0, 1), "a", "b"), OverlapResult((0, 1), "a", "b"),
+     [OverlapResult((1, 0), "a", "b"), OverlapResult((0, 1), "c", "b"),
+      OverlapResult((0, 1), "a", "c")]),
+    (ConfluenceReport(1, 0, []), ConfluenceReport(1, 0, []),
+     [ConfluenceReport(2, 0, []), ConfluenceReport(1, 1, []),
+      ConfluenceReport(1, 0, [OverlapResult((), "a", "b")])]),
+    (CheckEntry("c", "fail", "x"), CheckEntry("c", "fail", "x"),
+     [CheckEntry("d", "fail", "x"), CheckEntry("c", "pass", "x"), CheckEntry("c", "fail")]),
+    (CheckReport([CheckEntry("c", "pass")], ("n",)), CheckReport([CheckEntry("c", "pass")], ("n",)),
+     [CheckReport([], ("n",)), CheckReport([CheckEntry("c", "pass")])]),
+]
+UNHASHABLE = {CyReport, OverlapResult, ConfluenceReport, CheckEntry, CheckReport}
+
+
+def test_only_the_equality_bases_define_eq():
+    own = {cls.__name__ for cls in _library_classes() if "__eq__" in vars(cls)}
+    assert own == {"Record", "CycloNumber", "_Combination"}
+
+
+def test_every_record_class_is_covered():
+    assert {type(a) for a, _, _ in RECORDS} == {
+        cls for cls in _library_classes() if issubclass(cls, Record) and cls is not Record}
+
+
+@pytest.mark.parametrize("a, b, changed", RECORDS, ids=[type(a).__name__ for a, _, _ in RECORDS])
+def test_a_record_equals_by_its_compared_fields(a, b, changed):
+    assert a is not b and a == b and not a != b
+    assert len(changed) == len(type(a)._compared)
+    for other in changed:
+        assert a != other and not a == other
+    if type(a) in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_a_record_of_another_class_is_not_implemented():
+    for a, _, _ in RECORDS:
+        for b, _, _ in RECORDS:
+            if type(a) is not type(b):
+                assert a.__eq__(b) is NotImplemented and a != b
 
 
 def test_equal_values_are_equal_and_hash_equal():

@@ -174,6 +174,16 @@ COMMUTING_Z593 = dict(
 NILPOTENT_Z781 = dict(PRES_Z2, group={"invariant_factors": [781]}, generators=1,
                       degrees=[{"exp": [1]}], actions=[{"exp": [71]}],
                       rules=[{"lhs": "x1^11", "rhs": []}], degree_bound=21)
+
+
+def nilpotent(order: int, lhs: str) -> dict:
+    """The rule x1^order -> 0, its left-hand side written as lhs, over Z_order
+    with chi(g) = zeta_order: a valid presentation when lhs reads as x1^order."""
+    return dict(PRES_Z2, group={"invariant_factors": [order]}, generators=1,
+                degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
+                rules=[{"lhs": lhs, "rhs": []}], degree_bound=order + 2)
+
+
 # A Cartan entry of 5000 nines, as raw JSON text: json.load refuses an integer
 # literal over the interpreter's int-string digit limit (4300) with a ValueError.
 HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace('"N"', "9" * 5000)
@@ -242,6 +252,13 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("check-cy", {"group": {"invariant_factors": [2]}, "g": [{"exp": [1]}, {"exp": [1]}],
                       "chi": [{"exp": [1]}, {"exp": [1]}], "cartan": [[2, 0], [0, 2]],
                       "lambda": [{"pair": [1, 2], "value": 1}]}),
+        # numbers in strings that Fraction() or int() would read
+        *[("check-cy", edited(DATUM_A1A1, ("lambda", 0, "value"), value))
+          for value in ("\uff11", " 1 ", "1_0/3", "1e3", "0.5")],
+        ("verify-hopf", nilpotent(10, "x1^1_0")),
+        ("verify-hopf", nilpotent(3, "x1^\u0663")),
+        *[("verify-hopf", edited(PRES_A2, ("rules", 0, "lhs"), f"x2*{token}^2"))
+          for token in ("x\uff11", "x+1", "x 1")],
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
          "degree-bound-float", "degree-bound-bool", "generators-float",
@@ -256,7 +273,10 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
          "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
          "actions-not-list", "cartan-entry-padded", "lie-dim-non-ascii-digit",
          "degree-bound-underscore", "linked-characters-not-inverse",
-         "linked-group-likes-inverse"],
+         "linked-group-likes-inverse", "rational-fullwidth-digit", "rational-padded",
+         "rational-underscore", "rational-exponent", "rational-decimal-point",
+         "word-power-underscore", "word-power-non-ascii-digit", "word-index-fullwidth-digit",
+         "word-index-signed", "word-index-spaced"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     path = tmp_path / "input.json"
