@@ -7,9 +7,11 @@ zero-testing is `not any(num)`.  Floats are refused.  Every scalar in this
 package (character values, braiding and rule coefficients) is a CycloNumber.
 
 Mixed-order arithmetic lifts both operands to the lcm of their orders; the
-coercion is explicit in the code, never silent precision loss.  Products and
-inverses of signed roots of unity +-zeta_m^k are table lookups; other inverses
-come from extended Euclid against Phi_m over the integers.
+coercion is explicit in the code, never silent precision loss.  Each order m
+keeps one list of the canonical signed roots of unity +-zeta_m^k, each built
+on first use, so a product, power, negation or inverse of signed roots is an
+index into that list; other inverses come from extended Euclid against Phi_m
+over the integers.
 """
 
 from __future__ import annotations
@@ -103,16 +105,35 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _signed_power_index(m: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """Map reduced vectors of +-zeta_m^k to (sign, k); positives win collisions."""
-    out: dict[tuple[int, ...], tuple[int, int]] = {}
-    table = _power_table(m)[:m]
+# order m -> (map from the reduced vector of +-zeta_m^k to (sign, k), positives
+# winning collisions; the canonical zeta_m^k at k and -zeta_m^k at m + k, each
+# None until first use).  A number whose sign is known has its order's entry.
+_SIGNED_ROOTS: dict[int, tuple[dict, list]] = {}
+
+
+def _make_signed_roots(m: int) -> tuple[dict, list]:
+    """Order m's entry of _SIGNED_ROOTS, which callers look up first."""
+    table = _power_table(m)[:m]  # refuses an order over the budget first
+    index = {}
     for k, rep in enumerate(table):
-        out[tuple(-c for c in rep)] = (-1, k)
+        index[tuple(-c for c in rep)] = (-1, k)
     for k, rep in enumerate(table):
-        out[rep] = (1, k)
-    return out
+        index[rep] = (1, k)
+    entry = _SIGNED_ROOTS[m] = (index, [None] * (2 * m))
+    return entry
+
+
+def _signed_root(sign: int, k: int, m: int) -> CycloNumber:
+    """The canonical sign * zeta_m^k, 0 <= k < m."""
+    index, roots = _SIGNED_ROOTS.get(m) or _make_signed_roots(m)
+    i = k if sign == 1 else m + k
+    got = roots[i]
+    if got is None:
+        rep = _power_table(m)[k]
+        got = CycloNumber._raw(m, rep if sign == 1 else tuple(-c for c in rep))
+        got._signed = index[got.num]
+        roots[i] = got
+    return got
 
 
 def _rational(value) -> Fraction:
@@ -169,7 +190,8 @@ class CycloNumber:
     def signed_root_power(self) -> tuple[int, int] | None:
         """(sign, k) with self == sign * zeta_order^k, or None."""
         if self._signed is False:
-            self._signed = (_signed_power_index(self.order).get(self.num)
+            m = self.order
+            self._signed = ((_SIGNED_ROOTS.get(m) or _make_signed_roots(m))[0].get(self.num)
                             if self.den == 1 else None)
         return self._signed
 
@@ -214,7 +236,7 @@ class CycloNumber:
     def __neg__(self) -> CycloNumber:
         signed = self.signed_root_power()
         if signed is not None:
-            return _cached_signed_root(-signed[0], signed[1], self.order)
+            return _signed_root(-signed[0], signed[1], self.order)
         return CycloNumber._raw(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other) -> CycloNumber:
@@ -240,7 +262,10 @@ class CycloNumber:
             if sb is False:
                 sb = b.signed_root_power()
             if sb is not None:
-                return _cached_signed_root(sa[0] * sb[0], (sa[1] + sb[1]) % a.order, a.order)
+                m = a.order
+                k = (sa[1] + sb[1]) % m
+                got = _SIGNED_ROOTS[m][1][k if sa[0] == sb[0] else m + k]
+                return got if got is not None else _signed_root(sa[0] * sb[0], k, m)
         phi = len(a.num)
         conv = [0] * (2 * phi - 1)
         nonzero_b = [(j, y) for j, y in enumerate(b.num) if y]
@@ -257,7 +282,7 @@ class CycloNumber:
         signed = self.signed_root_power()
         if signed is not None:
             s, k = signed
-            return _cached_signed_root(s if n % 2 else 1, (k * n) % self.order, self.order)
+            return _signed_root(s if n % 2 else 1, (k * n) % self.order, self.order)
         if n < 0:
             return self.inverse() ** (-n)
         result = CycloNumber.from_rational(1, self.order)
@@ -275,7 +300,7 @@ class CycloNumber:
         signed = self.signed_root_power()
         if signed is not None:
             s, k = signed
-            return _cached_signed_root(s, -k % self.order, self.order)
+            return _signed_root(s, -k % self.order, self.order)
         # extended Euclid on (Phi_m, num) over Z; each row keeps s * num == r
         # (mod Phi_m), and Phi_m is irreducible, so the last r is a constant c
         r0, s0 = list(cyclotomic_coeffs(self.order)), [0]
@@ -384,19 +409,11 @@ def _fold(acc: list, terms, table) -> list:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _cached_signed_root(sign: int, k: int, m: int) -> CycloNumber:
-    rep = _power_table(m)[k]
-    num = CycloNumber._raw(m, rep if sign == 1 else tuple(-c for c in rep))
-    num._signed = _signed_power_index(m)[num.num]
-    return num
-
-
 def root_of_unity(k: int, m: int) -> CycloNumber:
     """zeta_m^k in reduced form; depends only on k mod m."""
     if m < 1:
         raise InputError(f"order must be positive, got {m}")
-    return _cached_signed_root(1, k % m, m)
+    return _signed_root(1, k % m, m)
 
 
 def one(m: int = 1) -> CycloNumber:

@@ -107,8 +107,8 @@ class CartanDatum(Frozen):
         for c in self.chi:
             if c.group != self.group:
                 raise InvalidDatum("character outside the datum's group")
-        m, ns = self.group.exponent, self.group.invariant_factors
-        scaled = [[a * (m // n) for a, n in zip(c.exp, ns)] for c in self.chi]
+        m, scale = self.group.exponent, self.group.scale
+        scaled = [[a * s for a, s in zip(c.exp, scale)] for c in self.chi]
         e = tuple(tuple(sum(map(mul, s, x.exp)) % m for s in scaled) for x in self.g)
         set_field(self, "braiding_exponents", e)  # q_ij = chi_j(g_i) = zeta_N^e_ij
         for i in range(t):
@@ -410,7 +410,8 @@ def inner_witness_search(datum: CartanDatum, targets: tuple[int, ...]) -> GroupE
             f"witness solver needs {len(active)} group factors on which a character is "
             f"nontrivial, over the limit of {MAX_WITNESS_RANK}"
         )
-    rows = [[c.exp[i] * (m // ns[i]) for i in active] for c in datum.chi]
+    scale = datum.group.scale
+    rows = [[c.exp[i] * scale[i] for i in active] for c in datum.chi]
     x = _first_solution([ns[i] for i in active], rows, targets, m)
     if x is None:
         return None

@@ -5,10 +5,18 @@ are both stored as exponent vectors reduced mod n_i, which makes equality
 canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
-The order and exponent are computed once, each inverse on first use, and
-identity() reads the interned element.  Every element is built by the
-interning AbelianGroup.element.  from_json takes only lists of integers
-(errors.read_ints): a float or boolean exponent is an input error.
+
+Groups and elements are interned.  AbelianGroup(factors) returns the one group
+of its factor tuple, kept for the life of the process like the cyclotomic
+power tables, and group.element(exps) the one element of its reduced
+exponents.  So equal groups and equal elements are the same object: both
+compare and hash by identity, and each group's element and product tables are
+filled once per process and shared by every datum and algebra over it.  They
+hold only what some call computed.  Characters are values (errors.Record).
+The order, exponent and scale vector are computed once per group, each
+inverse on first use, and identity() reads the interned element.  from_json
+takes only lists of integers (errors.read_ints): a float or boolean exponent
+is an input error.
 """
 
 from __future__ import annotations
@@ -27,20 +35,32 @@ if TYPE_CHECKING:
 ENUMERATION_BOUND = 10**6
 
 
-class AbelianGroup(Frozen, Record):
-    """Equal and hashed by its invariant factors."""
+_GROUPS: dict[tuple[int, ...], AbelianGroup] = {}  # factors -> the one group
 
-    _compared = ("invariant_factors",)
 
-    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
-        if any(n < 1 for n in invariant_factors):
-            raise InputError(f"invariant factors must be >= 1: {invariant_factors}")
-        factors = tuple(int(n) for n in invariant_factors)
-        set_field(self, "invariant_factors", factors)
-        set_field(self, "order", prod(factors))
-        set_field(self, "exponent", lcm(*factors))
-        set_field(self, "_interned", {})  # exponent tuple -> GroupElement
-        set_field(self, "_mul_cache", {})  # (exp, exp) -> GroupElement
+class AbelianGroup(Frozen):
+    """One object per invariant-factor tuple, so compared and hashed by identity."""
+
+    def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
+        factors = tuple(invariant_factors)  # read once: an iterator is not read twice
+        if any(n < 1 for n in factors):
+            raise InputError(f"invariant factors must be >= 1: {factors}")
+        factors = tuple(int(n) for n in factors)
+        group = _GROUPS.get(factors)
+        if group is None:
+            group = object.__new__(cls)
+            m = lcm(*factors)
+            set_field(group, "invariant_factors", factors)
+            set_field(group, "order", prod(factors))
+            set_field(group, "exponent", m)
+            set_field(group, "scale", tuple(m // n for n in factors))  # zeta_n_i = zeta_m^scale_i
+            set_field(group, "_interned", {})  # exponent tuple -> GroupElement
+            set_field(group, "_mul_cache", {})  # (GroupElement, GroupElement) -> product
+            group = _GROUPS.setdefault(factors, group)  # atomic: one group even if threads race
+        return group
+
+    def __reduce__(self):  # a copy or an unpickled group is the interned one
+        return AbelianGroup, (self.invariant_factors,)
 
     @property
     def rank(self) -> int:
@@ -56,8 +76,7 @@ class AbelianGroup(Frozen, Record):
         key = tuple(int(e) % n for e, n in zip(exponents, self.invariant_factors))
         got = self._interned.get(key)
         if got is None:
-            got = GroupElement(self, key)
-            self._interned[key] = got
+            got = self._interned.setdefault(key, GroupElement(self, key))
         return got
 
     def generator(self, i: int) -> GroupElement:
@@ -72,15 +91,12 @@ class AbelianGroup(Frozen, Record):
         return Character(self, (0,) * self.rank)
 
     def elements(self) -> Iterator[GroupElement]:
-        """All elements exactly once, lexicographic in the exponent vectors."""
+        """All elements exactly once, lexicographic in the exponent vectors.
+        Each is interned, so the group keeps all of them for the process."""
         if self.order > ENUMERATION_BOUND:
             raise GroupTooLarge(f"group order {self.order} exceeds bound {ENUMERATION_BOUND}")
         for exps in product(*map(range, self.invariant_factors)):
             yield self.element(exps)
-
-    def characters(self) -> Iterator[Character]:
-        for g in self.elements():
-            yield Character(self, g.exp)
 
     def to_json(self) -> dict:
         return {"invariant_factors": list(self.invariant_factors)}
@@ -100,30 +116,28 @@ class AbelianGroup(Frozen, Record):
 
 
 def _check_same_group(a, b) -> None:
-    if a.group != b.group:
+    if a.group is not b.group:
         raise GroupMismatch(f"operands live in {a.group} and {b.group}")
 
 
-class GroupElement(Frozen, Record):
-    """Built only by AbelianGroup.element, which reduces exp mod the factors.
-    Equal and hashed by group and exponents; never equal to a Character."""
-
-    _compared = ("group", "exp")
+class GroupElement(Frozen):
+    """Built only by AbelianGroup.element, which reduces exp mod the factors
+    and interns the result: compared and hashed by identity, and never equal
+    to a Character."""
 
     def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
         set_field(self, "group", group)
         set_field(self, "exp", exp)
-        set_field(self, "_hash", hash((group.invariant_factors, exp)))
 
-    def __hash__(self) -> int:  # cached at construction: the smash engine keys dicts by elements
-        return self._hash
+    def __reduce__(self):  # a copy or an unpickled element is the interned one
+        return self.group.element, (self.exp,)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         group = self.group
         if other.group is not group:
-            _check_same_group(self, other)
+            _check_same_group(self, other)  # raises GroupMismatch
         cache = group._mul_cache
-        key = (self.exp, other.exp)
+        key = (self, other)
         got = cache.get(key)
         if got is None:
             got = group.element(tuple(a + b for a, b in zip(self.exp, other.exp)))
@@ -164,11 +178,10 @@ class Character(Frozen, Record):
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""
         _check_same_group(self, g)
-        m = self.group.exponent
         total = 0
-        for a, e, n in zip(self.exp, g.exp, self.group.invariant_factors):
-            total += a * e * (m // n)
-        return total % m
+        for a, e, s in zip(self.exp, g.exp, self.group.scale):
+            total += a * e * s
+        return total % self.group.exponent
 
     def __call__(self, g: GroupElement) -> CycloNumber:
         return root_of_unity(self.value_exponent(g), self.group.exponent)

@@ -22,6 +22,12 @@ settings.register_profile(
 settings.load_profile("cyhopf")
 
 
+def characters(group: AbelianGroup) -> list:
+    """Every character of the group, one per exponent vector, in the order of
+    group.elements()."""
+    return [group.character(g.exp) for g in group.elements()]
+
+
 def type_a(n: int) -> list[list[int]]:
     """Rows of the Cartan matrix of type A_n."""
     return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -15,10 +16,12 @@ from cyhopf import (
     CartanMatrix,
     CyReport,
     GroupActionData,
+    GroupElement,
     LieAlgebraData,
     LinkingParameter,
     Root,
     check_cy,
+    groups,
     one,
 )
 from cyhopf.datum import CriterionResult
@@ -73,9 +76,17 @@ def _library_classes() -> list[type]:
     return classes
 
 
+def _unbuilt_factors() -> tuple[int, ...]:
+    """Factors whose group no earlier test built: groups are interned, so
+    building an old one again sets no field."""
+    return next((n,) for n in count(2) if (n,) not in groups._GROUPS)
+
+
 def test_each_field_of_a_frozen_object_is_set_once(monkeypatch):
     """Frozen's contract: __init__ sets each field once.  Every module's
-    set_field is counted while one object of each Frozen class is built."""
+    set_field is counted while one object of each Frozen class is built,
+    among them a group no earlier test built and one of its elements, each
+    built twice."""
     counts = Counter()
     built = []  # keeps every counted object alive, so that no id is reused
 
@@ -90,6 +101,12 @@ def test_each_field_of_a_frozen_object_is_set_once(monkeypatch):
             monkeypatch.setattr(module, "set_field", counting_set_field)
     objects = [obj for obj, _ in _frozen_objects()]
     objects.append(GroupActionData(AbelianGroup((2,)), (((-1,),),)))
+    factors = _unbuilt_factors()
+    fresh = AbelianGroup(factors)
+    objects += [fresh, fresh.element((1,)), AbelianGroup(factors).element((1,)).inverse()]
+    assert objects[-2] is fresh.element((1,)) and objects[-1].inverse() is objects[-2]
+    assert {name for obj_id, _, name in counts if obj_id == id(fresh)} >= {
+        "invariant_factors", "order", "exponent", "scale"}
     assert {type(obj) for obj in objects} == {
         cls for cls in _library_classes() if issubclass(cls, Frozen) and cls is not Frozen}
     assert {name for _, name, _ in counts} == {type(obj).__name__ for obj in objects}
@@ -102,8 +119,12 @@ def _report_fields(report: CyReport) -> dict:
 
 KEPT = check_cy(a1a1_znzn_datum(3))  # cy_smash holds, so any changed xi stays trivial
 G46 = (4, 6)
-# (instance, an equal instance that is another object, one instance per compared
-# field, in _compared order, that differs from the first in that field alone)
+# Interned classes: one object per value, compared and hashed by identity.
+# Each maps to the fields that make its value, in place of _compared.
+INTERNED = {AbelianGroup: ("invariant_factors",), GroupElement: ("group", "exp")}
+# (instance, an equal instance built again, which is another object unless its
+# class is interned, one instance per compared field, in _compared order, that
+# differs from the first in that field alone)
 RECORDS = [
     (CartanMatrix(((2, -1), (-1, 2))), CartanMatrix([[2, -1], [-1, 2]]),
      [CartanMatrix(((2, -2), (-1, 2)))]),
@@ -143,14 +164,21 @@ def test_only_the_equality_bases_define_eq():
 
 
 def test_every_record_class_is_covered():
-    assert {type(a) for a, _, _ in RECORDS} == {
-        cls for cls in _library_classes() if issubclass(cls, Record) and cls is not Record}
+    records = {cls for cls in _library_classes() if issubclass(cls, Record) and cls is not Record}
+    assert not records & INTERNED.keys()
+    assert {type(a) for a, _, _ in RECORDS} == records | INTERNED.keys()
+
+
+def test_groups_and_elements_compare_and_hash_by_identity():
+    for cls in INTERNED:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert "_hash" not in vars(AbelianGroup(G46).element((1, 2)))
 
 
 @pytest.mark.parametrize("a, b, changed", RECORDS, ids=[type(a).__name__ for a, _, _ in RECORDS])
 def test_a_record_equals_by_its_compared_fields(a, b, changed):
-    assert a is not b and a == b and not a != b
-    assert len(changed) == len(type(a)._compared)
+    assert (a is b) == (type(a) in INTERNED) and a == b and not a != b
+    assert len(changed) == len(INTERNED.get(type(a)) or type(a)._compared)
     for other in changed:
         assert a != other and not a == other
     if type(a) in UNHASHABLE:
@@ -175,7 +203,8 @@ def test_equal_values_are_equal_and_hash_equal():
         (CriterionResult("c", True, "d"), CriterionResult("c", True, "d")),
     ]
     for a, b in pairs:
-        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert (a is b) == (type(a) in INTERNED)
+        assert a == b and not a != b and hash(a) == hash(b)
     assert Root((1, 0)) != Root((0, 1))
     assert CartanMatrix(((2,),)) != CartanMatrix(((2, 0), (0, 2)))
     assert AbelianGroup((2,)) != AbelianGroup((3,))
@@ -183,6 +212,7 @@ def test_equal_values_are_equal_and_hash_equal():
 
 def test_elements_and_characters_compare_by_group_and_exponents():
     g, h = AbelianGroup((4, 6)), AbelianGroup((4, 6))
+    assert g is h and g.element((1, 2)) is h.element((5, 8))
     assert g.element((1, 2)) == h.element((5, 8))
     assert hash(g.element((1, 2))) == hash(h.element((1, 2)))
     assert g.character((1, 2)) == h.character((5, 8))

@@ -54,6 +54,20 @@ def test_json_report_matches_golden_byte_for_byte(capsys, verb, stem):
     assert out == (GOLDEN / f"{stem}.{verb}.json").read_text()
 
 
+def test_every_golden_reproduces_in_one_process_forward_and_reversed(capsys):
+    """Groups, elements and signed roots are kept for the whole process, so
+    one process runs every golden call, then all of them again in reverse
+    order: no kept table may leak into a report."""
+    calls = []
+    for golden in sorted(GOLDEN.glob("*.json")):
+        stem, verb = golden.stem.rsplit(".", 1)
+        calls.append((verb, DATA / f"{stem.replace('example_', 'datum_', 1)}.json", golden))
+    assert len(calls) == 19
+    for verb, path, golden in calls + calls[::-1]:
+        code, out = run_cli(capsys, verb, str(path), "--json")
+        assert code == 0 and out == golden.read_text(), golden.name
+
+
 def test_reports_reparse_under_schema(capsys):
     cases = [
         ("check-cy", "datum_a2_z2z2.json"),

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyhopf import cyclotomic
 from cyhopf.cyclotomic import (
     CycloNumber,
     cyclotomic_coeffs,
@@ -78,6 +79,41 @@ def test_exponent_to_multiplication_homomorphism_exhaustive():
         for a in range(m):
             for b in range(m):
                 assert root_of_unity(a, m) * root_of_unity(b, m) == root_of_unity(a + b, m)
+
+
+def _generic(x: CycloNumber) -> CycloNumber:
+    """x, marked as no signed root, so that its products take the
+    convolution-and-fold path."""
+    y = CycloNumber._raw(x.order, x.num, x.den)
+    y._signed = None
+    return y
+
+
+def test_signed_root_products_are_the_convolution_products(monkeypatch):
+    """Every product +-zeta_m^j * +-zeta_m^k, m <= 36, of operands built from
+    coefficients and from JSON while the order has no root list yet, is the
+    product the generic path computes, and each is one kept object."""
+    monkeypatch.setattr(cyclotomic, "_SIGNED_ROOTS", {})
+    for m in range(1, 37):
+        ops = []
+        for k in range(m):
+            rep = cyclotomic._power_table(m)[k]
+            ops.append(CycloNumber(m, rep))
+            ops.append(CycloNumber.from_json({"order": m, "coeffs": [[str(-c), "1"] for c in rep]}))
+        assert m not in cyclotomic._SIGNED_ROOTS
+        generic = [_generic(x) for x in ops]
+        for x, gx in zip(ops, generic):
+            for y, gy in zip(ops, generic):
+                got = x * y
+                assert got == gx * gy and got.signed_root_power() is not None
+                assert x * y is got
+        assert m in cyclotomic._SIGNED_ROOTS
+
+
+def test_an_order_over_the_power_table_budget_gets_no_root_list():
+    with pytest.raises(InputError):
+        root_of_unity(1, 10001)
+    assert 10001 not in cyclotomic._SIGNED_ROOTS
 
 
 def test_inverse_pairs():

@@ -1,12 +1,16 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyhopf import groups
 from cyhopf.cyclotomic import root_of_unity
 from cyhopf.errors import GroupMismatch, GroupTooLarge, InputError
 from cyhopf.groups import AbelianGroup, GroupElement, element_from_json
+from conftest import characters
 
 invariant_factors = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
 
@@ -32,6 +36,12 @@ def test_order_and_exponent():
 def test_invalid_factor_rejected():
     with pytest.raises(InputError):
         AbelianGroup((0, 2))
+    with pytest.raises(InputError):
+        AbelianGroup(iter([2, 0]))
+
+
+def test_factors_from_an_iterator_are_read_once():
+    assert AbelianGroup(n for n in (2, 3)) is AbelianGroup((2, 3))
 
 
 def test_z2z2_character_table_values():
@@ -73,6 +83,36 @@ def test_char_ops_against_identity():
     assert (group.character((1, 0)) ** 2 * group.character((1, 1)) ** 2).is_trivial()
 
 
+def test_a_factor_tuple_has_one_group():
+    assert AbelianGroup((2, 3)) is AbelianGroup([2, 3])
+    assert AbelianGroup((2, 3)) is not AbelianGroup((3, 2))
+    assert AbelianGroup((2, 3)) is groups._GROUPS[(2, 3)]
+
+
+def test_equal_exponents_give_one_element():
+    assert AbelianGroup((4, 6)).element((1, 2)) is AbelianGroup((4, 6)).element((5, 8))
+    g = AbelianGroup((4, 6)).element((1, 2))
+    assert g * g is g * AbelianGroup((4, 6)).element((-3, 2)) is AbelianGroup((4, 6)).element((2, 4))
+
+
+def test_copies_and_pickles_are_the_interned_objects():
+    group = AbelianGroup((4, 6))
+    g = group.element((1, 2))
+    for obj in (group, g):
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    chi = group.character((1, 2))
+    assert copy.deepcopy(chi).group is group and pickle.loads(pickle.dumps(chi)) == chi
+
+
+@pytest.mark.parametrize("factors", [(0,), (-2, 3), (2, 0, 3)])
+def test_a_refused_factor_tuple_leaves_no_group(factors):
+    before = dict(groups._GROUPS)
+    with pytest.raises(InputError):
+        AbelianGroup(factors)
+    assert groups._GROUPS == before and factors not in groups._GROUPS
+
+
 def test_mismatched_groups_raise():
     a = AbelianGroup((2,))
     b = AbelianGroup((3,))
@@ -80,6 +120,14 @@ def test_mismatched_groups_raise():
         a.character((1,))(b.element((1,)))
     with pytest.raises(GroupMismatch):
         a.element((1,)) * b.element((1,))
+    with pytest.raises(GroupMismatch):
+        a.character((1,)) * b.character((1,))
+    # equal exponent vectors over groups of different factors are not one element
+    c = AbelianGroup((2, 3))
+    with pytest.raises(GroupMismatch):
+        c.element((1, 1)) * AbelianGroup((3, 2)).element((1, 1))
+    with pytest.raises(GroupMismatch):
+        c.character((1, 1))(AbelianGroup((3, 2)).element((1, 1)))
 
 
 def test_elements_enumeration():
@@ -97,7 +145,7 @@ def test_elements_enumeration():
 def test_character_group_has_group_order():
     for factors in ((2, 2), (3,), (4, 2), (2, 3)):
         group = AbelianGroup(factors)
-        chars = {c.exp for c in group.characters()}
+        chars = {c.exp for c in characters(group)}
         assert len(chars) == group.order
 
 
@@ -106,20 +154,20 @@ def test_bicharacter_pairing_exhaustive_small():
     for factors in ((2, 2), (6,), (4, 2), (2, 2, 2)):
         group = AbelianGroup(factors)
         elements = list(group.elements())
-        characters = list(group.characters())
-        for chi in characters:
+        chars = characters(group)
+        for chi in chars:
             for g in elements:
                 for h in elements:
                     assert chi(g * h) == chi(g) * chi(h)
-            for psi in characters:
+            for psi in chars:
                 for g in elements:
                     assert (chi * psi)(g) == chi(g) * psi(g)
     # spot checks at the |Gamma| <= 64 scale
     group = AbelianGroup((8, 4))
     assert group.order <= 64
     elements = list(group.elements())
-    characters = list(group.characters())
-    for chi in characters[:6] + characters[-2:]:
+    chars = characters(group)
+    for chi in chars[:6] + chars[-2:]:
         for g in elements:
             for h in elements:
                 assert chi(g * h) == chi(g) * chi(h)
