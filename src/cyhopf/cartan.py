@@ -9,6 +9,12 @@ than by matching any external table.
 Finite type is detected by the longest-word descent, capped at the most
 positive roots the rank allows.  The reflection closure gives the `roots`
 verb's closure_count and is the tests' oracle for the beta sequence.
+
+Cartan matrices are interned: CartanMatrix(rows) validates a tuple of int rows
+once per process and then returns the one matrix of those rows, so matrices
+compare and hash by identity.  Each keeps its root data, p and 2 rho per
+tie-break, in root_counts; datum fills it on first use, so every datum of one
+Cartan type shares them.
 """
 
 from __future__ import annotations
@@ -29,13 +35,17 @@ MAX_RANK = 128
 ROOT_WORK_BUDGET = 8_000_000
 
 
-class CartanMatrix(Frozen, Record):
-    """Equal and hashed by its entries."""
+_MATRICES: dict[tuple[tuple[int, ...], ...], CartanMatrix] = {}  # rows -> the one matrix
 
-    _compared = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(int(a) for a in row) for row in entries)
+class CartanMatrix(Frozen):
+    """One object per tuple of int rows, so compared and hashed by identity."""
+
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> CartanMatrix:
+        rows = tuple(tuple(map(int, row)) for row in entries)
+        matrix = _MATRICES.get(rows)
+        if matrix is not None:
+            return matrix
         t = len(rows)
         if t == 0:
             raise InputError("Cartan matrix must have rank >= 1")
@@ -50,9 +60,15 @@ class CartanMatrix(Frozen, Record):
                         raise InputError(f"off-diagonal a_{i + 1}{j + 1} must be <= 0")
                     if (a == 0) != (rows[j][i] == 0):
                         raise InputError(f"a_{i + 1}{j + 1} and a_{j + 1}{i + 1} must vanish together")
-        a1_power = all(a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j)
-        set_field(self, "entries", rows)
-        set_field(self, "_a1_power", a1_power)
+        matrix = object.__new__(cls)
+        set_field(matrix, "entries", rows)
+        set_field(matrix, "_a1_power", all(
+            a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j))
+        set_field(matrix, "root_counts", {})  # tie-break -> (p, 2 rho), filled by datum
+        return _MATRICES.setdefault(rows, matrix)  # atomic: one matrix even if threads race
+
+    def __reduce__(self):  # a copy or an unpickled matrix is the interned one
+        return CartanMatrix, (self.entries,)
 
     @property
     def rank(self) -> int:

@@ -39,7 +39,9 @@ c_k^{-1}, so it holds iff the braided factor is CY.  quantum_affine_report is
 check_cy restricted to these data.
 
 The longest word and 2 rho, hence p and xi, are derived per tie-break ("min"
-or "max", memoized per matrix), so the two cross-check each other.  The
+or "max"), so the two cross-check each other.  p and 2 rho are computed once
+per interned matrix and tie-break and kept on the matrix
+(CartanMatrix.root_counts), so every datum of one Cartan type shares them.  The
 witness does not depend on the tie-break; it is computed on first use and
 kept on its datum (CartanDatum.squared_antipode_witness), and so is
 check_cy's report for each tie-break (CartanDatum.reports).  Building a datum
@@ -48,7 +50,7 @@ computes none of them.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from operator import mul
 
@@ -273,12 +275,16 @@ def chi_beta(datum: CartanDatum, root: Root) -> Character:
     return _chi_product(datum, root.coeffs)
 
 
-@lru_cache(maxsize=128)
 def _root_counts(cartan: CartanMatrix, tie_break: str) -> tuple[int, Root]:
     """Positive-root count p and 2 rho, the sum of the positive roots, from one
-    reduced longest word; computed once per matrix and tie-break."""
-    betas = beta_sequence(cartan, longest_word(cartan, tie_break))
-    return len(betas), Root(tuple(map(sum, zip(*(b.coeffs for b in betas)))))
+    reduced longest word; computed once per matrix and tie-break and kept on
+    the matrix."""
+    kept = cartan.root_counts.get(tie_break)
+    if kept is None:
+        betas = beta_sequence(cartan, longest_word(cartan, tie_break))
+        kept = len(betas), Root(tuple(map(sum, zip(*(b.coeffs for b in betas)))))
+        cartan.root_counts[tie_break] = kept
+    return kept
 
 
 def _root_data(datum: CartanDatum, tie_break: str) -> tuple[int, Character]:
@@ -361,12 +367,12 @@ def _first_solution(ns, rows, targets, m: int) -> list[int] | None:
     basis = [[int(i == j) % n for i, n in enumerate(ns)] for j in range(r)]
     x0 = [0] * r
     for coeffs, target in zip(rows, targets):
-        vals = [sum(c * y for c, y in zip(coeffs, vec)) % m for vec in basis]
+        vals = [sum(map(mul, coeffs, vec)) % m for vec in basis]
         for j in range(1, r):
             if vals[j]:
                 vals[0], basis[0], basis[j] = _combine(basis[0], basis[j], vals[0], vals[j], ns)
         h, inv, _ = _xgcd(vals[0], m)
-        residual = (target - sum(c * x for c, x in zip(coeffs, x0))) % m
+        residual = (target - sum(map(mul, coeffs, x0))) % m
         if residual % h:
             return None
         q = residual // h * inv

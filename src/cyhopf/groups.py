@@ -6,13 +6,15 @@ canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
 
-Groups and elements are interned.  AbelianGroup(factors) returns the one group
-of its factor tuple, kept for the life of the process like the cyclotomic
-power tables, and group.element(exps) the one element of its reduced
-exponents.  So equal groups and equal elements are the same object: both
-compare and hash by identity, and each group's element and product tables are
-filled once per process and shared by every datum and algebra over it.  They
-hold only what some call computed.  Characters are values (errors.Record).
+Groups, elements and characters are interned.  AbelianGroup(factors) returns
+the one group of its factor tuple, kept for the life of the process like the
+cyclotomic power tables, and group.element(exps) and Character(group, exps)
+the one element and the one character of their reduced exponents, so a
+group's tables hold at most |Gamma| of each.  So equal values are the same
+object: all three compare and hash by identity, and each group's element,
+product and character tables are filled once per process and shared by every
+datum and algebra over it.  They hold only what some call computed.  An
+element times a character, or a character times an element, is a TypeError.
 The order, exponent and scale vector are computed once per group, each
 inverse on first use, and identity() reads the interned element.  from_json
 takes only lists of integers (errors.read_ints): a float or boolean exponent
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from itertools import product
 from math import lcm, prod
+from operator import mod
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import (Frozen, GroupMismatch, GroupTooLarge, InputError, Record, read_ints,
-                     set_field)
+from .errors import Frozen, GroupMismatch, GroupTooLarge, InputError, read_ints, set_field
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -56,6 +58,7 @@ class AbelianGroup(Frozen):
             set_field(group, "scale", tuple(m // n for n in factors))  # zeta_n_i = zeta_m^scale_i
             set_field(group, "_interned", {})  # exponent tuple -> GroupElement
             set_field(group, "_mul_cache", {})  # (GroupElement, GroupElement) -> product
+            set_field(group, "_characters", {})  # exponent tuple -> Character
             group = _GROUPS.setdefault(factors, group)  # atomic: one group even if threads race
         return group
 
@@ -73,7 +76,7 @@ class AbelianGroup(Frozen):
         """Interned element constructor; exponents are reduced mod n_i."""
         if len(exponents) != self.rank:
             raise InputError(f"element needs {self.rank} exponents, got {len(exponents)}")
-        key = tuple(int(e) % n for e, n in zip(exponents, self.invariant_factors))
+        key = tuple(map(mod, map(int, exponents), self.invariant_factors))
         got = self._interned.get(key)
         if got is None:
             got = self._interned.setdefault(key, GroupElement(self, key))
@@ -133,6 +136,8 @@ class GroupElement(Frozen):
         return self.group.element, (self.exp,)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
         group = self.group
         if other.group is not group:
             _check_same_group(self, other)  # raises GroupMismatch
@@ -162,18 +167,26 @@ class GroupElement(Frozen):
         return {"exp": list(self.exp)}
 
 
-class Character(Frozen, Record):
-    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}.
-    Equal and hashed by group and exponents; never equal to a GroupElement."""
+class Character(Frozen):
+    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}.  One
+    object per group and exponents reduced mod n_i, so compared and hashed by
+    identity, and never equal to a GroupElement."""
 
-    _compared = ("group", "exp")
-
-    def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
+    def __new__(cls, group: AbelianGroup, exp: tuple[int, ...]) -> Character:
         ns = group.invariant_factors
         if len(exp) != len(ns):
             raise InputError(f"character needs {len(ns)} exponents, got {len(exp)}")
-        set_field(self, "group", group)
-        set_field(self, "exp", tuple(int(a) % n for a, n in zip(exp, ns)))
+        key = tuple(map(mod, map(int, exp), ns))
+        chi = group._characters.get(key)
+        if chi is None:
+            chi = object.__new__(cls)
+            set_field(chi, "group", group)
+            set_field(chi, "exp", key)
+            chi = group._characters.setdefault(key, chi)
+        return chi
+
+    def __reduce__(self):  # a copy or an unpickled character is the interned one
+        return Character, (self.group, self.exp)
 
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""
@@ -187,6 +200,8 @@ class Character(Frozen, Record):
         return root_of_unity(self.value_exponent(g), self.group.exponent)
 
     def __mul__(self, other: Character) -> Character:
+        if other.__class__ is not Character:
+            return NotImplemented
         _check_same_group(self, other)
         return Character(self.group, tuple(a + b for a, b in zip(self.exp, other.exp)))
 

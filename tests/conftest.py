@@ -1,8 +1,10 @@
 import random
+from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cyhopf import cartan
 from cyhopf import (
     AbelianGroup,
     CartanDatum,
@@ -31,6 +33,30 @@ def characters(group: AbelianGroup) -> list:
 def type_a(n: int) -> list[list[int]]:
     """Rows of the Cartan matrix of type A_n."""
     return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def a1_power(n: int) -> list[list[int]]:
+    """Rows of the Cartan matrix of type A1 x ... x A1, n factors."""
+    return [[2 * (i == j) for j in range(n)] for i in range(n)]
+
+
+def unbuilt_rows(family) -> tuple[tuple[int, ...], ...]:
+    """family(n) for the least n >= 1 whose matrix no earlier test built, as a
+    tuple of rows: matrices are interned with their root data, so building an
+    old one again sets no field and computes no root data."""
+    return next(rows for rows in (tuple(map(tuple, family(n))) for n in count(1))
+                if rows not in cartan._MATRICES)
+
+
+def unbuilt_datum(family) -> CartanDatum:
+    """A datum on the matrix unbuilt_rows(family), over (Z3)^n with g_i = e_i
+    and chi_j = zeta_3^{a_ij} on factor i, so q_ij = zeta_3^{a_ij}.  family(n)
+    must be symmetric, which gives q_ij q_ji = q_ii^{a_ij}."""
+    rows = unbuilt_rows(family)
+    n = len(rows)
+    group = AbelianGroup((3,) * n)
+    chi = tuple(group.character([row[j] for row in rows]) for j in range(n))
+    return CartanDatum(group, tuple(map(group.generator, range(n))), chi, CartanMatrix(rows))
 
 
 def a2_z2z2_datum() -> CartanDatum:

@@ -1,9 +1,12 @@
+import copy
+import pickle
+import random
 import time
 
 import pytest
 
 from cyhopf import cartan as cartan_module
-from cyhopf import cli, datum
+from cyhopf import cli
 from cyhopf.cartan import (
     CartanMatrix,
     Root,
@@ -15,7 +18,8 @@ from cyhopf.cartan import (
 )
 from cyhopf.datum import check_cy, quantum_affine_report
 from cyhopf.errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced
-from conftest import a1a1_znzn_datum, a2_z2z2_datum, type_a
+from cyhopf.sampling import random_a1t_datum, random_cartan_datum
+from conftest import a1_power, a1a1_znzn_datum, a2_z2z2_datum, type_a, unbuilt_datum
 
 A1 = CartanMatrix(((2,),))
 A1xA1 = CartanMatrix(((2, 0), (0, 2)))
@@ -162,6 +166,36 @@ def test_non_reduced_words_rejected():
         beta_sequence(A2, (0, 5))
 
 
+def test_a_row_tuple_has_one_matrix():
+    assert CartanMatrix([[2, -1], [-1, 2]]) is A2 is cartan_module._MATRICES[((2, -1), (-1, 2))]
+    assert CartanMatrix.from_json([[2, -1], [-1, 2]]) is A2
+    assert CartanMatrix(iter([(2, -1), [-1, 2]])) is A2
+    assert CartanMatrix(((2, -2), (-1, 2))) is not B2 and B2 is CartanMatrix(B2.entries)
+    rng = random.Random(5)
+    for name in ("A2", "B2", "G2"):
+        drawn = random_cartan_datum(rng, name).cartan
+        assert drawn is random_cartan_datum(rng, name).cartan is CartanMatrix(drawn.entries)
+    assert random_a1t_datum(rng, t=2).cartan is A1xA1 is random_a1t_datum(rng, t=2).cartan
+
+
+@pytest.mark.parametrize(
+    "rows", [((2, -1),), ((2, -1), (-1, 3)), ((2, 0), (-1, 2)), ((2, 1), (-1, 2)), ()],
+    ids=["non-square", "diagonal-3", "one-sided-zero", "positive", "empty"])
+def test_a_refused_matrix_leaves_no_entry(rows):
+    before = dict(cartan_module._MATRICES)
+    with pytest.raises(InputError):
+        CartanMatrix(rows)
+    assert cartan_module._MATRICES == before and rows not in cartan_module._MATRICES
+
+
+def test_copies_and_pickles_are_the_interned_matrix():
+    check_cy(a2_z2z2_datum())  # A2 keeps its root data
+    for obj in (A2, A1xA1):
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    assert "min" in copy.deepcopy(A2).root_counts
+
+
 def test_a1_power_detection():
     assert A1xA1.is_a1_power()
     assert A1.is_a1_power()
@@ -277,7 +311,8 @@ def test_descent_refuses_infinite_types_fast(rows):
 
 def test_only_the_roots_verb_runs_the_closure(monkeypatch, tmp_path, capsys):
     """check_cy with either tie-break and quantum_affine_report never compute
-    the reflection closure; the roots verb computes it exactly once."""
+    the reflection closure, also on matrices whose root data they compute
+    here; the roots verb computes it exactly once."""
     calls = []
 
     def counting_closure(cartan):
@@ -285,12 +320,15 @@ def test_only_the_roots_verb_runs_the_closure(monkeypatch, tmp_path, capsys):
         return positive_roots_closure(cartan)
 
     monkeypatch.setattr(cartan_module, "positive_roots_closure", counting_closure)
-    datum._root_counts.cache_clear()
-    for d in (a2_z2z2_datum(), a1a1_znzn_datum(3)):
+    fresh = [unbuilt_datum(type_a), unbuilt_datum(a1_power)]
+    assert [d.cartan.root_counts for d in fresh] == [{}, {}]
+    for d in (a2_z2z2_datum(), a1a1_znzn_datum(3), *fresh):
         for tie in ("min", "max"):
             check_cy(d, tie_break=tie)
     quantum_affine_report(a1a1_znzn_datum(3))
+    quantum_affine_report(unbuilt_datum(a1_power))
     assert calls == []
+    assert [set(d.cartan.root_counts) for d in fresh] == [{"min", "max"}] * 2
     path = tmp_path / "a3.json"
     path.write_text('{"schema": "cy-hopf/1", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}')
     assert cli.main(["roots", str(path), "--json"]) == 0

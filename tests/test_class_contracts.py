@@ -14,6 +14,7 @@ from cyhopf import (
     AbelianGroup,
     CartanDatum,
     CartanMatrix,
+    Character,
     CyReport,
     GroupActionData,
     GroupElement,
@@ -28,7 +29,7 @@ from cyhopf.datum import CriterionResult
 from cyhopf.errors import Frozen, InternalError, InvalidDatum, Record
 from cyhopf.rewriting import ConfluenceReport, OverlapResult
 from cyhopf.smash import CheckEntry, CheckReport
-from conftest import a1a1_znzn_datum, a2_z2z2_datum
+from conftest import a1_power, a1a1_znzn_datum, a2_z2z2_datum, unbuilt_rows
 
 
 def _frozen_objects():
@@ -85,8 +86,8 @@ def _unbuilt_factors() -> tuple[int, ...]:
 def test_each_field_of_a_frozen_object_is_set_once(monkeypatch):
     """Frozen's contract: __init__ sets each field once.  Every module's
     set_field is counted while one object of each Frozen class is built,
-    among them a group no earlier test built and one of its elements, each
-    built twice."""
+    among them a group, a matrix and a character no earlier test built and
+    one element of that group, each built twice."""
     counts = Counter()
     built = []  # keeps every counted object alive, so that no id is reused
 
@@ -105,8 +106,17 @@ def test_each_field_of_a_frozen_object_is_set_once(monkeypatch):
     fresh = AbelianGroup(factors)
     objects += [fresh, fresh.element((1,)), AbelianGroup(factors).element((1,)).inverse()]
     assert objects[-2] is fresh.element((1,)) and objects[-1].inverse() is objects[-2]
-    assert {name for obj_id, _, name in counts if obj_id == id(fresh)} >= {
-        "invariant_factors", "order", "exponent", "scale"}
+    rows = unbuilt_rows(a1_power)
+    matrix, chi = CartanMatrix(rows), fresh.character((1,))
+    objects += [matrix, CartanMatrix(list(rows)), chi, AbelianGroup(factors).character((-1,))]
+    assert objects[-3] is matrix and objects[-1].inverse() is chi
+
+    def fields(obj) -> set[str]:
+        return {name for obj_id, _, name in counts if obj_id == id(obj)}
+
+    assert fields(fresh) >= {"invariant_factors", "order", "exponent", "scale", "_characters"}
+    assert fields(matrix) == {"entries", "_a1_power", "root_counts"}
+    assert fields(chi) == {"group", "exp"}
     assert {type(obj) for obj in objects} == {
         cls for cls in _library_classes() if issubclass(cls, Frozen) and cls is not Frozen}
     assert {name for _, name, _ in counts} == {type(obj).__name__ for obj in objects}
@@ -121,7 +131,8 @@ KEPT = check_cy(a1a1_znzn_datum(3))  # cy_smash holds, so any changed xi stays t
 G46 = (4, 6)
 # Interned classes: one object per value, compared and hashed by identity.
 # Each maps to the fields that make its value, in place of _compared.
-INTERNED = {AbelianGroup: ("invariant_factors",), GroupElement: ("group", "exp")}
+INTERNED = {AbelianGroup: ("invariant_factors",), GroupElement: ("group", "exp"),
+            CartanMatrix: ("entries",), Character: ("group", "exp")}
 # (instance, an equal instance built again, which is another object unless its
 # class is interned, one instance per compared field, in _compared order, that
 # differs from the first in that field alone)

@@ -10,6 +10,7 @@ from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simpl
 from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
 from cyhopf.datum import (
     CartanDatum,
+    CyReport,
     LinkingParameter,
     check_cy,
     check_cy_braided,
@@ -22,9 +23,9 @@ from cyhopf.datum import (
 )
 from cyhopf.datum import _first_solution
 from cyhopf.errors import InputError, InvalidDatum, NegativeRoot, WrongCartanType
-from cyhopf.groups import AbelianGroup
+from cyhopf.groups import AbelianGroup, Character
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
-from conftest import a1a1_znzn_datum, a2_z2z2_datum
+from conftest import a1_power, a1a1_znzn_datum, a2_z2z2_datum, type_a, unbuilt_datum
 
 
 def hdet_quantum_affine(datum):
@@ -480,18 +481,48 @@ def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
         calls.append((cartan, tie_break))
         return longest_word(cartan, tie_break)
 
-    datum_module._root_counts.cache_clear()
     monkeypatch.setattr(datum_module, "longest_word", counting_longest_word)
     rng = random.Random(77)
     data = [random_cartan_datum(rng) for _ in range(30)] + [random_a1t_datum(rng) for _ in range(30)]
+    assert len({d.cartan for d in data}) < len(data)  # data share matrices
+    fresh = [unbuilt_datum(type_a), unbuilt_datum(a1_power)]
+    data += fresh
+    # root data live on the interned matrix, so an earlier test may have computed some
+    pairs = {(d.cartan, tb) for d in data for tb in ("min", "max")}
+    missing = {(c, tb) for c, tb in pairs if tb not in c.root_counts}
+    assert {(d.cartan, tb) for d in fresh for tb in ("min", "max")} <= missing
     for datum in data:
         for tie_break in ("min", "max"):
             check_cy(datum, tie_break)
             integral_character(datum, tie_break)
-    pairs = {(d.cartan, tb) for d in data for tb in ("min", "max")}
-    assert sorted(calls, key=repr) == sorted(pairs, key=repr)
-    assert len(calls) == len(pairs) < 2 * len(data)
-    datum_module._root_counts.cache_clear()
+    assert sorted(calls, key=repr) == sorted(missing, key=repr)
+    assert len(calls) == len(missing)
+    calls.clear()
+    for d in data:  # new data on the same matrices: check_cy keeps no report across data
+        datum = CartanDatum(d.group, d.g, d.chi, CartanMatrix(d.cartan.entries), d.linking)
+        for tie_break in ("min", "max"):
+            assert check_cy(datum, tie_break) == check_cy(d, tie_break)
+            integral_character(datum, tie_break)
+    assert calls == []
+
+
+def test_a_report_equals_one_rebuilt_field_by_field():
+    """Characters and elements are interned, so a report rebuilt from the
+    exponents of its characters and witness equals the kept one."""
+    rng = random.Random(25)
+    data = [random_cartan_datum(rng) for _ in range(20)] + [random_a1t_datum(rng) for _ in range(20)]
+    for d in data:
+        for tie_break in ("min", "max"):
+            report = check_cy(d, tie_break)
+            fields = {name: getattr(report, name) for name in CyReport._compared}
+            fields["integral_character"] = d.group.character(report.integral_character.exp)
+            if report.hdet is not None:
+                fields["hdet"] = Character(d.group, report.hdet.exp)
+            if report.inner_witness is not None:
+                scalar, g = report.inner_witness
+                fields["inner_witness"] = (scalar, d.group.element(g.exp))
+            rebuilt = CyReport(**fields)
+            assert rebuilt == report and rebuilt.integral_character is report.integral_character
 
 
 def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeypatch):

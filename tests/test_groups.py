@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cyhopf import groups
 from cyhopf.cyclotomic import root_of_unity
 from cyhopf.errors import GroupMismatch, GroupTooLarge, InputError
-from cyhopf.groups import AbelianGroup, GroupElement, element_from_json
+from cyhopf.groups import (AbelianGroup, Character, GroupElement, character_from_json,
+                           element_from_json)
 from conftest import characters
 
 invariant_factors = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
@@ -98,11 +99,33 @@ def test_equal_exponents_give_one_element():
 def test_copies_and_pickles_are_the_interned_objects():
     group = AbelianGroup((4, 6))
     g = group.element((1, 2))
-    for obj in (group, g):
+    chi = group.character((1, 2))
+    for obj in (group, g, chi):
         assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
         assert pickle.loads(pickle.dumps(obj)) is obj
-    chi = group.character((1, 2))
-    assert copy.deepcopy(chi).group is group and pickle.loads(pickle.dumps(chi)) == chi
+
+
+def test_equal_exponents_give_one_character():
+    group = AbelianGroup((2, 3))
+    chi = group.character((1, 1))
+    assert Character(group, (5, 7)) is chi is character_from_json(group, {"exp": [3, -2]})
+    assert chi * chi.inverse() is group.trivial_character() is Character(group, (2, 3))
+    assert chi ** 7 is chi and chi * chi is group.character((0, 2))
+    for exps in product(range(-7, 8), repeat=2):  # the table holds at most |Gamma| characters
+        group.character(exps)
+    assert len(group._characters) == group.order
+    with pytest.raises(InputError):
+        Character(group, (1,))
+
+
+def test_an_element_times_a_character_is_a_type_error():
+    group = AbelianGroup((2, 3))
+    g, chi = group.element((1, 1)), group.character((1, 2))
+    assert g.__mul__(chi) is NotImplemented and chi.__mul__(g) is NotImplemented
+    with pytest.raises(TypeError):
+        g * chi
+    with pytest.raises(TypeError):
+        chi * g
 
 
 @pytest.mark.parametrize("factors", [(0,), (-2, 3), (2, 0, 3)])
