@@ -12,7 +12,11 @@ verb's closure_count and is the tests' oracle for the beta sequence.
 
 Cartan matrices are interned: CartanMatrix(rows) validates a tuple of int rows
 once per process and then returns the one matrix of those rows, so matrices
-compare and hash by identity.  Each keeps its root data, p and 2 rho per
+compare and hash by identity.  The argument is looked up as given before it
+is read: a tuple of int tuples already built is one dictionary lookup with no
+validation.  List rows (unhashable), an iterator or non-int entries miss, and
+are read into int tuples, looked up again and validated if new; only a valid
+new matrix adds an entry.  Each keeps its root data, p and 2 rho per
 tie-break, in root_counts; datum fills it on first use, so every datum of one
 Cartan type shares them.
 """
@@ -42,6 +46,10 @@ class CartanMatrix(Frozen):
     """One object per tuple of int rows, so compared and hashed by identity."""
 
     def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> CartanMatrix:
+        try:  # a tuple of rows already built is one lookup, before any reading
+            return _MATRICES[entries]
+        except (KeyError, TypeError):  # new, or unhashable such as list rows: read below
+            pass
         rows = tuple(tuple(map(int, row)) for row in entries)
         matrix = _MATRICES.get(rows)
         if matrix is not None:

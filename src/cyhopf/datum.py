@@ -38,14 +38,19 @@ balance criterion q_{1k}...q_{(k-1)k} = q_{k(k+1)}...q_{kt} has residual
 c_k^{-1}, so it holds iff the braided factor is CY.  quantum_affine_report is
 check_cy restricted to these data.
 
-The longest word and 2 rho, hence p and xi, are derived per tie-break ("min"
-or "max"), so the two cross-check each other.  p and 2 rho are computed once
-per interned matrix and tie-break and kept on the matrix
-(CartanMatrix.root_counts), so every datum of one Cartan type shares them.  The
-witness does not depend on the tie-break; it is computed on first use and
-kept on its datum (CartanDatum.squared_antipode_witness), and so is
-check_cy's report for each tie-break (CartanDatum.reports).  Building a datum
-computes none of them.
+Each tie-break ("min" or "max") derives p and 2 rho from its own longest
+word.  They are computed once per interned matrix and tie-break and kept on
+the matrix (CartanMatrix.root_counts), so every datum of one Cartan type
+shares them.  A report depends on the tie-break only through (p, 2 rho), so
+check_cy keeps each report on its datum (CartanDatum.reports) under the
+tie-break and under the (p, 2 rho) it was built from: a tie-break whose own
+(p, 2 rho) equals one already reported returns that report object, and two
+tie-breaks that ever disagreed would get two reports.  The witness does not
+depend on the tie-break; it is computed on first use and kept on its datum
+(CartanDatum.squared_antipode_witness).  Its congruences are read from the
+rows chi_k (N / n_i) that validation computes and keeps
+(CartanDatum.chi_rows).  Building a datum computes no report, root data or
+witness.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class CartanDatum(Frozen):
         set_field(self, "chi", chi)
         set_field(self, "cartan", cartan)
         set_field(self, "linking", linking)
+        set_field(self, "reports", {})  # check_cy's reports, by tie-break and by (p, 2 rho)
         self.__post_init__()
 
     def __post_init__(self):
@@ -110,8 +116,9 @@ class CartanDatum(Frozen):
             if c.group != self.group:
                 raise InvalidDatum("character outside the datum's group")
         m, scale = self.group.exponent, self.group.scale
-        scaled = [[a * s for a, s in zip(c.exp, scale)] for c in self.chi]
-        e = tuple(tuple(sum(map(mul, s, x.exp)) % m for s in scaled) for x in self.g)
+        rows = tuple(tuple(a * s for a, s in zip(c.exp, scale)) for c in self.chi)
+        set_field(self, "chi_rows", rows)  # chi_k(x) = zeta_N^(rows[k] . x.exp)
+        e = tuple(tuple(sum(map(mul, row, x.exp)) % m for row in rows) for x in self.g)
         set_field(self, "braiding_exponents", e)  # q_ij = chi_j(g_i) = zeta_N^e_ij
         for i in range(t):
             if e[i][i] == 0:
@@ -161,11 +168,6 @@ class CartanDatum(Frozen):
     def squared_antipode_witness(self) -> GroupElement | None:
         """The first group-like realizing the squared antipode by conjugation."""
         return inner_witness_search(self, squared_antipode_diag(self))
-
-    @cached_property
-    def reports(self) -> dict[str, CyReport]:
-        """check_cy's report per tie-break, each built on first use."""
-        return {}
 
 
 class CriterionResult(Frozen, Record):
@@ -287,15 +289,10 @@ def _root_counts(cartan: CartanMatrix, tie_break: str) -> tuple[int, Root]:
     return kept
 
 
-def _root_data(datum: CartanDatum, tie_break: str) -> tuple[int, Character]:
-    """Positive-root count p and integral character xi = chi_beta(2 rho)."""
-    p, two_rho = _root_counts(datum.cartan, tie_break)
-    return p, chi_beta(datum, two_rho)
-
-
 def integral_character(datum: CartanDatum, tie_break: str = "min") -> Character:
-    """Character of the homological integral on the group: prod of chi_beta."""
-    return _root_data(datum, tie_break)[1]
+    """Character of the homological integral on the group: prod of chi_beta,
+    xi = chi_beta(2 rho)."""
+    return chi_beta(datum, _root_counts(datum.cartan, tie_break)[1])
 
 
 def _nakayama_exponents(datum: CartanDatum, xi: Character) -> tuple[int, ...]:
@@ -401,30 +398,29 @@ def inner_witness_search(datum: CartanDatum, targets: tuple[int, ...]) -> GroupE
     lexicographic order of the exponent vectors, or None when there is none.
 
     The condition is the linear system sum_i a_{k,i} (N / n_i) g_i = d_k (mod N),
-    chi_k = (a_{k,1}, ..., a_{k,r}), solved exactly by _first_solution.  The
-    cost is polynomial in the rank and the bit size of N, not in |Gamma|.
-    Factors on which every chi_k is trivial leave g_i free, so g_i = 0 there
-    and the system is solved on the other factors, at most
-    MAX_WITNESS_RANK of them."""
+    chi_k = (a_{k,1}, ..., a_{k,r}), solved exactly by _first_solution.  Its
+    rows are the datum's chi_rows, kept from validation.  The cost is
+    polynomial in the rank and the bit size of N, not in |Gamma|.  Factors
+    on which every chi_k is trivial (a zero column of the rows) leave g_i
+    free, so g_i = 0 there and the system is solved on the other factors, at
+    most MAX_WITNESS_RANK of them."""
     if len(targets) != datum.rank:
         raise InputError(f"diagonal needs {datum.rank} exponents, got {len(targets)}")
-    m = datum.group.exponent
     ns = datum.group.invariant_factors
-    active = [i for i in range(len(ns)) if any(c.exp[i] for c in datum.chi)]
+    active = [i for i, column in enumerate(zip(*datum.chi_rows)) if any(column)]
     if len(active) > MAX_WITNESS_RANK:
         raise InputError(
             f"witness solver needs {len(active)} group factors on which a character is "
             f"nontrivial, over the limit of {MAX_WITNESS_RANK}"
         )
-    scale = datum.group.scale
-    rows = [[c.exp[i] * scale[i] for i in active] for c in datum.chi]
-    x = _first_solution([ns[i] for i in active], rows, targets, m)
+    rows = [[row[i] for i in active] for row in datum.chi_rows]
+    x = _first_solution([ns[i] for i in active], rows, targets, datum.group.exponent)
     if x is None:
         return None
     exps = [0] * len(ns)
     for i, xi in zip(active, x):
         exps[i] = xi
-    return datum.group.element(exps)
+    return datum.group.element(tuple(exps))
 
 
 def check_cy_smash(
@@ -437,7 +433,8 @@ def check_cy_smash(
     search).  Returns (verdict, integral character, witness, root count p).
     The verdict does not depend on the linking parameters.
     """
-    p, xi = _root_data(datum, tie_break)
+    p, two_rho = _root_counts(datum.cartan, tie_break)
+    xi = chi_beta(datum, two_rho)
     witness = datum.squared_antipode_witness
     return xi.is_trivial() and witness is not None, xi, witness, p
 
@@ -456,25 +453,30 @@ def _listing(values) -> str:
 def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
     A1 x ... x A1 data, the homological determinant xi^{-1} and the balance
-    criterion, whose residuals are the c_k^{-1}.  Built once per tie-break
-    and kept on the datum; its display fields are built on first read."""
-    kept = datum.reports.get(tie_break)
-    if kept is not None:
-        return kept
-    cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
-    m = datum.group.exponent
-    unit = one(m)  # refuses an order whose power table is over budget, witness or not
-    exponents = _nakayama_exponents(datum, xi)
-    report = datum.reports[tie_break] = CyReport.deferred(
-        cy_R=not any(exponents),
-        cy_smash=cy_smash,
-        cy_dimension=p,
-        integral_character=xi,
-        hdet=xi.inverse() if datum.cartan.is_a1_power() else None,
-        inner_witness=(unit, witness) if witness is not None else None,
-        order=m,
-        nakayama_exponents=exponents,
-    )
+    criterion, whose residuals are the c_k^{-1}.  Built once per (p, 2 rho),
+    so one report serves both tie-breaks, and kept on the datum; its display
+    fields are built on first read."""
+    report = datum.reports.get(tie_break)
+    if report is not None:
+        return report
+    root_data = _root_counts(datum.cartan, tie_break)  # derived from this tie-break's own word
+    report = datum.reports.get(root_data)
+    if report is None:
+        cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
+        m = datum.group.exponent
+        unit = one(m)  # refuses an order whose power table is over budget, witness or not
+        exponents = _nakayama_exponents(datum, xi)
+        report = datum.reports[root_data] = CyReport.deferred(
+            cy_R=not any(exponents),
+            cy_smash=cy_smash,
+            cy_dimension=p,
+            integral_character=xi,
+            hdet=xi.inverse() if datum.cartan.is_a1_power() else None,
+            inner_witness=(unit, witness) if witness is not None else None,
+            order=m,
+            nakayama_exponents=exponents,
+        )
+    datum.reports[tie_break] = report
     return report
 
 

@@ -14,18 +14,26 @@ group's tables hold at most |Gamma| of each.  So equal values are the same
 object: all three compare and hash by identity, and each group's element,
 product and character tables are filled once per process and shared by every
 datum and algebra over it.  They hold only what some call computed.  An
-element times a character, or a character times an element, is a TypeError.
-The order, exponent and scale vector are computed once per group, each
-inverse on first use, and identity() reads the interned element.  from_json
-takes only lists of integers (errors.read_ints): a float or boolean exponent
-is an input error.
+element times a character, or a character times an element, is a TypeError,
+and so is a character evaluated at anything but a group element.
+
+Each constructor looks its argument up as given before it reads it: a tuple
+that is already a key, a factor tuple built before or exponents already
+reduced, is one dictionary lookup and returns the interned object without
+validation.  Anything else (a list, an iterator, unreduced or negative
+exponents, an unhashable argument) misses, and is then read, checked and
+reduced and looked up again.  Only a valid new key adds an entry, so neither
+the first lookup nor a refused argument writes a table.  The order, exponent
+and scale vector are computed once per group and each inverse on first use.
+from_json takes only lists of integers (errors.read_ints): a float or boolean
+exponent is an input error.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import lcm, prod
-from operator import mod
+from operator import mod, mul
 
 from .cyclotomic import CycloNumber, root_of_unity
 from .errors import Frozen, GroupMismatch, GroupTooLarge, InputError, read_ints, set_field
@@ -44,6 +52,10 @@ class AbelianGroup(Frozen):
     """One object per invariant-factor tuple, so compared and hashed by identity."""
 
     def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
+        try:  # a factor tuple already built is one lookup, before any reading
+            return _GROUPS[invariant_factors]
+        except (KeyError, TypeError):  # new, or unhashable such as a list: read below
+            pass
         factors = tuple(invariant_factors)  # read once: an iterator is not read twice
         if any(n < 1 for n in factors):
             raise InputError(f"invariant factors must be >= 1: {factors}")
@@ -70,16 +82,31 @@ class AbelianGroup(Frozen):
         return len(self.invariant_factors)
 
     def identity(self) -> GroupElement:
-        return self._interned.get((0,) * self.rank) or self.element((0,) * self.rank)
+        return self.element((0,) * self.rank)
 
     def element(self, exponents) -> GroupElement:
         """Interned element constructor; exponents are reduced mod n_i."""
-        if len(exponents) != self.rank:
-            raise InputError(f"element needs {self.rank} exponents, got {len(exponents)}")
-        key = tuple(map(mod, map(int, exponents), self.invariant_factors))
-        got = self._interned.get(key)
+        return self._intern(GroupElement, self._interned, "element", exponents)
+
+    def _intern(self, cls, table: dict, kind: str, exponents):
+        """The one object of cls, GroupElement or Character, in table for the
+        exponents reduced mod n_i.  Exponents that are a key of table already
+        are one lookup, before they are read; a miss is read, checked and
+        reduced, and makes the object the first time its key is seen."""
+        try:
+            got = table.get(exponents)
+        except TypeError:  # unhashable, such as a list: read below
+            got = None
         if got is None:
-            got = self._interned.setdefault(key, GroupElement(self, key))
+            if len(exponents) != self.rank:
+                raise InputError(f"{kind} needs {self.rank} exponents, got {len(exponents)}")
+            key = tuple(map(mod, map(int, exponents), self.invariant_factors))
+            got = table.get(key)
+            if got is None:
+                got = object.__new__(cls)
+                set_field(got, "group", self)
+                set_field(got, "exp", key)
+                got = table.setdefault(key, got)  # atomic: one object even if threads race
         return got
 
     def generator(self, i: int) -> GroupElement:
@@ -128,10 +155,6 @@ class GroupElement(Frozen):
     and interns the result: compared and hashed by identity, and never equal
     to a Character."""
 
-    def __init__(self, group: AbelianGroup, exp: tuple[int, ...]) -> None:
-        set_field(self, "group", group)
-        set_field(self, "exp", exp)
-
     def __reduce__(self):  # a copy or an unpickled element is the interned one
         return self.group.element, (self.exp,)
 
@@ -148,9 +171,6 @@ class GroupElement(Frozen):
             got = group.element(tuple(a + b for a, b in zip(self.exp, other.exp)))
             cache[key] = got
         return got
-
-    def __pow__(self, n: int) -> GroupElement:
-        return self.group.element(tuple(e * n for e in self.exp))
 
     def inverse(self) -> GroupElement:
         if "_inverse" not in self.__dict__:  # reduced once, then kept on the element
@@ -173,28 +193,17 @@ class Character(Frozen):
     identity, and never equal to a GroupElement."""
 
     def __new__(cls, group: AbelianGroup, exp: tuple[int, ...]) -> Character:
-        ns = group.invariant_factors
-        if len(exp) != len(ns):
-            raise InputError(f"character needs {len(ns)} exponents, got {len(exp)}")
-        key = tuple(map(mod, map(int, exp), ns))
-        chi = group._characters.get(key)
-        if chi is None:
-            chi = object.__new__(cls)
-            set_field(chi, "group", group)
-            set_field(chi, "exp", key)
-            chi = group._characters.setdefault(key, chi)
-        return chi
+        return group._intern(cls, group._characters, "character", exp)
 
     def __reduce__(self):  # a copy or an unpickled character is the interned one
         return Character, (self.group, self.exp)
 
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""
+        if g.__class__ is not GroupElement:  # a character has exponents too, but is no argument
+            raise TypeError(f"a character is evaluated at a group element, not {type(g).__name__}")
         _check_same_group(self, g)
-        total = 0
-        for a, e, s in zip(self.exp, g.exp, self.group.scale):
-            total += a * e * s
-        return total % self.group.exponent
+        return sum(map(mul, map(mul, self.exp, g.exp), self.group.scale)) % self.group.exponent
 
     def __call__(self, g: GroupElement) -> CycloNumber:
         return root_of_unity(self.value_exponent(g), self.group.exponent)
@@ -204,9 +213,6 @@ class Character(Frozen):
             return NotImplemented
         _check_same_group(self, other)
         return Character(self.group, tuple(a + b for a, b in zip(self.exp, other.exp)))
-
-    def __pow__(self, n: int) -> Character:
-        return Character(self.group, tuple(a * n for a in self.exp))
 
     def inverse(self) -> Character:
         return Character(self.group, tuple(-a for a in self.exp))

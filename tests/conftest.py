@@ -24,6 +24,20 @@ settings.register_profile(
 settings.load_profile("cyhopf")
 
 
+def error_line(fn, *args) -> str:
+    """The type and message of the error fn(*args) raises, as one line."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return f"{info.type.__name__}: {info.value}"
+
+
+class Unread(tuple):
+    """A tuple that a table lookup can match but reading cannot iterate."""
+
+    def __iter__(self):
+        raise AssertionError("the argument was read")
+
+
 def characters(group: AbelianGroup) -> list:
     """Every character of the group, one per exponent vector, in the order of
     group.elements()."""

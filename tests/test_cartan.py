@@ -19,7 +19,8 @@ from cyhopf.cartan import (
 from cyhopf.datum import check_cy, quantum_affine_report
 from cyhopf.errors import IndexOutOfRange, InputError, NotFiniteType, NotReduced
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
-from conftest import a1_power, a1a1_znzn_datum, a2_z2z2_datum, type_a, unbuilt_datum
+from conftest import (Unread, a1_power, a1a1_znzn_datum, a2_z2z2_datum, error_line, type_a,
+                      unbuilt_datum)
 
 A1 = CartanMatrix(((2,),))
 A1xA1 = CartanMatrix(((2, 0), (0, 2)))
@@ -186,6 +187,43 @@ def test_a_refused_matrix_leaves_no_entry(rows):
     with pytest.raises(InputError):
         CartanMatrix(rows)
     assert cartan_module._MATRICES == before and rows not in cartan_module._MATRICES
+
+
+MATRIX_LOOKUP_CASES = [  # (case, argument, the matrix it is read to, or the error line)
+    ("tuple", ((2, -1), (-1, 2)), A2),
+    ("list", [[2, -1], [-1, 2]], A2),
+    ("list-rows", ([2, -1], [-1, 2]), A2),  # unhashable, so read before the lookup
+    ("iterator", [(2, -1), [-1, 2]], A2),
+    ("bool", ((2, False), (False, 2)), A1xA1),
+    ("float", ((2.0, -1.0), (-1, 2)), A2),
+    ("fraction", ((2, -1.5), (-1, 2)), A2),
+    ("short", ((2, -1),), "InputError: Cartan matrix must be square"),
+    ("long", ((2, -1), (-1, 2), (0, 0)), "InputError: Cartan matrix must be square"),
+    ("positive", ((2, 1), (-1, 2)), "InputError: off-diagonal a_12 must be <= 0"),
+    ("list-entry", ((2, [0]), (0, 2)), error_line(int, [0])),
+]
+
+
+@pytest.mark.parametrize("case, rows, want", MATRIX_LOOKUP_CASES,
+                         ids=[case for case, _, _ in MATRIX_LOOKUP_CASES])
+def test_a_matrix_lookup_before_reading_gives_what_reading_gives(case, rows, want):
+    """CartanMatrix looks its argument up before it reads it: the matrix or
+    error line is the one that reading first gives, and neither the lookup
+    nor a refusal adds a table entry."""
+    if case == "iterator":
+        rows = iter(rows)
+    before = dict(cartan_module._MATRICES)
+    if isinstance(want, str):
+        assert error_line(CartanMatrix, rows) == want
+    else:
+        assert CartanMatrix(rows) is want
+    assert cartan_module._MATRICES == before
+
+
+def test_a_matrix_already_built_is_not_read():
+    assert CartanMatrix(Unread(A2.entries)) is A2
+    with pytest.raises(AssertionError):  # a tuple of list rows misses, so it is read
+        CartanMatrix(Unread(([2, -1], [-1, 2])))
 
 
 def test_copies_and_pickles_are_the_interned_matrix():

@@ -287,7 +287,7 @@ def _chi_beta_by_products(datum, root):
     out = datum.group.trivial_character()
     for c, m in zip(datum.chi, root.coeffs):
         if m:
-            out = out * c**m
+            out = out * datum.group.character(tuple(m * a for a in c.exp))
     return out
 
 
@@ -506,6 +506,39 @@ def test_root_data_is_computed_once_per_matrix_and_tie_break(monkeypatch):
     assert calls == []
 
 
+def test_both_tie_breaks_share_one_report_and_the_rows_of_validation():
+    """Both tie-breaks derive the same p and 2 rho, so check_cy builds one
+    report for both; the witness search reads the character rows that
+    validation kept, chi_k's exponents times N / n_i."""
+    rng = random.Random(26)
+    data = [random_cartan_datum(rng) for _ in range(30)] + [random_a1t_datum(rng) for _ in range(30)]
+    for d in data + [a2_z2z2_datum(), a1a1_znzn_datum(3)]:
+        scale = d.group.scale
+        assert d.chi_rows == tuple(tuple(a * s for a, s in zip(c.exp, scale)) for c in d.chi)
+        report = check_cy(d, "max")
+        assert check_cy(d, "min") is report and check_cy(d) is report
+        assert d.cartan.root_counts["min"] == d.cartan.root_counts["max"]
+
+
+def test_tie_breaks_whose_root_data_disagree_get_two_reports(monkeypatch):
+    """The cross-check stays: each tie-break derives p and 2 rho from its own
+    word, so a "max" word that is not a longest word gives its own report."""
+    d = a2_z2z2_datum()
+    counts = d.cartan.root_counts  # kept on the interned matrix: restored after the test
+    monkeypatch.setitem(counts, "max", None)
+    del counts["max"]
+
+    def shortened(cartan, tie_break="min"):
+        word = longest_word(cartan, tie_break)
+        return word[:-1] if tie_break == "max" else word
+
+    monkeypatch.setattr(datum_module, "longest_word", shortened)
+    r_min, r_max = check_cy(d, "min"), check_cy(d, "max")
+    assert r_min is not r_max and (r_min.cy_dimension, r_max.cy_dimension) == (3, 2)
+    assert counts["min"] != counts["max"]
+    assert check_cy(d, "min") is r_min and check_cy(d, "max") is r_max
+
+
 def test_a_report_equals_one_rebuilt_field_by_field():
     """Characters and elements are interned, so a report rebuilt from the
     exponents of its characters and witness equals the kept one."""
@@ -552,7 +585,7 @@ def test_witness_and_quantum_affine_criteria_are_computed_once_per_datum(monkeyp
         if datum.cartan.is_a1_power():
             assert all(quantum_affine_report(datum, tb) is r for tb, r in zip(("min", "max"), first))
     assert len(solves) == len(data)
-    assert [id(d) for d in builds] == [id(d) for d in data for _ in range(2)]
+    assert [id(d) for d in builds] == [id(d) for d in data]  # one report serves both tie-breaks
     for datum in data:
         fresh = inner_witness_search(datum, squared_antipode_diag(datum))
         assert datum.squared_antipode_witness is fresh

@@ -11,7 +11,7 @@ from cyhopf.cyclotomic import root_of_unity
 from cyhopf.errors import GroupMismatch, GroupTooLarge, InputError
 from cyhopf.groups import (AbelianGroup, Character, GroupElement, character_from_json,
                            element_from_json)
-from conftest import characters
+from conftest import Unread, characters, error_line
 
 invariant_factors = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=3)
 
@@ -81,7 +81,8 @@ def test_char_ops_against_identity():
     chi = group.character((1, 1))
     assert chi * group.trivial_character() == chi
     assert (chi * chi.inverse()).is_trivial()
-    assert (group.character((1, 0)) ** 2 * group.character((1, 1)) ** 2).is_trivial()
+    squares = [group.character(tuple(2 * a for a in exp)) for exp in ((1, 0), (1, 1))]
+    assert (squares[0] * squares[1]).is_trivial()
 
 
 def test_a_factor_tuple_has_one_group():
@@ -110,7 +111,8 @@ def test_equal_exponents_give_one_character():
     chi = group.character((1, 1))
     assert Character(group, (5, 7)) is chi is character_from_json(group, {"exp": [3, -2]})
     assert chi * chi.inverse() is group.trivial_character() is Character(group, (2, 3))
-    assert chi ** 7 is chi and chi * chi is group.character((0, 2))
+    assert group.character(tuple(7 * a for a in chi.exp)) is chi
+    assert chi * chi is group.character((0, 2))
     for exps in product(range(-7, 8), repeat=2):  # the table holds at most |Gamma| characters
         group.character(exps)
     assert len(group._characters) == group.order
@@ -126,6 +128,71 @@ def test_an_element_times_a_character_is_a_type_error():
         g * chi
     with pytest.raises(TypeError):
         chi * g
+
+
+def test_a_character_is_evaluated_only_at_group_elements():
+    group = AbelianGroup((2, 3))
+    chi, psi = group.character((1, 2)), group.character((1, 1))
+    assert chi.value_exponent(group.element((1, 1))) == 1  # zeta_6 at the element (1, 1)
+    for evaluate in (chi, chi.value_exponent):
+        for argument in (psi, (1, 1), None):
+            with pytest.raises(TypeError):
+                evaluate(argument)
+
+
+G46 = AbelianGroup((4, 6))
+BUILDS = {"group": AbelianGroup, "element": G46.element,
+          "character": lambda exps: Character(G46, exps)}
+LOOKUP_CASES = [  # (kind, case, argument, the key it is read to, or the error line)
+    ("group", "tuple", (2, 3), (2, 3)),
+    ("group", "list", [2, 3], (2, 3)),
+    ("group", "iterator", [2, 3], (2, 3)),
+    ("group", "negative", (-2, 3), "InputError: invariant factors must be >= 1: (-2, 3)"),
+    ("group", "bool", (True, 3), (1, 3)),
+    ("group", "float", (2.0, 3), (2, 3)),
+    ("group", "fraction", (2.5, 3), (2, 3)),
+    ("group", "list-entry", ([2], 3), error_line(lambda: [2] < 1)),
+] + [(kind, case, arg, want) for kind in ("element", "character") for case, arg, want in (
+    ("tuple", (1, 2), (1, 2)),
+    ("list", [1, 2], (1, 2)),
+    ("iterator", [1, 2], error_line(len, iter([1, 2]))),
+    ("unreduced", (5, 8), (1, 2)),
+    ("negative", (-3, -4), (1, 2)),
+    ("bool", (True, False), (1, 0)),
+    ("float", (1.0, 2.0), (1, 2)),
+    ("fraction", (1.5, 2), (1, 2)),
+    ("short", (1,), f"InputError: {kind} needs 2 exponents, got 1"),
+    ("long", (1, 2, 3), f"InputError: {kind} needs 2 exponents, got 3"),
+    ("list-entry", ([1], 2), error_line(int, [1])),
+)]
+
+
+@pytest.mark.parametrize("kind, case, arg, want", LOOKUP_CASES,
+                         ids=[f"{kind}-{case}" for kind, case, _, _ in LOOKUP_CASES])
+def test_a_lookup_before_reading_gives_what_reading_gives(kind, case, arg, want):
+    """Each constructor looks its argument up before it reads it: the object
+    or error line is the one that reading first gives, and neither the lookup
+    nor a refusal adds a table entry."""
+    build = BUILDS[kind]
+    expected = None if isinstance(want, str) else build(want)
+    if case == "iterator":
+        arg = iter(arg)
+    tables = (groups._GROUPS, G46._interned, G46._characters)
+    before = [dict(table) for table in tables]
+    if expected is None:
+        assert error_line(build, arg) == want
+    else:
+        assert build(arg) is expected
+    assert [dict(table) for table in tables] == before
+
+
+def test_a_key_already_built_is_not_read():
+    group = AbelianGroup((4, 6))
+    g, chi = group.element((1, 2)), group.character((1, 2))
+    assert AbelianGroup(Unread((4, 6))) is group
+    assert group.element(Unread((1, 2))) is g and Character(group, Unread((1, 2))) is chi
+    with pytest.raises(AssertionError):  # unreduced: a miss, so it is read
+        group.element(Unread((5, 2)))
 
 
 @pytest.mark.parametrize("factors", [(0,), (-2, 3), (2, 0, 3)])
@@ -228,7 +295,7 @@ def test_element_power_matches_repeated_product(data, n):
     step = g if n >= 0 else g.inverse()
     for _ in range(abs(n)):
         expected = expected * step
-    assert g**n == expected
+    assert group.element(tuple(n * e for e in g.exp)) is expected
 
 
 def parse_element(group: AbelianGroup, text: str) -> GroupElement:
