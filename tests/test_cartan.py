@@ -192,7 +192,7 @@ def test_a_refused_matrix_leaves_no_entry(rows):
 MATRIX_LOOKUP_CASES = [  # (case, argument, the matrix it is read to, or the error line)
     ("tuple", ((2, -1), (-1, 2)), A2),
     ("list", [[2, -1], [-1, 2]], A2),
-    ("list-rows", ([2, -1], [-1, 2]), A2),  # unhashable, so read before the lookup
+    ("list-rows", ([2, -1], [-1, 2]), A2),  # unhashable: the lookup misses, so it is read
     ("iterator", [(2, -1), [-1, 2]], A2),
     ("bool", ((2, False), (False, 2)), A1xA1),
     ("float", ((2.0, -1.0), (-1, 2)), A2),
