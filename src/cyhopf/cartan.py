@@ -10,23 +10,20 @@ Finite type is detected by the longest-word descent, capped at the most
 positive roots the rank allows.  The reflection closure gives the `roots`
 verb's closure_count and is the tests' oracle for the beta sequence.
 
-Cartan matrices are interned: CartanMatrix(rows) validates a tuple of int rows
-once per process and then returns the one matrix of those rows, so matrices
-compare and hash by identity.  The argument is looked up as given before it
-is read: a tuple of int tuples already built is one dictionary lookup with no
-validation.  List rows (unhashable), an iterator or non-int entries miss, and
-are read into int tuples, looked up again and validated if new; only a valid
-new matrix adds an entry.  Each keeps its root data, p and 2 rho per
-tie-break, in root_counts; datum fills it on first use, so every datum of one
-Cartan type shares them.
+Cartan matrices are interned in an errors.InternTable, which describes the
+rule: CartanMatrix(rows) reads its argument into a tuple of int rows,
+validates a new one once per process and then returns the one matrix of
+those rows, so matrices compare and hash by identity.  Each keeps its root
+data, p and 2 rho per tie-break, in root_counts; datum fills it on first use,
+so every datum of one Cartan type shares them.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .errors import (Frozen, IndexOutOfRange, InputError, NotFiniteType, NotReduced, Record,
-                     read_ints, set_field)
+from .errors import (Frozen, IndexOutOfRange, InputError, InternTable, NotFiniteType, NotReduced,
+                     Record, read_ints, set_field)
 
 # Largest rank the root layer accepts.
 MAX_RANK = 128
@@ -39,41 +36,38 @@ MAX_RANK = 128
 ROOT_WORK_BUDGET = 8_000_000
 
 
-_MATRICES: dict[tuple[tuple[int, ...], ...], CartanMatrix] = {}  # rows -> the one matrix
+def _new_matrix(rows: tuple[tuple[int, ...], ...]) -> CartanMatrix:
+    t = len(rows)
+    if t == 0:
+        raise InputError("Cartan matrix must have rank >= 1")
+    if any(len(row) != t for row in rows):
+        raise InputError("Cartan matrix must be square")
+    for i, row in enumerate(rows):
+        if row[i] != 2:
+            raise InputError(f"diagonal entry a_{i + 1}{i + 1} must be 2, got {row[i]}")
+        for j, a in enumerate(row):
+            if i != j:
+                if a > 0:
+                    raise InputError(f"off-diagonal a_{i + 1}{j + 1} must be <= 0")
+                if (a == 0) != (rows[j][i] == 0):
+                    raise InputError(f"a_{i + 1}{j + 1} and a_{j + 1}{i + 1} must vanish together")
+    matrix = object.__new__(CartanMatrix)
+    set_field(matrix, "entries", rows)
+    set_field(matrix, "_a1_power", all(
+        a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j))
+    set_field(matrix, "root_counts", {})  # tie-break -> (p, 2 rho), filled by datum
+    return matrix
+
+
+# rows -> the one matrix; an argument is read into a tuple of int rows
+_MATRICES = InternTable(lambda entries: tuple(tuple(map(int, row)) for row in entries), _new_matrix)
 
 
 class CartanMatrix(Frozen):
     """One object per tuple of int rows, so compared and hashed by identity."""
 
     def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> CartanMatrix:
-        try:  # a tuple of rows already built is one lookup, before any reading
-            return _MATRICES[entries]
-        except (KeyError, TypeError):  # new, or unhashable such as list rows: read below
-            pass
-        rows = tuple(tuple(map(int, row)) for row in entries)
-        matrix = _MATRICES.get(rows)
-        if matrix is not None:
-            return matrix
-        t = len(rows)
-        if t == 0:
-            raise InputError("Cartan matrix must have rank >= 1")
-        if any(len(row) != t for row in rows):
-            raise InputError("Cartan matrix must be square")
-        for i, row in enumerate(rows):
-            if row[i] != 2:
-                raise InputError(f"diagonal entry a_{i + 1}{i + 1} must be 2, got {row[i]}")
-            for j, a in enumerate(row):
-                if i != j:
-                    if a > 0:
-                        raise InputError(f"off-diagonal a_{i + 1}{j + 1} must be <= 0")
-                    if (a == 0) != (rows[j][i] == 0):
-                        raise InputError(f"a_{i + 1}{j + 1} and a_{j + 1}{i + 1} must vanish together")
-        matrix = object.__new__(cls)
-        set_field(matrix, "entries", rows)
-        set_field(matrix, "_a1_power", all(
-            a == 0 for i, row in enumerate(rows) for j, a in enumerate(row) if i != j))
-        set_field(matrix, "root_counts", {})  # tie-break -> (p, 2 rho), filled by datum
-        return _MATRICES.setdefault(rows, matrix)  # atomic: one matrix even if threads race
+        return _MATRICES.intern(entries)
 
     def __reduce__(self):  # a copy or an unpickled matrix is the interned one
         return CartanMatrix, (self.entries,)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules, the integer and digit-string
-readers every parser of an input file goes through, and the two bases of the
-library's classes: Frozen, whose fields are set once, and Record, which
-compares and hashes by the fields it names.
+readers every parser of an input file goes through, the two bases of the
+library's classes, Frozen, whose fields are set once, and Record, which
+compares and hashes by the fields it names, and InternTable, which keeps the
+one object of each value of an interned class.
 
 Input-side problems (bad files, invalid data, out-of-range requests) derive
 from InputError and map to CLI exit code 1.  Violations of internal
@@ -101,6 +102,48 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+
+class InternTable(dict):
+    """The one object of each key, kept for the life of the process: the
+    table behind AbelianGroup, CartanMatrix, group.element and Character.
+
+    read(arg) turns a constructor's argument into its key (a factor tuple,
+    int rows, exponents reduced mod n_i), raising to refuse it, and make(key)
+    builds the object of a new key, which may refuse it too.  intern(arg)
+
+    1. looks the argument up as given: a key already built (a tuple, not a
+       list; reduced exponents, not unreduced ones) is one dictionary lookup
+       and is neither read nor validated, and an unhashable argument, such
+       as a list, misses;
+    2. on a miss, reads the argument into its key;
+    3. looks the key up again;
+    4. for a new key only, makes the object and stores it with setdefault,
+       atomic, so that threads that race still get one object.
+
+    So neither the first lookup nor a refused argument writes the table, and
+    a key is always read: a raw argument is never stored.  Equal values are
+    then the same object, so an interned class compares and hashes by
+    identity, and its __reduce__ calls its constructor, and so the table,
+    again: a copy or an unpickled object is the interned one.
+    """
+
+    __slots__ = ("read", "make")
+
+    def __init__(self, read, make) -> None:
+        self.read, self.make = read, make
+
+    def intern(self, arg):
+        """The one object of arg, by the four steps above."""
+        try:
+            return self[arg]
+        except (KeyError, TypeError):  # new, or unhashable such as a list: read below
+            pass
+        key = self.read(arg)
+        got = self.get(key)
+        if got is None:
+            got = self.setdefault(key, self.make(key))
+        return got
 
 
 def read_int(name: str, raw) -> int:

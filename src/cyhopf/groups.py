@@ -6,25 +6,19 @@ canonical and products O(r).  Character values live in the cyclotomic field
 of order m = lcm(n_i), the exponent of the group, so all scalars of one
 session share a single field.
 
-Groups, elements and characters are interned.  AbelianGroup(factors) returns
-the one group of its factor tuple, kept for the life of the process like the
-cyclotomic power tables, and group.element(exps) and Character(group, exps)
-the one element and the one character of their reduced exponents, so a
-group's tables hold at most |Gamma| of each.  So equal values are the same
-object: all three compare and hash by identity, and each group's element,
-product and character tables are filled once per process and shared by every
-datum and algebra over it.  They hold only what some call computed.  An
-element times a character, or a character times an element, is a TypeError,
-and so is a character evaluated at anything but a group element.
-
-Each constructor looks its argument up as given before it reads it: a tuple
-that is already a key, a factor tuple built before or exponents already
-reduced, is one dictionary lookup and returns the interned object without
-validation.  Anything else (a list, an iterator, unreduced or negative
-exponents, an unhashable argument) misses, and is then read, checked and
-reduced and looked up again.  Only a valid new key adds an entry, so neither
-the first lookup nor a refused argument writes a table.  The order, exponent
-and scale vector are computed once per group and each inverse on first use.
+Groups, elements and characters are interned, each in an errors.InternTable,
+which describes the rule: AbelianGroup(factors) returns the one group of its
+factor tuple, kept for the life of the process like the cyclotomic power
+tables, and group.element(exps) and Character(group, exps) the one element
+and the one character of their exponents reduced mod n_i.  So all three
+compare and hash by identity, and each group's element, character and product
+tables are filled once per process and shared by every datum and algebra over
+it; they hold only what some call computed.  Elements and characters share one
+body, _ExponentVector: the product, kept in one table per group for both
+kinds, the inverse, kept on the object on first use, pickling, JSON and
+rendering.  An element times a character, or a character times an element,
+is a TypeError, and so is a character evaluated at anything but a group
+element.  The order, exponent and scale vector are computed once per group.
 from_json takes only lists of integers (errors.read_ints): a float or boolean
 exponent is an input error.
 """
@@ -33,10 +27,11 @@ from __future__ import annotations
 
 from itertools import product
 from math import lcm, prod
-from operator import mod, mul
+from operator import add, mod, mul
 
 from .cyclotomic import CycloNumber, root_of_unity
-from .errors import Frozen, GroupMismatch, GroupTooLarge, InputError, read_ints, set_field
+from .errors import (Frozen, GroupMismatch, GroupTooLarge, InputError, InternTable, read_ints,
+                     set_field)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -45,34 +40,34 @@ if TYPE_CHECKING:
 ENUMERATION_BOUND = 10**6
 
 
-_GROUPS: dict[tuple[int, ...], AbelianGroup] = {}  # factors -> the one group
+def _read_factors(invariant_factors) -> tuple[int, ...]:
+    factors = tuple(invariant_factors)  # read once: an iterator is not read twice
+    if any(n < 1 for n in factors):
+        raise InputError(f"invariant factors must be >= 1: {factors}")
+    return tuple(int(n) for n in factors)
+
+
+def _new_group(factors: tuple[int, ...]) -> AbelianGroup:
+    group = object.__new__(AbelianGroup)
+    m = lcm(*factors)
+    set_field(group, "invariant_factors", factors)
+    set_field(group, "order", prod(factors))
+    set_field(group, "exponent", m)
+    set_field(group, "scale", tuple(m // n for n in factors))  # zeta_n_i = zeta_m^scale_i
+    set_field(group, "_interned", GroupElement._new_table(group))  # exponents -> GroupElement
+    set_field(group, "_mul_cache", {})  # (x, y) -> x * y, for elements and characters
+    set_field(group, "_characters", Character._new_table(group))  # exponents -> Character
+    return group
+
+
+_GROUPS = InternTable(_read_factors, _new_group)  # factors -> the one group
 
 
 class AbelianGroup(Frozen):
     """One object per invariant-factor tuple, so compared and hashed by identity."""
 
     def __new__(cls, invariant_factors: tuple[int, ...]) -> AbelianGroup:
-        try:  # a factor tuple already built is one lookup, before any reading
-            return _GROUPS[invariant_factors]
-        except (KeyError, TypeError):  # new, or unhashable such as a list: read below
-            pass
-        factors = tuple(invariant_factors)  # read once: an iterator is not read twice
-        if any(n < 1 for n in factors):
-            raise InputError(f"invariant factors must be >= 1: {factors}")
-        factors = tuple(int(n) for n in factors)
-        group = _GROUPS.get(factors)
-        if group is None:
-            group = object.__new__(cls)
-            m = lcm(*factors)
-            set_field(group, "invariant_factors", factors)
-            set_field(group, "order", prod(factors))
-            set_field(group, "exponent", m)
-            set_field(group, "scale", tuple(m // n for n in factors))  # zeta_n_i = zeta_m^scale_i
-            set_field(group, "_interned", {})  # exponent tuple -> GroupElement
-            set_field(group, "_mul_cache", {})  # (GroupElement, GroupElement) -> product
-            set_field(group, "_characters", {})  # exponent tuple -> Character
-            group = _GROUPS.setdefault(factors, group)  # atomic: one group even if threads race
-        return group
+        return _GROUPS.intern(invariant_factors)
 
     def __reduce__(self):  # a copy or an unpickled group is the interned one
         return AbelianGroup, (self.invariant_factors,)
@@ -86,28 +81,7 @@ class AbelianGroup(Frozen):
 
     def element(self, exponents) -> GroupElement:
         """Interned element constructor; exponents are reduced mod n_i."""
-        return self._intern(GroupElement, self._interned, "element", exponents)
-
-    def _intern(self, cls, table: dict, kind: str, exponents):
-        """The one object of cls, GroupElement or Character, in table for the
-        exponents reduced mod n_i.  Exponents that are a key of table already
-        are one lookup, before they are read; a miss is read, checked and
-        reduced, and makes the object the first time its key is seen."""
-        try:
-            got = table.get(exponents)
-        except TypeError:  # unhashable, such as a list: read below
-            got = None
-        if got is None:
-            if len(exponents) != self.rank:
-                raise InputError(f"{kind} needs {self.rank} exponents, got {len(exponents)}")
-            key = tuple(map(mod, map(int, exponents), self.invariant_factors))
-            got = table.get(key)
-            if got is None:
-                got = object.__new__(cls)
-                set_field(got, "group", self)
-                set_field(got, "exp", key)
-                got = table.setdefault(key, got)  # atomic: one object even if threads race
-        return got
+        return self._interned.intern(exponents)
 
     def generator(self, i: int) -> GroupElement:
         exps = [0] * self.rank
@@ -115,10 +89,10 @@ class AbelianGroup(Frozen):
         return self.element(exps)
 
     def character(self, exponents) -> Character:
-        return Character(self, tuple(exponents))
+        return self._characters.intern(tuple(exponents))
 
     def trivial_character(self) -> Character:
-        return Character(self, (0,) * self.rank)
+        return self._characters.intern((0,) * self.rank)
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements exactly once, lexicographic in the exponent vectors.
@@ -150,16 +124,36 @@ def _check_same_group(a, b) -> None:
         raise GroupMismatch(f"operands live in {a.group} and {b.group}")
 
 
-class GroupElement(Frozen):
-    """Built only by AbelianGroup.element, which reduces exp mod the factors
-    and interns the result: compared and hashed by identity, and never equal
-    to a Character."""
+class _ExponentVector:
+    """The body GroupElement and Character share: an exponent vector exp over
+    group, reduced mod n_i, and interned in the group's table of its class,
+    so compared and hashed by identity.  Each class names that table (_table),
+    itself in an error message (_kind), and its symbol and unit for str.  Not
+    Frozen itself: each class derives from Frozen next to it."""
 
-    def __reduce__(self):  # a copy or an unpickled element is the interned one
-        return self.group.element, (self.exp,)
+    def __new__(cls, group: AbelianGroup, exp: tuple[int, ...]):
+        return getattr(group, cls._table).intern(exp)
 
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        if other.__class__ is not GroupElement:
+    @classmethod
+    def _new_table(cls, group: AbelianGroup) -> InternTable:
+        """The group's table of cls, whose keys are exponents reduced mod n_i."""
+        def read(exponents) -> tuple[int, ...]:
+            if len(exponents) != group.rank:
+                raise InputError(f"{cls._kind} needs {group.rank} exponents, got {len(exponents)}")
+            return tuple(map(mod, map(int, exponents), group.invariant_factors))
+
+        def make(key: tuple[int, ...]):
+            obj = object.__new__(cls)
+            set_field(obj, "group", group)
+            set_field(obj, "exp", key)
+            return obj
+        return InternTable(read, make)
+
+    def __reduce__(self):  # a copy or an unpickled one is the interned one
+        return self.__class__, (self.group, self.exp)
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         group = self.group
         if other.group is not group:
@@ -168,35 +162,42 @@ class GroupElement(Frozen):
         key = (self, other)
         got = cache.get(key)
         if got is None:
-            got = group.element(tuple(a + b for a, b in zip(self.exp, other.exp)))
+            got = self.__class__(group, tuple(map(add, self.exp, other.exp)))
             cache[key] = got
         return got
 
-    def inverse(self) -> GroupElement:
-        if "_inverse" not in self.__dict__:  # reduced once, then kept on the element
-            set_field(self, "_inverse", self.group.element(tuple(-e for e in self.exp)))
+    def inverse(self):
+        if "_inverse" not in self.__dict__:  # reduced once, then kept on the object
+            set_field(self, "_inverse", self.__class__(self.group, tuple(-e for e in self.exp)))
         return self._inverse
 
-    def is_identity(self) -> bool:
-        return not any(self.exp)
-
     def __str__(self) -> str:
-        return _render_exponents(self.exp, "y", "e")
+        """Multiplicative notation, y1^a1*y2^a2... for the symbol y, or the unit
+        if all a_i = 0."""
+        parts = [f"{self._symbol}{i + 1}" + (f"^{a}" if a != 1 else "")
+                 for i, a in enumerate(self.exp) if a]
+        return "*".join(parts) or self._unit
 
     def to_json(self) -> dict:
         return {"exp": list(self.exp)}
 
 
-class Character(Frozen):
-    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}.  One
-    object per group and exponents reduced mod n_i, so compared and hashed by
-    identity, and never equal to a GroupElement."""
+class GroupElement(_ExponentVector, Frozen):
+    """Built by group.element(exp) or GroupElement(group, exp); never equal
+    to a Character."""
 
-    def __new__(cls, group: AbelianGroup, exp: tuple[int, ...]) -> Character:
-        return group._intern(cls, group._characters, "character", exp)
+    _table, _kind, _symbol, _unit = "_interned", "element", "y", "e"
+    __mul__ = _ExponentVector.__mul__  # an own attribute, which perfbench/tracing.py wraps
 
-    def __reduce__(self):  # a copy or an unpickled character is the interned one
-        return Character, (self.group, self.exp)
+    def is_identity(self) -> bool:
+        return not any(self.exp)
+
+
+class Character(_ExponentVector, Frozen):
+    """Homomorphism to roots of unity, chi(gamma_i) = zeta_{n_i}^{a_i}; never
+    equal to a GroupElement."""
+
+    _table, _kind, _symbol, _unit = "_characters", "character", "chi", "1"
 
     def value_exponent(self, g: GroupElement) -> int:
         """k with chi(g) = zeta_m^k, m the group exponent."""
@@ -208,29 +209,8 @@ class Character(Frozen):
     def __call__(self, g: GroupElement) -> CycloNumber:
         return root_of_unity(self.value_exponent(g), self.group.exponent)
 
-    def __mul__(self, other: Character) -> Character:
-        if other.__class__ is not Character:
-            return NotImplemented
-        _check_same_group(self, other)
-        return Character(self.group, tuple(a + b for a, b in zip(self.exp, other.exp)))
-
-    def inverse(self) -> Character:
-        return Character(self.group, tuple(-a for a in self.exp))
-
     def is_trivial(self) -> bool:
         return not any(self.exp)
-
-    def __str__(self) -> str:
-        return _render_exponents(self.exp, "chi", "1")
-
-    def to_json(self) -> dict:
-        return {"exp": list(self.exp)}
-
-
-def _render_exponents(exp: tuple[int, ...], symbol: str, unit: str) -> str:
-    """Multiplicative notation, symbol1^a1*symbol2^a2..., or unit if all a_i = 0."""
-    parts = [f"{symbol}{i + 1}" + (f"^{a}" if a != 1 else "") for i, a in enumerate(exp) if a]
-    return "*".join(parts) or unit
 
 
 def _exp_from_json(kind: str, obj) -> tuple[int, ...]:

@@ -281,6 +281,34 @@ def test_identity_and_inverse_are_the_interned_elements(data):
     assert group.identity().inverse() is group.identity()
 
 
+def test_a_kept_inverse_reads_nothing_and_the_tables_stay_bounded(monkeypatch):
+    """Elements and characters keep their inverse, so a second inverse() is
+    not read by the group's table; and after every product and inverse of
+    both kinds the element and character tables hold |Gamma| entries each,
+    and the one product table at most 2 |Gamma|^2."""
+    group = AbelianGroup((4, 6))
+    reads = []
+
+    def counted(read):
+        def counting_read(arg):
+            reads.append(arg)
+            return read(arg)
+        return counting_read
+
+    for table in (group._interned, group._characters):
+        monkeypatch.setattr(table, "read", counted(table.read))
+    for objects in (list(group.elements()), characters(group)):
+        for x in objects:
+            inverse = x.inverse()
+            before = len(reads)
+            assert x.inverse() is inverse and len(reads) == before
+            assert inverse.inverse() is x
+            for y in objects:
+                x * y
+    assert len(group._interned) == len(group._characters) == group.order == 24
+    assert len(group._mul_cache) <= 2 * group.order ** 2
+
+
 @given(group_with_data())
 def test_eval_multiplicative_both_slots(data):
     _group, g, h, chi, psi = data
