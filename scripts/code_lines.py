@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the code lines of each module of a package directory, then the total.
+"""Print the code lines of each module of src/cyhopf, then the total.
 
 A code line is a physical line that holds some token of a statement: blank
 lines, comments, docstrings (the leading string of a module, class or
@@ -7,7 +7,7 @@ function) and import statements do not count.  The tokens come from
 tokenize and the docstrings and imports from ast, so a line a multi-line
 expression spans counts once.
 
-Usage: python scripts/code_lines.py [PACKAGE_DIR]   (default: src/cyhopf)
+Usage: python scripts/code_lines.py
 """
 
 import ast
@@ -43,10 +43,9 @@ def code_lines(source: str) -> int:
     return len(lines - excluded)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else REPO / "src" / "cyhopf"
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted((REPO / "src" / "cyhopf").glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{path.stem} {n}")
@@ -55,4 +54,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

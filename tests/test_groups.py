@@ -285,7 +285,8 @@ def test_a_kept_inverse_reads_nothing_and_the_tables_stay_bounded(monkeypatch):
     """Elements and characters keep their inverse, so a second inverse() is
     not read by the group's table; and after every product and inverse of
     both kinds the element and character tables hold |Gamma| entries each,
-    and the one product table at most 2 |Gamma|^2."""
+    and the one product table holds each ordered pair of one kind once,
+    2 |Gamma|^2 entries."""
     group = AbelianGroup((4, 6))
     reads = []
 
@@ -306,7 +307,7 @@ def test_a_kept_inverse_reads_nothing_and_the_tables_stay_bounded(monkeypatch):
             for y in objects:
                 x * y
     assert len(group._interned) == len(group._characters) == group.order == 24
-    assert len(group._mul_cache) <= 2 * group.order ** 2
+    assert len(group._mul_cache) == 2 * group.order ** 2
 
 
 @given(group_with_data())
