@@ -41,14 +41,15 @@ check_cy restricted to these data.
 Each tie-break ("min" or "max") derives p and 2 rho from its own longest
 word.  They are computed once per interned matrix and tie-break and kept on
 the matrix (CartanMatrix.root_counts), so every datum of one Cartan type
-shares them.  A report depends on the tie-break only through (p, 2 rho), so
-check_cy keeps each report on its datum (CartanDatum.reports) under the
-tie-break and under the (p, 2 rho) it was built from: a tie-break whose own
-(p, 2 rho) equals one already reported returns that report object, and two
-tie-breaks that ever disagreed would get two reports.  The witness does not
-depend on the tie-break; it is computed on first use and kept on its datum
-(CartanDatum.squared_antipode_witness).  Its congruences are read from the
-rows chi_k (N / n_i) that validation computes and keeps
+shares them.  Every reduced longest word has the same positive roots, so a
+tie-break whose (p, 2 rho) differs from one already kept on the matrix raises
+InternalError: the tie-breaks cross-check each other once per matrix.  A
+report depends on the tie-break only through (p, 2 rho), so check_cy keeps one
+report on its datum (CartanDatum.reports), under each tie-break and under the
+(p, 2 rho) it was built from, and both tie-breaks return it.  The witness
+does not depend on the tie-break; it is computed on first use and kept on its
+datum (CartanDatum.squared_antipode_witness).  Its congruences are read from
+the rows chi_k (N / n_i) that validation computes and keeps
 (CartanDatum.chi_rows).  Building a datum computes no report, root data or
 witness.
 """
@@ -279,12 +280,17 @@ def chi_beta(datum: CartanDatum, root: Root) -> Character:
 
 def _root_counts(cartan: CartanMatrix, tie_break: str) -> tuple[int, Root]:
     """Positive-root count p and 2 rho, the sum of the positive roots, from one
-    reduced longest word; computed once per matrix and tie-break and kept on
-    the matrix."""
+    reduced longest word; computed once per matrix and tie-break, checked
+    against the (p, 2 rho) of every other tie-break kept on the matrix, then
+    kept there too."""
     kept = cartan.root_counts.get(tie_break)
     if kept is None:
         betas = beta_sequence(cartan, longest_word(cartan, tie_break))
         kept = len(betas), Root(tuple(map(sum, zip(*(b.coeffs for b in betas)))))
+        for other, counts in cartan.root_counts.items():
+            if counts != kept:
+                raise InternalError(f"tie-breaks {other} and {tie_break} derive different "
+                                    "p and 2 rho")
         cartan.root_counts[tie_break] = kept
     return kept
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .cyclotomic import _rational, euler_phi
 from .datum import CriterionResult, CyReport, report_scalars
-from .errors import Frozen, InputError, set_field
+from .errors import Frozen, InputError, InternalError, set_field
 from .groups import AbelianGroup, Character
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -194,19 +194,15 @@ def _det_character(action: GroupActionData, dets: list[Fraction]) -> Character:
     """The determinant homomorphism Gamma -> {1, -1} as a Character, from the
     determinants of the generator matrices.
 
-    Determinants of finite-order rational matrices are rational roots of
-    unity, hence +-1; -1 on a generator of order n forces n even and maps to
-    the exponent n/2."""
+    GroupActionData checked that each generator matrix has order dividing its
+    generator's order n, so its determinant is a rational n-th root of unity,
+    hence +-1, and -1 forces n even and maps to the exponent n/2.  Any other
+    determinant is an internal error."""
     exps = []
     for det, n in zip(dets, action.group.invariant_factors):
-        if det == 1:
-            exps.append(0)
-        elif det == -1:
-            if n % 2:
-                raise InputError(f"determinant -1 on a generator of odd order {n}")
-            exps.append(n // 2)
-        else:
-            raise InputError(f"action matrix determinant {det} is not a root of unity")
+        if det != 1 and (det != -1 or n % 2):
+            raise InternalError(f"action matrix determinant {det} on a generator of order {n}")
+        exps.append(0 if det == 1 else n // 2)
     return Character(action.group, tuple(exps))
 
 

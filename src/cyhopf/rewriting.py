@@ -17,6 +17,7 @@ each raises InputError.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
 
 from .cyclotomic import CycloNumber, one
 from .errors import IndexOutOfRange, InputError, Record, is_decimal
@@ -58,17 +59,10 @@ def parse_word(text: str, t: int) -> Word:
 
 
 def format_word(word: Word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        parts.append(f"x{word[i] + 1}" if j - i == 1 else f"x{word[i] + 1}^{j - i}")
-        i = j
-    return "*".join(parts)
+    """The word as parse_word reads it, each run of one generator as a power:
+    (1, 0, 0) is "x2*x1^2", the empty word "1"."""
+    runs = [(i + 1, len(list(run))) for i, run in groupby(word)]
+    return "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in runs) or "1"
 
 
 def _accumulate(store: dict, key, value) -> None:

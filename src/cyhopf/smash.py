@@ -14,10 +14,12 @@ Elements of the smash product (SmashElement) and of its tensor powers
 sharing one implementation of their linear operations.  Monomials are built
 only by PresentedAlgebra.monomial, and two monomials are multiplied only in
 _mul_mono, which moves the left tail past the right word by the smash relation
-g x_i = chi_i(g) x_i g.  Every chi-value, there and in the Hopf templates, comes
-from _char_value, which keeps one row of exponents of chi_i(g) per group
-element.  Scalars enter the session field Q(zeta_N) only through
-PresentedAlgebra.scalar.  The Hopf structure is defined on generators --
+g x_i = chi_i(g) x_i g.  _products is the one sum of such products: the
+product of elements, the antipode templates and the antipode axioms' S(a) b
+and a S(b) all go through it.  Every chi-value, there and in the Hopf
+templates, comes from _char_value, which keeps one row of exponents of
+chi_i(g) per group element.  Scalars enter the session field Q(zeta_N) only
+through PresentedAlgebra.scalar.  The Hopf structure is defined on generators --
 Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
@@ -243,6 +245,15 @@ class PresentedAlgebra(RewritingSystem):
         tail = g1 * g2
         return [(nw, tail, scalar * nc) for nw, nc in self._normal_combination(w1 + w2)]
 
+    def _products(self, pairs) -> dict[tuple[Word, GroupElement], CycloNumber]:
+        """The sum of c (x^{w1} # g1) (x^{w2} # g2) over the (w1, g1, w2, g2, c)
+        in pairs, as a zero-free dict (nw, tail) -> coefficient."""
+        out: dict = {}
+        for w1, g1, w2, g2, c in pairs:
+            for nw, tail, nc in self._mul_mono(w1, g1, w2, g2):
+                _accumulate(out, (nw, tail), c * nc)
+        return out
+
     # -- Hopf structure maps -------------------------------------------------------------
 
     def _delta_word(self, word: Word):
@@ -281,13 +292,10 @@ class PresentedAlgebra(RewritingSystem):
         else:
             head, last = word[:-1], word[-1]
             g_inv = self.degrees[last].inverse()
-            lw, lg, lc = ((last,), g_inv, -self._char_value((last,), g_inv))
-            acc: dict[tuple[Word, GroupElement], CycloNumber] = {}
+            lc = -self._char_value((last,), g_inv)
             # S(x^w) = S(x_last) S(x^head)
-            for hw, hg, hc in self._antipode_word(head):
-                for nw, tail, nc in self._mul_mono(lw, lg, hw, hg):
-                    _accumulate(acc, (nw, tail), lc * hc * nc)
-            result = tuple((w, g, c) for (w, g), c in acc.items())
+            pairs = (((last,), g_inv, hw, hg, lc * hc) for hw, hg, hc in self._antipode_word(head))
+            result = tuple((w, g, c) for (w, g), c in self._products(pairs).items())
         self._antipode_cache[word] = result
         return result
 
@@ -368,14 +376,9 @@ class SmashElement(_Combination):
     def __mul__(self, other):
         if not isinstance(other, SmashElement):
             return self.scale(other)
-        out: dict = {}
-        alg = self.algebra
-        for (w1, g1), c1 in self.terms.items():
-            for (w2, g2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for nw, tail, nc in alg._mul_mono(w1, g1, w2, g2):
-                    _accumulate(out, (nw, tail), c12 * nc)
-        return self._like(out)
+        pairs = ((w1, g1, w2, g2, c1 * c2) for (w1, g1), c1 in self.terms.items()
+                 for (w2, g2), c2 in other.terms.items())
+        return self._like(self.algebra._products(pairs))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -394,26 +397,21 @@ class SmashElement(_Combination):
 
 
 class TensorElement(_Combination):
-    """Element of a tensor power of the smash product, multiplied legwise."""
+    """Element of a tensor power of the smash product.  Only arity-2 tensors
+    multiply, legwise: (a (x) b)(a' (x) b') = aa' (x) bb'."""
 
     __slots__ = ()
 
     def __mul__(self, other: TensorElement) -> TensorElement:
-        if self.arity != other.arity:
-            raise InternalError("tensor arity mismatch")
-        alg = self.algebra
-        out: dict = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                partial = [(tuple(), c1 * c2)]
-                for (w1, g1), (w2, g2) in zip(key1, key2):
-                    nxt = []
-                    for prefix, c in partial:
-                        for nw, tail, nc in alg._mul_mono(w1, g1, w2, g2):
-                            nxt.append((prefix + ((nw, tail),), c * nc))
-                    partial = nxt
-                for key, c in partial:
-                    _accumulate(out, key, c)
+        if self.arity != 2 or other.arity != 2:
+            raise InternalError("tensor product needs two arity-2 tensors")
+        mul, out = self.algebra._mul_mono, {}
+        for ((a1, h1), (b1, k1)), c1 in self.terms.items():
+            for ((a2, h2), (b2, k2)), c2 in other.terms.items():
+                c12, left, right = c1 * c2, mul(a1, h1, a2, h2), mul(b1, k1, b2, k2)
+                for lw, lg, lc in left:
+                    for rw, rg, rc in right:
+                        _accumulate(out, ((lw, lg), (rw, rg)), c12 * lc * rc)
         return self._like(out)
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
@@ -440,16 +438,10 @@ class TensorElement(_Combination):
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
         alg = self.algebra
-        out: dict = {}
-        for ((w1, g1), (w2, g2)), c in self.terms.items():
-            if antipode_leg == 0:
-                pairs = ((sw, sg, w2, g2, c * sc) for sw, sg, sc in alg._antipode_mono(w1, g1))
-            else:
-                pairs = ((w1, g1, sw, sg, c * sc) for sw, sg, sc in alg._antipode_mono(w2, g2))
-            for lw, lg, rw, rg, pc in pairs:
-                for nw, tail, nc in alg._mul_mono(lw, lg, rw, rg):
-                    _accumulate(out, (nw, tail), pc * nc)
-        return SmashElement._of(alg, out)
+        pairs = ((sw, sg, *b, c * sc) if antipode_leg == 0 else (*a, sw, sg, c * sc)
+                 for (a, b), c in self.terms.items()
+                 for sw, sg, sc in alg._antipode_mono(*(a, b)[antipode_leg]))
+        return SmashElement._of(alg, alg._products(pairs))
 
 
 # -- constructors ----------------------------------------------------------

@@ -2,11 +2,13 @@ import gc
 import random
 import weakref
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 
 from cyhopf import datum as datum_module
 from cyhopf.cartan import CartanMatrix, Root, beta_sequence, longest_word, simple_root
+from cyhopf.cli import main as cli_main
 from cyhopf.cyclotomic import CycloNumber, one, root_of_unity, zero
 from cyhopf.datum import (
     CartanDatum,
@@ -22,10 +24,12 @@ from cyhopf.datum import (
     squared_antipode_diag,
 )
 from cyhopf.datum import _first_solution
-from cyhopf.errors import InputError, InvalidDatum, NegativeRoot, WrongCartanType
+from cyhopf.errors import InputError, InternalError, InvalidDatum, NegativeRoot, WrongCartanType
 from cyhopf.groups import AbelianGroup, Character
 from cyhopf.sampling import random_a1t_datum, random_cartan_datum
 from conftest import a1_power, a1a1_znzn_datum, a2_z2z2_datum, type_a, unbuilt_datum
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def hdet_quantum_affine(datum):
@@ -520,9 +524,11 @@ def test_both_tie_breaks_share_one_report_and_the_rows_of_validation():
         assert d.cartan.root_counts["min"] == d.cartan.root_counts["max"]
 
 
-def test_tie_breaks_whose_root_data_disagree_get_two_reports(monkeypatch):
-    """The cross-check stays: each tie-break derives p and 2 rho from its own
-    word, so a "max" word that is not a longest word gives its own report."""
+def test_tie_breaks_whose_root_data_disagree_raise_an_internal_error(monkeypatch, capsys):
+    """The tie-breaks cross-check each other: each derives p and 2 rho from its
+    own word, so a "max" word that is not a longest word raises InternalError
+    (CLI exit 2) instead of giving a second report with a wrong p, and its
+    (p, 2 rho) is not kept."""
     d = a2_z2z2_datum()
     counts = d.cartan.root_counts  # kept on the interned matrix: restored after the test
     monkeypatch.setitem(counts, "max", None)
@@ -533,10 +539,15 @@ def test_tie_breaks_whose_root_data_disagree_get_two_reports(monkeypatch):
         return word[:-1] if tie_break == "max" else word
 
     monkeypatch.setattr(datum_module, "longest_word", shortened)
-    r_min, r_max = check_cy(d, "min"), check_cy(d, "max")
-    assert r_min is not r_max and (r_min.cy_dimension, r_max.cy_dimension) == (3, 2)
-    assert counts["min"] != counts["max"]
-    assert check_cy(d, "min") is r_min and check_cy(d, "max") is r_max
+    assert check_cy(d, "min").cy_dimension == 3
+    with pytest.raises(InternalError, match="tie-breaks min and max derive different"):
+        check_cy(d, "max")
+    assert "max" not in counts
+    capsys.readouterr()
+    assert cli_main(["check-cy", str(DATA / "datum_a2_z2z2.json"), "--tie-break", "max"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "tie-breaks min and max" in err
+    assert "max" not in counts
 
 
 def test_a_report_equals_one_rebuilt_field_by_field():

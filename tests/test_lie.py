@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from cyhopf import lie as lie_module
 from cyhopf.cli import main
 from cyhopf.cyclotomic import euler_phi
-from cyhopf.errors import InputError
+from cyhopf.errors import InputError, InternalError
 from cyhopf.groups import AbelianGroup
 from cyhopf.lie import (
     GroupActionData,
@@ -193,6 +194,18 @@ def test_cy_reports():
     rep3 = check_cy_lie_smash(one_dim, sign)
     assert rep3.cy_R and not rep3.cy_smash
     assert not rep3.integral_character.is_trivial()
+
+
+@pytest.mark.parametrize("det, order", [(Fraction(2), 2), (Fraction(-1), 3)])
+def test_a_determinant_that_validation_rules_out_is_an_internal_error(monkeypatch, det, order):
+    """GroupActionData has checked each matrix's order, so its determinant is
+    +-1, and -1 only on a generator of even order; any other is an internal
+    error (exit 2), not an input error."""
+    one_dim = LieAlgebraData(1, brackets_from_pairs(1, {}))
+    action = GroupActionData(AbelianGroup((order,)), (((Fraction(1),),),))
+    monkeypatch.setattr(lie_module, "mat_det", lambda m: det)
+    with pytest.raises(InternalError, match=f"determinant {det} on a generator of order {order}"):
+        check_cy_lie_smash(one_dim, action)
 
 
 def test_group_exponent_does_not_limit_the_report(tmp_path, capsys):
