@@ -11,7 +11,8 @@ coercion is explicit in the code, never silent precision loss.  Each order m
 keeps one list of the canonical signed roots of unity +-zeta_m^k, each built
 on first use, so a product, power, negation or inverse of signed roots is an
 index into that list; other inverses come from extended Euclid against Phi_m
-over the integers.
+over the integers.  Each order also keeps the tuple of its m roots zeta_m^k
+(roots_of_unity), the same objects, and its zero.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ def _make_signed_roots(m: int) -> tuple[dict, list]:
         index[rep] = (1, k)
     entry = _SIGNED_ROOTS[m] = (index, [None] * (2 * m))
     return entry
+
+
+# order m -> (zeta_m^0, ..., zeta_m^(m-1)), the objects _signed_root keeps; and
+# order m -> its zero.  Each is built on first use.
+_ROOTS: dict[int, tuple[CycloNumber, ...]] = {}
+_ZEROS: dict[int, CycloNumber] = {}
 
 
 def _signed_root(sign: int, k: int, m: int) -> CycloNumber:
@@ -246,7 +253,7 @@ class CycloNumber:
         return self._wrap(other) - self
 
     def __mul__(self, other) -> CycloNumber:
-        if not isinstance(other, CycloNumber):
+        if other.__class__ is not CycloNumber and not isinstance(other, CycloNumber):
             c = _rational(other)
             return CycloNumber._raw(self.order, [x * c.numerator for x in self.num],
                                 self.den * c.denominator)
@@ -416,9 +423,24 @@ def root_of_unity(k: int, m: int) -> CycloNumber:
     return _signed_root(1, k % m, m)
 
 
+def roots_of_unity(m: int) -> tuple[CycloNumber, ...]:
+    """(zeta_m^0, ..., zeta_m^(m-1)): zeta_m^k at index k, the object
+    root_of_unity(k, m) returns; built once per order."""
+    got = _ROOTS.get(m)
+    if got is None:
+        if m < 1:
+            raise InputError(f"order must be positive, got {m}")
+        got = _ROOTS[m] = tuple(_signed_root(1, k, m) for k in range(m))
+    return got
+
+
 def one(m: int = 1) -> CycloNumber:
     return root_of_unity(0, m)
 
 
 def zero(m: int = 1) -> CycloNumber:
-    return CycloNumber._raw(m, (0,) * euler_phi(m))
+    """0 in Q(zeta_m), built once per order."""
+    got = _ZEROS.get(m)
+    if got is None:
+        got = _ZEROS[m] = CycloNumber._raw(m, (0,) * euler_phi(m))
+    return got

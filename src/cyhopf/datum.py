@@ -44,9 +44,11 @@ the matrix (CartanMatrix.root_counts), so every datum of one Cartan type
 shares them.  Every reduced longest word has the same positive roots, so a
 tie-break whose (p, 2 rho) differs from one already kept on the matrix raises
 InternalError: the tie-breaks cross-check each other once per matrix.  A
-report depends on the tie-break only through (p, 2 rho), so check_cy keeps one
-report on its datum (CartanDatum.reports), under each tie-break and under the
-(p, 2 rho) it was built from, and both tie-breaks return it.  The witness
+report depends on the tie-break only through (p, 2 rho), which every tie-break
+that passes the cross-check shares, so check_cy keeps one report per datum
+(CartanDatum.report), built on the first call, and every tie-break returns it.
+Each call still derives or reads its own tie-break's (p, 2 rho) first, so a
+tie-break that disagrees raises even after the report is kept.  The witness
 does not depend on the tie-break; it is computed on first use and kept on its
 datum (CartanDatum.squared_antipode_witness).  Its congruences are read from
 the rows chi_k (N / n_i) that validation computes and keeps
@@ -93,6 +95,8 @@ class LinkingParameter(Frozen):
 
 
 class CartanDatum(Frozen):
+    report = None  # check_cy's report, set on the datum once, by its first call
+
     def __init__(self, group: AbelianGroup, g: tuple[GroupElement, ...],
                  chi: tuple[Character, ...], cartan: CartanMatrix,
                  linking: tuple[LinkingParameter, ...] = ()) -> None:
@@ -101,7 +105,6 @@ class CartanDatum(Frozen):
         set_field(self, "chi", chi)
         set_field(self, "cartan", cartan)
         set_field(self, "linking", linking)
-        set_field(self, "reports", {})  # check_cy's reports, by tie-break and by (p, 2 rho)
         self.__post_init__()
 
     def __post_init__(self):
@@ -459,20 +462,17 @@ def _listing(values) -> str:
 def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
     """Full report: smash-product and braided-factor verdicts plus, for
     A1 x ... x A1 data, the homological determinant xi^{-1} and the balance
-    criterion, whose residuals are the c_k^{-1}.  Built once per (p, 2 rho),
-    so one report serves both tie-breaks, and kept on the datum; its display
-    fields are built on first read."""
-    report = datum.reports.get(tie_break)
-    if report is not None:
-        return report
-    root_data = _root_counts(datum.cartan, tie_break)  # derived from this tie-break's own word
-    report = datum.reports.get(root_data)
+    criterion, whose residuals are the c_k^{-1}.  Built once per datum, so one
+    report serves both tie-breaks, and kept on the datum; its display fields are
+    built on first read."""
+    _root_counts(datum.cartan, tie_break)  # on every call: the tie-breaks cross-check
+    report = datum.report
     if report is None:
         cy_smash, xi, witness, p = check_cy_smash(datum, tie_break)
         m = datum.group.exponent
         unit = one(m)  # refuses an order whose power table is over budget, witness or not
         exponents = _nakayama_exponents(datum, xi)
-        report = datum.reports[root_data] = CyReport.deferred(
+        report = CyReport.deferred(
             cy_R=not any(exponents),
             cy_smash=cy_smash,
             cy_dimension=p,
@@ -482,7 +482,7 @@ def check_cy(datum: CartanDatum, tie_break: str = "min") -> CyReport:
             order=m,
             nakayama_exponents=exponents,
         )
-    datum.reports[tie_break] = report
+        set_field(datum, "report", report)
     return report
 
 

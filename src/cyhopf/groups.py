@@ -86,7 +86,7 @@ class AbelianGroup(Frozen):
     def generator(self, i: int) -> GroupElement:
         exps = [0] * self.rank
         exps[i] = 1
-        return self.element(exps)
+        return self.element(tuple(exps))  # a tuple is found as given
 
     def character(self, exponents) -> Character:
         return self._characters.intern(tuple(exponents))

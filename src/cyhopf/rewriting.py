@@ -4,10 +4,15 @@ A word is a tuple of 0-based generator indices.  A rule rewrites its
 left-hand side to a combination of words with coefficients in Q(zeta_order);
 every right-hand word must be smaller in the graded-lex order with
 x_1 < ... < x_t, so rewriting terminates.  A RewritingSystem computes normal
-forms (leftmost redex first, memoized), enumerates the normal words up to its
-degree bound, and checks local confluence by the diamond lemma on every
-ambiguity that fits the bound; a non-confluent system is accepted, and its
-report says so.  smash.PresentedAlgebra extends it with a group, a grading
+forms (memoized), enumerates the normal words up to its degree bound, and
+checks local confluence by the diamond lemma on every ambiguity that fits the
+bound; a non-confluent system is accepted, and its report says so.  Normal
+forms rewrite the first redex (_first_redex): the leftmost occurrence of a
+left-hand side and, of those at that position, the graded-lex least.  A
+non-confluent system's normal forms, and so its NonConfluent reports, depend on
+that order.  The unit of Q(zeta_order) is resolved once per system, on first use
+(_one), so a system whose field has no power table is refused only where a
+normal form is built.  smash.PresentedAlgebra extends it with a group, a grading
 and an action; the rules' Gamma-homogeneity and chi-equivariance are checked
 there.
 MAX_WORD_LENGTH and NORMAL_WORD_BUDGET refuse oversized work before it starts:
@@ -94,15 +99,20 @@ class RewritingSystem:
             self._by_first.setdefault(lhs[0], []).append(lhs)
         self.confluence = check_local_confluence(self)
 
-    def _redexes(self, word: Word):
-        """(position, lhs) of every rule occurrence in word, leftmost first and,
-        at one position, in graded-lex order of the left-hand sides."""
-        n = len(word)
-        for pos in range(n):
-            for lhs in self._by_first.get(word[pos], ()):
-                end = pos + len(lhs)
-                if end <= n and word[pos:end] == lhs:
-                    yield pos, lhs
+    @cached_property
+    def _one(self) -> CycloNumber:
+        """1 in Q(zeta_order), resolved on first use."""
+        return one(self.order)
+
+    def _first_redex(self, word: Word) -> tuple[int, Word] | None:
+        """(position, lhs) of the leftmost rule occurrence in word, the graded-lex
+        least lhs at that position; None if word is normal."""
+        by_first = self._by_first
+        for pos, letter in enumerate(word):
+            for lhs in by_first.get(letter, ()):
+                if word[pos:pos + len(lhs)] == lhs:  # a slice cut short by the end differs
+                    return pos, lhs
+        return None
 
     def _rewrite_at(self, word: Word, pos: int, lhs: Word) -> list[tuple[Word, CycloNumber]]:
         """The words, with their rule scalars, that replace lhs at pos."""
@@ -125,9 +135,9 @@ class RewritingSystem:
             if w in cache:
                 stack.pop()
                 continue
-            redex = next(self._redexes(w), None)
+            redex = self._first_redex(w)
             if redex is None:
-                cache[w] = ((w, one(self.order)),)
+                cache[w] = ((w, self._one),)
                 continue
             children = self._rewrite_at(w, *redex)
             pending = [cw for cw, _rc in children if cw not in cache]
@@ -142,7 +152,7 @@ class RewritingSystem:
         return cache[word]
 
     def is_normal(self, word: Word) -> bool:
-        return next(self._redexes(word), None) is None
+        return self._first_redex(word) is None
 
     @cached_property
     def _all_normal_words(self) -> tuple[Word, ...]:

@@ -19,7 +19,17 @@ product of elements, the antipode templates and the antipode axioms' S(a) b
 and a S(b) all go through it.  Every chi-value, there and in the Hopf
 templates, comes from _char_value, which keeps one row of exponents of
 chi_i(g) per group element.  Scalars enter the session field Q(zeta_N) only
-through PresentedAlgebra.scalar.  The Hopf structure is defined on generators --
+through PresentedAlgebra.scalar.
+Each algebra keeps the constants its maps read on every call, once: the group
+identity e (_e), taken at construction and tested for with `is`, since group
+elements are interned; the unit of Q(zeta_N) (_one, from the rewriting layer);
+and the N roots zeta_N^k (_roots, the order's one tuple,
+cyclotomic.roots_of_unity), so that nothing an algebra builds grows with N.
+The unit and the roots are resolved on first use, not at construction: an N
+whose power table is over budget is then refused only by the maps that build
+a scalar, and building an algebra, checking its confluence and
+verify_double_antipode still succeed on a rule-free presentation over such
+an N.  The Hopf structure is defined on generators --
 Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
@@ -36,9 +46,10 @@ layer's limits do; it binds only the rule path's Delta check and the sweep.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from math import prod
 
-from .cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
+from .cyclotomic import CycloNumber, euler_phi, roots_of_unity, zero
 from .errors import (
     DegreeBoundExceeded,
     GroupMismatch,
@@ -135,6 +146,7 @@ class PresentedAlgebra(RewritingSystem):
         self.degrees = tuple(degrees)
         self.actions = tuple(actions)
         self.order = group.exponent
+        self._e = group.identity()
         self._delta_cache: dict[Word, tuple] = {}
         self._antipode_cache: dict[Word, tuple] = {}
         self._worddeg: dict[Word, GroupElement] = {}
@@ -184,7 +196,7 @@ class PresentedAlgebra(RewritingSystem):
         cached = self._worddeg.get(word)
         if cached is not None:
             return cached
-        d = self.group.identity()
+        d = self._e
         for i in word:
             d = d * self.degrees[i]
         self._worddeg[word] = d
@@ -193,19 +205,26 @@ class PresentedAlgebra(RewritingSystem):
     def _char_of(self, word: Word) -> Character:
         return prod((self.actions[i] for i in word), start=self.group.trivial_character())
 
+    @cached_property
+    def _roots(self) -> tuple[CycloNumber, ...]:
+        """zeta_N^k at index k, 0 <= k < N; the order's one tuple, read on first use."""
+        return roots_of_unity(self.order)
+
     def _char_value(self, word: Word, g: GroupElement) -> CycloNumber:
         """chi_{w_1}(g) * ... * chi_{w_k}(g), the scalar for g acting on x^w."""
-        if not word or g.is_identity():
-            return one(self.order)
+        if not word or g is self._e:
+            return self._one
         row = self._char_rows.get(g)
         if row is None:
             row = self._char_rows[g] = tuple(a.value_exponent(g) for a in self.actions)
-        return root_of_unity(sum(map(row.__getitem__, word)), self.order)
+        return self._roots[sum(map(row.__getitem__, word)) % self.order]
 
     # -- scalars and elements -------------------------------------------------
 
     def scalar(self, value) -> CycloNumber:
         """value lifted into the session field Q(zeta_N), N the group exponent."""
+        if value.__class__ is CycloNumber and value.order == self.order:
+            return value
         if not isinstance(value, CycloNumber):
             value = CycloNumber.from_rational(value)
         if self.order % value.order != 0:
@@ -216,17 +235,17 @@ class PresentedAlgebra(RewritingSystem):
         return SmashElement(self, {})
 
     def one_element(self) -> SmashElement:
-        return self.monomial((), self.group.identity())
+        return self.monomial((), self._e)
 
     def generator(self, i: int) -> SmashElement:
-        return self.monomial((i,), self.group.identity())
+        return self.monomial((i,), self._e)
 
     def group_like(self, g: GroupElement) -> SmashElement:
         return self.monomial((), g)
 
     def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
         """coeff (default 1) times x^w # g, in normal form."""
-        c = one(self.order) if coeff is None else self.scalar(coeff)
+        c = self._one if coeff is None else self.scalar(coeff)
         word = tuple(word)
         self._check_indices(word)
         if g.group != self.group:
@@ -240,7 +259,9 @@ class PresentedAlgebra(RewritingSystem):
     def _mul_mono(self, w1: Word, g1: GroupElement, w2: Word,
                   g2: GroupElement) -> list[tuple[Word, GroupElement, CycloNumber]]:
         """(x^{w1} # g1) (x^{w2} # g2) as a normal combination."""
-        self._check_degree("product", len(w1) + len(w2))
+        degree = len(w1) + len(w2)
+        if degree > self.degree_bound:
+            self._check_degree("product", degree)
         scalar = self._char_value(w2, g1)
         tail = g1 * g2
         return [(nw, tail, scalar * nc) for nw, nc in self._normal_combination(w1 + w2)]
@@ -263,7 +284,7 @@ class PresentedAlgebra(RewritingSystem):
         if cached is not None:
             return cached
         if not word:
-            result = (((), (), one(self.order)),)
+            result = (((), (), self._one),)
         else:
             head, last = word[:-1], word[-1]
             acc: dict[tuple[Word, Word], CycloNumber] = {}
@@ -288,7 +309,7 @@ class PresentedAlgebra(RewritingSystem):
         if cached is not None:
             return cached
         if not word:
-            result = (((), self.group.identity(), one(self.order)),)
+            result = (((), self._e, self._one),)
         else:
             head, last = word[:-1], word[-1]
             g_inv = self.degrees[last].inverse()
@@ -416,16 +437,20 @@ class TensorElement(_Combination):
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
+        e, degree_of = alg._e, alg._degree_of
         out: dict = {}
         for key, c in self.terms.items():
             w, g = key[leg]
             for u, v, tc in alg._delta_word(w):
-                expanded = key[:leg] + ((u, alg._degree_of(v) * g), (v, g)) + key[leg + 1:]
+                left_tail = degree_of(v) if g is e else degree_of(v) * g
+                expanded = key[:leg] + ((u, left_tail), (v, g)) + key[leg + 1:]
                 _accumulate(out, expanded, c * tc)
         return self._of(alg, out, self.arity + 1)
 
     def counit_on_leg(self, leg: int) -> SmashElement:
         """Apply the counit to one leg of an arity-2 tensor."""
+        if self.arity != 2:
+            raise InternalError("counit_on_leg needs an arity-2 tensor")
         out: dict = {}
         for key, c in self.terms.items():
             if not key[leg][0]:
@@ -500,7 +525,7 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     """
     words = algebra.normal_words()  # NORMAL_WORD_BUDGET binds both paths
     if _rules_respected(algebra):
-        e = algebra.group.identity()
+        e = algebra._e
         monomials = [(w, algebra.monomial(w, e)) for w in words if len(w) <= 1]
         entries = _monomial_families(algebra, [(w, m, algebra.comultiply(m)) for w, m in monomials])
         if all(entry.status == "pass" for entry in entries):
@@ -513,7 +538,7 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
 
 def _rules_respected(algebra: PresentedAlgebra) -> bool:
     """Whether verify_hopf_axioms' rule path runs and Delta descends."""
-    conf, unit, bound = algebra.confluence, one(algebra.order), algebra.degree_bound
+    conf, unit, bound = algebra.confluence, algebra._one, algebra.degree_bound
     if not conf.ok or conf.skipped_over_bound or max(map(len, algebra.rules), default=0) > bound:
         return False
     words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
@@ -537,7 +562,7 @@ def _monomial_families(algebra: PresentedAlgebra,
     """Coassociativity, counit and both antipode axioms: each family's first
     counterexample among the (w, x^w # e, Delta(x^w # e)) in swept.  It forms
     no pair products, so PAIR_COST_BUDGET does not bind it."""
-    e, one_element = algebra.group.identity(), algebra.one_element()
+    e, one_element = algebra._e, algebra.one_element()
     families = {  # eps(m) 1 is the right-hand side of both antipode axioms
         "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
         "counit": lambda m, d: d.counit_on_leg(0) == m and d.counit_on_leg(1) == m,
@@ -553,8 +578,7 @@ def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
     """Each family's first counterexample among the x^w # e, w in words, and
     their pairs with |w1| + |w2| <= bound, within PAIR_COST_BUDGET: the one
     path that forms pair products and charges their cost."""
-    bound = algebra.degree_bound
-    e = algebra.group.identity()
+    bound, e = algebra.degree_bound, algebra._e
     sweep = []
     delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
     # sum of |Delta(m1)| * |Delta(m2)| over the pairs among those words, times
@@ -625,7 +649,7 @@ class DiagonalAutomorphism:
                                               f"on {format_word(lhs)}")
 
     def _word_scale(self, word: Word) -> CycloNumber:
-        return prod((self.scalars[i] for i in word), start=one(self.algebra.order))
+        return prod((self.scalars[i] for i in word), start=self.algebra._one)
 
 
 def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashElement) -> SmashElement:
@@ -642,7 +666,7 @@ def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashEl
 
 
 def _diagonal_coefficient(algebra: PresentedAlgebra, elem: SmashElement, i: int) -> CycloNumber:
-    key = ((i,), algebra.group.identity())
+    key = ((i,), algebra._e)
     if set(elem.terms) != {key}:
         raise InternalError(f"expected a diagonal image on x{i + 1}, got {elem}")
     return elem.terms[key]

@@ -300,6 +300,29 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, verb, obj):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+# One generator over Z_10001 and no rules: Q(zeta_10001) has no power table.
+OVER_BUDGET_ORDER = dict(PRES_Z2, group={"invariant_factors": [10001]}, generators=1,
+                         degrees=[{"exp": [1]}], actions=[{"exp": [1]}])
+
+
+@pytest.mark.parametrize("verb, code", [("confluence", 0), ("verify-s2", 0), ("verify-hopf", 1),
+                                        ("nakayama", 1)])
+def test_an_order_over_the_power_table_budget_is_refused_only_where_a_scalar_is_built(
+        tmp_path, capsys, verb, code):
+    """An algebra resolves its unit and roots of unity on first use, not when it
+    is built: confluence and verify-s2 build no scalar here and exit 0, while
+    verify-hopf and nakayama need 1 in Q(zeta_10001) and exit 1 with one line."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(OVER_BUDGET_ORDER))
+    assert main([verb, str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: cyclotomic order 10001 needs a power table")
+    else:
+        assert err == "" and out
+
+
 @pytest.mark.parametrize("raw", ["1_000", " 7 ", "\u0663", "", "+", "-", "+-5", "\u00b2"])
 def test_read_int_takes_only_a_sign_and_ascii_digits(raw):
     """int() also reads underscores, surrounding spaces and non-ASCII digits

@@ -724,7 +724,7 @@ def test_an_order_over_the_power_table_budget_is_refused_at_the_call():
         for _ in range(2):
             with pytest.raises(InputError, match="power table"):
                 check_cy(datum)
-        assert datum.reports == {}
+        assert datum.report is None
 
 
 def _a3_over_z2_cubed(value) -> CartanDatum:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyhopf import rewriting, smash
 from cyhopf.cyclotomic import CycloNumber, euler_phi, one, root_of_unity, zero
@@ -54,7 +56,15 @@ def normal_monomials(algebra: PresentedAlgebra, max_degree: int | None = None):
     return [(w, g) for w in algebra.normal_words(max_degree) for g in gs]
 
 
-def normalize_with_strategy(algebra: PresentedAlgebra, word, choose):
+def all_redexes(system: rewriting.RewritingSystem, word) -> list:
+    """(position, lhs) of every rule occurrence in word, by position, then by
+    graded-lex order of lhs."""
+    found = [(pos, lhs) for lhs in system.rules for pos in range(len(word) - len(lhs) + 1)
+             if word[pos:pos + len(lhs)] == lhs]
+    return sorted(found, key=lambda r: (r[0], rewriting.graded_lex_key(r[1])))
+
+
+def normalize_with_strategy(algebra: rewriting.RewritingSystem, word, choose):
     """Uncached rewriting with a caller-chosen redex strategy: choose receives
     the nonempty list of (position, lhs) redexes of the current word and
     returns one of them."""
@@ -62,7 +72,7 @@ def normalize_with_strategy(algebra: PresentedAlgebra, word, choose):
     stack = [(tuple(word), one(algebra.order))]
     while stack:
         w, c = stack.pop()
-        redexes = list(algebra._redexes(w))
+        redexes = all_redexes(algebra, w)
         if not redexes:
             rewriting._accumulate(acc, w, c)
             continue
@@ -176,6 +186,41 @@ def test_default_coefficient_builds_no_scalar(monkeypatch):
     assert calls == []
     assert algebra.monomial((0,), e, 2) == algebra.generator(0).scale(2)
     assert calls
+
+
+def _rule_sets(max_t=3, max_lhs=3):
+    """Rewriting systems over order 1 with random rules: each lhs goes to 0
+    or to c times one graded-lex smaller word, so many are not confluent."""
+    def system(t, draws, bound):
+        rules = {}
+        for lhs, rhs, c in draws:
+            lhs = tuple(i % t for i in lhs)
+            rhs = tuple(i % t for i in rhs)
+            if rewriting.graded_lex_key(rhs) < rewriting.graded_lex_key(lhs):
+                rules[lhs] = ((rhs, CycloNumber.from_rational(c)),)
+            else:
+                rules[lhs] = ()
+        return rewriting.RewritingSystem(t, 1, rules, bound)
+    letters = st.integers(min_value=0, max_value=max_t - 1)
+    draws = st.lists(st.tuples(st.lists(letters, min_size=1, max_size=max_lhs).map(tuple),
+                               st.lists(letters, max_size=max_lhs).map(tuple),
+                               st.integers(min_value=-2, max_value=2).filter(bool)),
+                      min_size=1, max_size=6)
+    return st.builds(system, st.integers(min_value=1, max_value=max_t), draws,
+                     st.integers(min_value=1, max_value=5))
+
+
+@given(_rule_sets(), st.lists(st.integers(min_value=0, max_value=2), max_size=6))
+def test_the_first_redex_is_the_least_by_position_then_graded_lex(system, letters):
+    """_first_redex returns the least (position, lhs) by position, then by
+    graded-lex order of lhs, or None on a normal word; and normal forms rewrite
+    that redex, which the NonConfluent reports depend on."""
+    word = tuple(i % system.t for i in letters)
+    redexes = all_redexes(system, word)
+    assert system._first_redex(word) == (redexes[0] if redexes else None)
+    assert system.is_normal(word) == (not redexes)
+    assert system._normal_combination(word) == normalize_with_strategy(
+        system, word, lambda found: found[0])
 
 
 def test_normalize_a2_cubic_rule():
@@ -407,6 +452,24 @@ def test_term_dict_equality_agrees_with_subtraction(build):
     with pytest.raises(InternalError):
         _ = t2 == t2.coproduct_on_leg(0)
     assert (t2 == t3) is False and (t3 == t2) is False
+
+
+def test_the_arity_two_methods_refuse_the_arity_three_tensor_of_a_coproduct_on_a_leg():
+    """counit_on_leg, fold_with and the tensor product take arity-2 tensors
+    only: the arity-3 tensor coproduct_on_leg builds is an internal error for
+    each, not folded silently onto one leg."""
+    algebra = qa_algebra(3)
+    delta = algebra.comultiply(algebra.generator(0))
+    triple = delta.coproduct_on_leg(0)
+    assert triple.arity == 3
+    for leg in (0, 1):
+        with pytest.raises(InternalError, match="arity-2"):
+            triple.counit_on_leg(leg)
+        with pytest.raises(InternalError, match="arity-2"):
+            triple.fold_with(leg)
+    for a, b in ((triple, delta), (delta, triple)):
+        with pytest.raises(InternalError, match="arity-2"):
+            _ = a * b
 
 
 # -- axiom sweeps ------------------------------------------------------------------
