@@ -25,18 +25,22 @@ identity e (_e), taken at construction and tested for with `is`, since group
 elements are interned; the unit of Q(zeta_N) (_one, from the rewriting layer);
 and the N roots zeta_N^k (_roots, the order's one tuple,
 cyclotomic.roots_of_unity), so that nothing an algebra builds grows with N.
+The maps form no product with _one or _e as an operand.  That test is by
+identity and only a fast path: a scalar equal to 1 that is not the interned
+_one is multiplied like any other.
 The unit and the roots are resolved on first use, not at construction: an N
-whose power table is over budget is then refused only by the maps that build
-a scalar, and building an algebra, checking its confluence and
-verify_double_antipode still succeed on a rule-free presentation over such
-an N.  The Hopf structure is defined on generators --
+whose power table is over budget is then refused only by the structure maps
+and the checks built on them, and building an algebra, checking its
+confluence and verify_double_antipode still succeed on a rule-free
+presentation over such an N.  The Hopf structure is defined on generators --
 Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
 The Hopf-axiom check decides a presentation whose overlaps fit the degree bound
 and resolve on its generators and rules, by Delta-descent of the rules and
 forming no pair products; it sweeps every other one over the normal words up to
-the bound at tail e, and Gamma-equivariance covers the other tails (see
+the bound at tail e, forming only the pairs that imply the others (see
+_hopf_sweep), and Gamma-equivariance covers the other tails (see
 verify_hopf_axioms).  The graded squared-antipode identity holds by
 construction and is decided without a sweep (see verify_double_antipode).
 PAIR_COST_BUDGET refuses oversized work before it starts, as the rewriting
@@ -65,7 +69,8 @@ from .rewriting import (RewritingSystem, Word, _accumulate, confluence_notes, fo
 from .rewriting import check_local_confluence  # noqa: F401  (re-exported for the benchmark tracer)
 
 DEFAULT_DEGREE_BOUND = 4
-# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)|, and on the
+# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)| over every pair
+# up to the bound, formed or not (see _hopf_sweep), and on the
 # terms of the Delta templates the rule path builds, each times phi(N), the
 # rational parts of a coefficient (13-50 us a unit for phi(N) up to 100 on a
 # 2-core host).  The rule path forms no pairs, so no pair cost is charged there.
@@ -196,9 +201,9 @@ class PresentedAlgebra(RewritingSystem):
         cached = self._worddeg.get(word)
         if cached is not None:
             return cached
-        d = self._e
-        for i in word:
-            d = d * self.degrees[i]
+        e = d = self._e
+        for g in map(self.degrees.__getitem__, word):
+            d = g if d is e else d if g is e else d * g
         self._worddeg[word] = d
         return d
 
@@ -245,13 +250,15 @@ class PresentedAlgebra(RewritingSystem):
 
     def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
         """coeff (default 1) times x^w # g, in normal form."""
-        c = self._one if coeff is None else self.scalar(coeff)
+        one = self._one
+        c = one if coeff is None else self.scalar(coeff)
         word = tuple(word)
         self._check_indices(word)
         if g.group != self.group:
             raise GroupMismatch(f"group-like {g} of {g.group} outside {self.group}")
         self._check_degree("word", len(word))
-        terms = {(nw, g): nc * c for nw, nc in self._normal_combination(word)} if c else {}
+        terms = {(nw, g): nc if c is one else nc * c
+                 for nw, nc in self._normal_combination(word)} if c else {}
         return SmashElement._of(self, terms)
 
     # -- monomial multiplication ----------------------------------------------------
@@ -262,17 +269,18 @@ class PresentedAlgebra(RewritingSystem):
         degree = len(w1) + len(w2)
         if degree > self.degree_bound:
             self._check_degree("product", degree)
-        scalar = self._char_value(w2, g1)
-        tail = g1 * g2
-        return [(nw, tail, scalar * nc) for nw, nc in self._normal_combination(w1 + w2)]
+        scalar, e, one = self._char_value(w2, g1), self._e, self._one
+        tail = g2 if g1 is e else g1 if g2 is e else g1 * g2
+        return [(nw, tail, nc if scalar is one else scalar if nc is one else scalar * nc)
+                for nw, nc in self._normal_combination(w1 + w2)]
 
     def _products(self, pairs) -> dict[tuple[Word, GroupElement], CycloNumber]:
         """The sum of c (x^{w1} # g1) (x^{w2} # g2) over the (w1, g1, w2, g2, c)
         in pairs, as a zero-free dict (nw, tail) -> coefficient."""
-        out: dict = {}
+        out, one = {}, self._one
         for w1, g1, w2, g2, c in pairs:
             for nw, tail, nc in self._mul_mono(w1, g1, w2, g2):
-                _accumulate(out, (nw, tail), c * nc)
+                _accumulate(out, (nw, tail), nc if c is one else c if nc is one else c * nc)
         return out
 
     # -- Hopf structure maps -------------------------------------------------------------
@@ -286,16 +294,17 @@ class PresentedAlgebra(RewritingSystem):
         if not word:
             result = (((), (), self._one),)
         else:
-            head, last = word[:-1], word[-1]
+            head, last, one = word[:-1], word[-1], self._one
             acc: dict[tuple[Word, Word], CycloNumber] = {}
             for u, v, c in self._delta_word(head):
                 # times (x_last (x) 1): left leg (x^u # deg v) x_last
                 chi = self._char_value((last,), self._degree_of(v))
+                lc = c if chi is one else chi if c is one else chi * c
                 for nw, nc in self._normal_combination(u + (last,)):
-                    _accumulate(acc, (nw, v), chi * nc * c)
+                    _accumulate(acc, (nw, v), lc if nc is one else nc if lc is one else nc * lc)
                 # times (g_last (x) x_last): the left tail deg(v) grows implicitly
                 for nw, nc in self._normal_combination(v + (last,)):
-                    _accumulate(acc, (u, nw), nc * c)
+                    _accumulate(acc, (u, nw), c if nc is one else nc if c is one else nc * c)
             result = tuple((u, v, c) for (u, v), c in acc.items())
         self._delta_cache[word] = result
         return result
@@ -321,16 +330,21 @@ class PresentedAlgebra(RewritingSystem):
         return result
 
     def _antipode_mono(self, w: Word, g: GroupElement):
-        """S(x^w # g) = (1 # g^{-1}) S(x^w # e) as normal terms (nw, tail, coeff)."""
-        g_inv = g.inverse()
-        return [(sw, g_inv * sg, sc * self._char_value(sw, g_inv))
-                for sw, sg, sc in self._antipode_word(w)]
+        """S(x^w # g) = (1 # g^{-1}) S(x^w # e) as normal terms (nw, tail, coeff);
+        at g = e, the template itself."""
+        template, e = self._antipode_word(w), self._e
+        if g is e:
+            return template
+        g_inv, one, chi = g.inverse(), self._one, self._char_value
+        return [(sw, g_inv if sg is e else g_inv * sg,
+                 sc if (c := chi(sw, g_inv)) is one else c if sc is one else sc * c)
+                for sw, sg, sc in template]
 
     def antipode(self, elem: SmashElement) -> SmashElement:
-        terms: dict = {}
+        terms, one = {}, self._one
         for (w, g), c in elem.terms.items():
             for sw, tail, sc in self._antipode_mono(w, g):
-                _accumulate(terms, (sw, tail), c * sc)
+                _accumulate(terms, (sw, tail), sc if c is one else c if sc is one else c * sc)
         return SmashElement._of(self, terms)
 
     def counit(self, elem: SmashElement) -> CycloNumber:
@@ -377,7 +391,11 @@ class _Combination:
 
     def scale(self, c):
         c = self.algebra.scalar(c)  # c * v is zero only when c is
-        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+        if not c:
+            return self._like({})
+        one = self.algebra._one
+        return self._like({k: v if c is one else c if v is one else v * c
+                           for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -426,25 +444,29 @@ class TensorElement(_Combination):
     def __mul__(self, other: TensorElement) -> TensorElement:
         if self.arity != 2 or other.arity != 2:
             raise InternalError("tensor product needs two arity-2 tensors")
-        mul, out = self.algebra._mul_mono, {}
+        mul, one, out = self.algebra._mul_mono, self.algebra._one, {}
         for ((a1, h1), (b1, k1)), c1 in self.terms.items():
             for ((a2, h2), (b2, k2)), c2 in other.terms.items():
-                c12, left, right = c1 * c2, mul(a1, h1, a2, h2), mul(b1, k1, b2, k2)
+                c12 = c2 if c1 is one else c1 if c2 is one else c1 * c2
+                left, right = mul(a1, h1, a2, h2), mul(b1, k1, b2, k2)
                 for lw, lg, lc in left:
+                    cl = c12 if lc is one else lc if c12 is one else c12 * lc
                     for rw, rg, rc in right:
-                        _accumulate(out, ((lw, lg), (rw, rg)), c12 * lc * rc)
+                        _accumulate(out, ((lw, lg), (rw, rg)),
+                                    cl if rc is one else rc if cl is one else cl * rc)
         return self._like(out)
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
-        e, degree_of = alg._e, alg._degree_of
+        e, one, degree_of = alg._e, alg._one, alg._degree_of
         out: dict = {}
         for key, c in self.terms.items():
             w, g = key[leg]
             for u, v, tc in alg._delta_word(w):
-                left_tail = degree_of(v) if g is e else degree_of(v) * g
+                dv = degree_of(v)
+                left_tail = dv if g is e else g if dv is e else dv * g
                 expanded = key[:leg] + ((u, left_tail), (v, g)) + key[leg + 1:]
-                _accumulate(out, expanded, c * tc)
+                _accumulate(out, expanded, tc if c is one else c if tc is one else c * tc)
         return self._of(alg, out, self.arity + 1)
 
     def counit_on_leg(self, leg: int) -> SmashElement:
@@ -462,10 +484,12 @@ class TensorElement(_Combination):
         over the terms a (x) b of an arity-2 tensor, in one dict."""
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
-        alg = self.algebra
-        pairs = ((sw, sg, *b, c * sc) if antipode_leg == 0 else (*a, sw, sg, c * sc)
-                 for (a, b), c in self.terms.items()
-                 for sw, sg, sc in alg._antipode_mono(*(a, b)[antipode_leg]))
+        alg, pairs = self.algebra, []
+        one = alg._one
+        for (a, b), c in self.terms.items():
+            for sw, sg, sc in alg._antipode_mono(*(a, b)[antipode_leg]):
+                cs = sc if c is one else c if sc is one else c * sc
+                pairs.append((sw, sg, *b, cs) if antipode_leg == 0 else (*a, sw, sg, cs))
         return SmashElement._of(alg, alg._products(pairs))
 
 
@@ -515,6 +539,15 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     before it is built; past PAIR_COST_BUDGET, or if the path does not run or a
     family fails, the sweep runs, so every failing report is the sweep's.
 
+    The sweep forms no pair with 1#e, which holds by the engine's templates.  On
+    a confluent system it forms only the pairs (x_a # e, x^w # e), x_a a normal
+    generator; the others follow by induction on |w1|, writing x^{w1} = x_a x^{w'}:
+        Delta(x^{w1} m) = Delta(x_a) Delta(x^{w'} m) = Delta(x_a) Delta(x^{w'}) Delta(m).
+    This needs the product, and the legwise product of tensors, to be
+    associative within the bound, which confluence within the bound gives (the
+    diamond lemma); a non-confluent system gets every pair but the unit's.  The
+    argument is in _hopf_sweep's docstring.
+
     Tails reduce to e by Gamma-equivariance of the engine's own maps, true for
     non-confluent systems too: comultiply(x^w # g) is comultiply(x^w # e) with
     both tails times g; antipode(x^w # g) = (1 # g^{-1}) antipode(x^w # e);
@@ -551,7 +584,7 @@ def _rules_respected(algebra: PresentedAlgebra) -> bool:
         image: dict = {}  # Delta template of lhs - rhs
         for w, c in ((lhs, unit), *((w, -c) for w, c in rhs)):
             for a, b, tc in algebra._delta_word(w):
-                _accumulate(image, (a, b), c * tc)
+                _accumulate(image, (a, b), tc if c is unit else c if tc is unit else c * tc)
         if image:
             return False
     return True
@@ -575,9 +608,36 @@ def _monomial_families(algebra: PresentedAlgebra,
 
 
 def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
-    """Each family's first counterexample among the x^w # e, w in words, and
-    their pairs with |w1| + |w2| <= bound, within PAIR_COST_BUDGET: the one
-    path that forms pair products and charges their cost."""
+    """Each family's first counterexample among the x^w # e, w in words (every
+    normal word up to the bound), and among their pairs with |w1| + |w2| <=
+    bound, within PAIR_COST_BUDGET: the one path that forms pair products and
+    charges their cost.  The cost is that of every pair up to the bound, formed
+    or not, so the budget refuses the inputs an all-pairs sweep would.
+
+    Pairs with 1#e are not formed: on normal words, (1#e) m = m and
+    Delta(1#e) = 1 (x) 1 by the engine's own templates, and the legwise product
+    of 1 (x) 1 with a tensor of normal monomials is that tensor, whether or not
+    the rules are confluent.
+
+    If the rules are confluent within the bound (algebra.confluence.ok: every
+    ambiguity of length <= bound resolves), then by the diamond lemma (G.
+    Bergman, The diamond lemma for ring theory, 1978) every word up to the bound
+    has one normal form, so the engine's product of monomials is associative
+    within the bound, and so is the legwise product of tensors (chi-values are
+    multiplicative and the rules chi-equivariant).  Then only the pairs
+    (x_a # e, x^w # e), x_a a normal generator, are formed, and they imply every
+    pair (x^{w1} # e, m), m = x^{w2} # e, by induction on |w1|.  For |w1| >= 2
+    write x^{w1} = x_a x^{w'}: w' is a suffix of a normal word, so normal and
+    shorter, and x^{w'} m is a combination of normal words n with
+    |x_a| + |n| <= bound.  By linearity, the generator pairs, induction,
+    associativity and the generator pair (x_a, x^{w'}):
+        Delta(x^{w1} m) = Delta(x_a (x^{w'} m)) = Delta(x_a) Delta(x^{w'} m)
+                        = Delta(x_a) (Delta(x^{w'}) Delta(m))
+                        = (Delta(x_a) Delta(x^{w'})) Delta(m) = Delta(x^{w1}) Delta(m).
+    So some pair fails only if a generator pair fails.  The words are ordered by
+    degree, so in an all-pairs sweep's order the generator pairs come right
+    after the unit row, and its first counterexample is theirs.  On a
+    non-confluent system every pair without a unit factor is formed."""
     bound, e = algebra.degree_bound, algebra._e
     sweep = []
     delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
@@ -599,9 +659,11 @@ def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
                              f"lower the degree bound")
 
     entries = _monomial_families(algebra, sweep)
+    left_max = 1 if algebra.confluence.ok else bound  # longest left word of a formed pair
     pair_failure = next((f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
-                         for w1, m1, d1 in sweep for w2, m2, d2 in sweep
-                         if len(w1) + len(w2) <= bound and algebra.comultiply(m1 * m2) != d1 * d2),
+                         for w1, m1, d1 in sweep if 0 < len(w1) <= left_max
+                         for w2, m2, d2 in sweep if w2 and len(w1) + len(w2) <= bound
+                         and algebra.comultiply(m1 * m2) != d1 * d2),
                         None)
     entries.append(_entry("coproduct-multiplicative", pair_failure))
     notes = (f"degree bound {bound}", "group tails reduced to e by Gamma-equivariance")
@@ -657,11 +719,14 @@ def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashEl
     on the generators: only the terms of Delta(x^w # g) with u = () count."""
     if xi.group != algebra.group:
         raise InputError("winding character outside the presentation group")
-    out: dict = {}
+    out, e, one = {}, algebra._e, algebra._one
     for (w, g), c in elem.terms.items():
         for u, v, tc in algebra._delta_word(w):
             if not u:
-                _accumulate(out, (v, g), c * tc * xi(algebra._degree_of(v) * g))
+                dv = algebra._degree_of(v)
+                x = xi(g if dv is e else dv if g is e else dv * g)
+                ct = tc if c is one else c if tc is one else c * tc
+                _accumulate(out, (v, g), ct if x is one else x if ct is one else ct * x)
     return SmashElement._of(algebra, out)
 
 

@@ -512,15 +512,19 @@ def test_corrupted_rule_fails_with_counterexample():
     assert failures["coproduct-multiplicative"].counterexample
 
 
-def _full_tail_hopf_sweep(algebra: PresentedAlgebra) -> list[tuple[str, str | None]]:
+def _full_tail_hopf_sweep(algebra: PresentedAlgebra, tails=None) -> list[tuple[str, str | None]]:
     """First counterexample of each Hopf family over every normal monomial
-    x^w # g, every tail g included, and over every pair of them.
+    x^w # g, g in tails (default: every group element), and over every pair of
+    them, the pairs with 1#e included.
 
-    A test-only oracle for the tail reduction in verify_hopf_axioms: it uses
-    nothing of the engine but comultiply, *, antipode and counit.
+    A test-only oracle for the tail reduction in verify_hopf_axioms and, at
+    tails [e], for the pairs _hopf_sweep forms: it uses nothing of the engine
+    but comultiply, *, antipode and counit.
     """
     alg = algebra
-    monos = [(w, format_monomial(w, g), alg.monomial(w, g)) for w, g in normal_monomials(alg)]
+    tails = list(alg.group.elements()) if tails is None else tails
+    monos = [(w, format_monomial(w, g), alg.monomial(w, g))
+             for w in alg.normal_words() for g in tails]
 
     def legs(m):
         """Delta(m) as (left monomial key, right monomial key, coefficient)."""
@@ -778,6 +782,125 @@ def test_sweep_path_inputs_report_as_before(build, counterexamples):
     assert report.to_json() == _sweep(build()).to_json()
     assert report.notes[-1] == SWEEP_NOTE
     assert [e.counterexample for e in report.entries] == counterexamples
+
+
+def _corrupted_quantum_affine(rng: random.Random) -> PresentedAlgebra:
+    """A quantum-affine presentation of rank >= 2 at bound 4 with one swap
+    coefficient squared."""
+    d = random_a1t_datum(rng, t=rng.choice((2, 3)))
+    rules = dict(quantum_affine_presentation(d.group, d.g, d.chi, 4).rules)
+    lhs = rng.choice(sorted(rules))
+    ((word, c),) = rules[lhs]
+    rules[lhs] = ((word, c * c),)
+    return PresentedAlgebra(d.group, d.g, d.chi, rules, 4)
+
+
+def _report_triples(oracle) -> list:
+    return [(check, "fail" if c else "pass", c) for check, c in oracle]
+
+
+def test_the_sweep_reports_as_the_all_pairs_oracle_at_tail_e():
+    """_hopf_sweep forms no pair with 1#e, and on confluent rules only the
+    pairs with a generator on the left; each of its reports equals the
+    all-pairs oracle's at tail e, entry by entry, on the quantum linear spaces
+    and their twins, the q12^2 control, A2 at bound 3, the non-confluent file
+    and quantum-affine draws with one swap coefficient squared."""
+    rng = random.Random(9090)
+    algebras = [a for _ in range(80) for a in quantum_linear_space_twins(rng)]
+    algebras += [_q12_squared_control(), a2_algebra(3), _nonconfluent_presentation()]
+    rng = random.Random(5151)
+    algebras += [_corrupted_quantum_affine(rng) for _ in range(28)]
+    failing = 0
+    for algebra in algebras:
+        oracle = _full_tail_hopf_sweep(algebra, [algebra._e])
+        assert _triples(_sweep(algebra)) == _report_triples(oracle)
+        failing += any(c for _check, c in oracle)
+    assert (len(algebras), failing) == (191, 97)
+
+
+@pytest.mark.parametrize(
+    "build, all_pairs, formed",
+    [(_q12_squared_control, 27, 10), (lambda: a2_algebra(3), 45, 12),
+     (_nonconfluent_presentation, 39, 15)],
+    ids=["q12-squared-control", "a2-z2z2-bound3", "nonconfluent-file"],
+)
+def test_the_sweep_forms_no_unit_pair_and_on_confluent_rules_generator_pairs_only(
+        monkeypatch, build, all_pairs, formed):
+    """The Delta(m1) * Delta(m2) the sweep forms, against those of the
+    all-pairs oracle at tail e, up to the first failing pair: none has the
+    empty word as a factor, and on confluent rules each has a generator on
+    the left."""
+    algebra = build()
+    products = []
+    tensor_mul = TensorElement.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return tensor_mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", counting)
+    _full_tail_hopf_sweep(algebra, [algebra._e])
+    assert len(products) == all_pairs
+    products.clear()
+    _sweep(algebra)
+    monkeypatch.undo()
+    words, top = algebra.normal_words(), 1 if algebra.confluence.ok else algebra.degree_bound
+    deltas = [(w, algebra.comultiply(algebra.monomial(w, algebra._e))) for w in words]
+    pairs = [tuple(next(w for w, d in deltas if d == factor) for factor in pair)
+             for pair in products]
+    assert all(w1 and w2 for w1, w2 in pairs)
+    in_order = [(w1, w2) for w1 in words if 0 < len(w1) <= top
+                for w2 in words if w2 and len(w1) + len(w2) <= algebra.degree_bound]
+    assert len(pairs) == formed and pairs == in_order[:formed]
+
+
+def _fresh(c: CycloNumber) -> CycloNumber:
+    """A new CycloNumber equal to c, not the object c is."""
+    out = CycloNumber(c.order, c.coeffs)
+    assert out == c and out is not c
+    return out
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: qa_algebra(3), _q12_squared_control, lambda: a2_algebra(3)],
+    ids=["qa-z3z3-rules", "q12-squared-sweep", "a2-z2z2-sweep"])
+def test_a_unit_that_is_not_the_interned_one_is_multiplied_as_any_scalar(build):
+    """The engine skips a product by the interned unit, tested with `is`; a
+    scalar equal to a root of unity, 1 included, that is not the interned
+    object is multiplied.  Rule coefficients, monomial coefficients and term
+    coefficients given as new CycloNumbers give the reports and the term
+    dicts of the canonical objects."""
+    canonical = build()
+    n, e = canonical.order, canonical._e
+    rules = {lhs: tuple((w, _fresh(c)) for w, c in rhs) for lhs, rhs in canonical.rules.items()}
+    fresh = PresentedAlgebra(canonical.group, canonical.degrees, canonical.actions, rules,
+                             canonical.degree_bound)
+    assert all(c is not canonical.rules[lhs][0][1] for lhs, ((_w, c),) in fresh.rules.items())
+    xi = canonical.actions[0] * canonical.actions[-1]
+    reports = []
+    for algebra in (canonical, fresh):
+        auto, nakayama = nakayama_automorphism(algebra, xi)
+        reports.append([verify_hopf_axioms(algebra).to_json(), _sweep(algebra).to_json(),
+                        verify_double_antipode(algebra).to_json(), nakayama.to_json(),
+                        [str(c) for c in auto.scalars]])
+    assert reports[0] == reports[1]
+
+    def maps(algebra, elem, other):
+        delta = algebra.comultiply(elem)
+        return [elem.terms, (elem * other).terms, (other * elem).terms,
+                algebra.antipode(elem).terms, delta.terms,
+                (delta * algebra.comultiply(other)).terms,
+                delta.fold_with(0).terms, delta.fold_with(1).terms,
+                winding_endomorphism(algebra, xi, elem).terms]
+
+    for k in sorted({0, 1, n - 1}):
+        root = root_of_unity(k, n)
+        for w, g in normal_monomials(canonical, 2):
+            expected = maps(canonical, canonical.monomial(w, g, coeff=root), canonical.generator(0))
+            built = fresh.monomial(w, g, coeff=_fresh(root))
+            assert maps(fresh, built, fresh.generator(0)) == expected
+            given = SmashElement(fresh, {(w, g): _fresh(root)})
+            assert maps(fresh, given, SmashElement(fresh, {((0,), e): _fresh(one(n))})) == expected
 
 
 # -- the graded squared-antipode identity: a per-word oracle ---------------------
