@@ -27,7 +27,8 @@ and the N roots zeta_N^k (_roots, the order's one tuple,
 cyclotomic.roots_of_unity), so that nothing an algebra builds grows with N.
 The maps form no product with _one or _e as an operand.  That test is by
 identity and only a fast path: a scalar equal to 1 that is not the interned
-_one is multiplied like any other.
+_one is multiplied like any other.  They read _one only once there is a term
+to multiply, so on an empty input they return 0 as they would without it.
 The unit and the roots are resolved on first use, not at construction: an N
 whose power table is over budget is then refused only by the structure maps
 and the checks built on them, and building an algebra, checking its
@@ -39,7 +40,7 @@ S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 The Hopf-axiom check decides a presentation whose overlaps fit the degree bound
 and resolve on its generators and rules, by Delta-descent of the rules and
 forming no pair products; it sweeps every other one over the normal words up to
-the bound at tail e, forming only the pairs that imply the others (see
+the bound at tail e, forming every pair without the unit 1#e (see
 _hopf_sweep), and Gamma-equivariance covers the other tails (see
 verify_hopf_axioms).  The graded squared-antipode identity holds by
 construction and is decided without a sweep (see verify_double_antipode).
@@ -70,9 +71,9 @@ from .rewriting import check_local_confluence  # noqa: F401  (re-exported for th
 
 DEFAULT_DEGREE_BOUND = 4
 # Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)| over every pair
-# up to the bound, formed or not (see _hopf_sweep), and on the
-# terms of the Delta templates the rule path builds, each times phi(N), the
-# rational parts of a coefficient (13-50 us a unit for phi(N) up to 100 on a
+# up to the bound, the unformed pairs with 1#e included (see _hopf_sweep), and
+# on the terms of the Delta templates the rule path builds, each times phi(N),
+# the rational parts of a coefficient (13-50 us a unit for phi(N) up to 100 on a
 # 2-core host).  The rule path forms no pairs, so no pair cost is charged there.
 # The largest sweep any fixed test input, bundled file or benchmark input runs
 # has 53 normal words costing 13386 (Z4 at bound 6).
@@ -250,13 +251,13 @@ class PresentedAlgebra(RewritingSystem):
 
     def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
         """coeff (default 1) times x^w # g, in normal form."""
-        one = self._one
-        c = one if coeff is None else self.scalar(coeff)
+        c = self._one if coeff is None else self.scalar(coeff)
         word = tuple(word)
         self._check_indices(word)
         if g.group != self.group:
             raise GroupMismatch(f"group-like {g} of {g.group} outside {self.group}")
         self._check_degree("word", len(word))
+        one = self._one if c else None
         terms = {(nw, g): nc if c is one else nc * c
                  for nw, nc in self._normal_combination(word)} if c else {}
         return SmashElement._of(self, terms)
@@ -277,8 +278,9 @@ class PresentedAlgebra(RewritingSystem):
     def _products(self, pairs) -> dict[tuple[Word, GroupElement], CycloNumber]:
         """The sum of c (x^{w1} # g1) (x^{w2} # g2) over the (w1, g1, w2, g2, c)
         in pairs, as a zero-free dict (nw, tail) -> coefficient."""
-        out, one = {}, self._one
+        out: dict = {}
         for w1, g1, w2, g2, c in pairs:
+            one = self._one  # read per pair, so an empty sum reads no unit
             for nw, tail, nc in self._mul_mono(w1, g1, w2, g2):
                 _accumulate(out, (nw, tail), nc if c is one else c if nc is one else c * nc)
         return out
@@ -341,7 +343,7 @@ class PresentedAlgebra(RewritingSystem):
                 for sw, sg, sc in template]
 
     def antipode(self, elem: SmashElement) -> SmashElement:
-        terms, one = {}, self._one
+        terms, one = {}, self._one if elem.terms else None
         for (w, g), c in elem.terms.items():
             for sw, tail, sc in self._antipode_mono(w, g):
                 _accumulate(terms, (sw, tail), sc if c is one else c if sc is one else c * sc)
@@ -391,7 +393,7 @@ class _Combination:
 
     def scale(self, c):
         c = self.algebra.scalar(c)  # c * v is zero only when c is
-        if not c:
+        if not (c and self.terms):
             return self._like({})
         one = self.algebra._one
         return self._like({k: v if c is one else c if v is one else v * c
@@ -444,7 +446,8 @@ class TensorElement(_Combination):
     def __mul__(self, other: TensorElement) -> TensorElement:
         if self.arity != 2 or other.arity != 2:
             raise InternalError("tensor product needs two arity-2 tensors")
-        mul, one, out = self.algebra._mul_mono, self.algebra._one, {}
+        mul, out = self.algebra._mul_mono, {}
+        one = self.algebra._one if self.terms and other.terms else None
         for ((a1, h1), (b1, k1)), c1 in self.terms.items():
             for ((a2, h2), (b2, k2)), c2 in other.terms.items():
                 c12 = c2 if c1 is one else c1 if c2 is one else c1 * c2
@@ -458,7 +461,7 @@ class TensorElement(_Combination):
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
-        e, one, degree_of = alg._e, alg._one, alg._degree_of
+        e, one, degree_of = alg._e, alg._one if self.terms else None, alg._degree_of
         out: dict = {}
         for key, c in self.terms.items():
             w, g = key[leg]
@@ -485,7 +488,7 @@ class TensorElement(_Combination):
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
         alg, pairs = self.algebra, []
-        one = alg._one
+        one = alg._one if self.terms else None
         for (a, b), c in self.terms.items():
             for sw, sg, sc in alg._antipode_mono(*(a, b)[antipode_leg]):
                 cs = sc if c is one else c if sc is one else c * sc
@@ -539,14 +542,8 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     before it is built; past PAIR_COST_BUDGET, or if the path does not run or a
     family fails, the sweep runs, so every failing report is the sweep's.
 
-    The sweep forms no pair with 1#e, which holds by the engine's templates.  On
-    a confluent system it forms only the pairs (x_a # e, x^w # e), x_a a normal
-    generator; the others follow by induction on |w1|, writing x^{w1} = x_a x^{w'}:
-        Delta(x^{w1} m) = Delta(x_a) Delta(x^{w'} m) = Delta(x_a) Delta(x^{w'}) Delta(m).
-    This needs the product, and the legwise product of tensors, to be
-    associative within the bound, which confluence within the bound gives (the
-    diamond lemma); a non-confluent system gets every pair but the unit's.  The
-    argument is in _hopf_sweep's docstring.
+    The sweep forms every pair but those with 1#e, which hold by the engine's
+    templates (see _hopf_sweep).
 
     Tails reduce to e by Gamma-equivariance of the engine's own maps, true for
     non-confluent systems too: comultiply(x^w # g) is comultiply(x^w # e) with
@@ -611,33 +608,15 @@ def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
     """Each family's first counterexample among the x^w # e, w in words (every
     normal word up to the bound), and among their pairs with |w1| + |w2| <=
     bound, within PAIR_COST_BUDGET: the one path that forms pair products and
-    charges their cost.  The cost is that of every pair up to the bound, formed
-    or not, so the budget refuses the inputs an all-pairs sweep would.
+    charges their cost.  The cost is that of every pair up to the bound, the
+    unformed ones included, so the budget refuses the inputs an all-pairs sweep
+    would.
 
     Pairs with 1#e are not formed: on normal words, (1#e) m = m and
     Delta(1#e) = 1 (x) 1 by the engine's own templates, and the legwise product
     of 1 (x) 1 with a tensor of normal monomials is that tensor, whether or not
-    the rules are confluent.
-
-    If the rules are confluent within the bound (algebra.confluence.ok: every
-    ambiguity of length <= bound resolves), then by the diamond lemma (G.
-    Bergman, The diamond lemma for ring theory, 1978) every word up to the bound
-    has one normal form, so the engine's product of monomials is associative
-    within the bound, and so is the legwise product of tensors (chi-values are
-    multiplicative and the rules chi-equivariant).  Then only the pairs
-    (x_a # e, x^w # e), x_a a normal generator, are formed, and they imply every
-    pair (x^{w1} # e, m), m = x^{w2} # e, by induction on |w1|.  For |w1| >= 2
-    write x^{w1} = x_a x^{w'}: w' is a suffix of a normal word, so normal and
-    shorter, and x^{w'} m is a combination of normal words n with
-    |x_a| + |n| <= bound.  By linearity, the generator pairs, induction,
-    associativity and the generator pair (x_a, x^{w'}):
-        Delta(x^{w1} m) = Delta(x_a (x^{w'} m)) = Delta(x_a) Delta(x^{w'} m)
-                        = Delta(x_a) (Delta(x^{w'}) Delta(m))
-                        = (Delta(x_a) Delta(x^{w'})) Delta(m) = Delta(x^{w1}) Delta(m).
-    So some pair fails only if a generator pair fails.  The words are ordered by
-    degree, so in an all-pairs sweep's order the generator pairs come right
-    after the unit row, and its first counterexample is theirs.  On a
-    non-confluent system every pair without a unit factor is formed."""
+    the rules are confluent.  Those pairs never fail, so the first
+    counterexample is an all-pairs sweep's."""
     bound, e = algebra.degree_bound, algebra._e
     sweep = []
     delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
@@ -659,9 +638,8 @@ def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
                              f"lower the degree bound")
 
     entries = _monomial_families(algebra, sweep)
-    left_max = 1 if algebra.confluence.ok else bound  # longest left word of a formed pair
     pair_failure = next((f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
-                         for w1, m1, d1 in sweep if 0 < len(w1) <= left_max
+                         for w1, m1, d1 in sweep if w1
                          for w2, m2, d2 in sweep if w2 and len(w1) + len(w2) <= bound
                          and algebra.comultiply(m1 * m2) != d1 * d2),
                         None)
@@ -719,7 +697,7 @@ def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashEl
     on the generators: only the terms of Delta(x^w # g) with u = () count."""
     if xi.group != algebra.group:
         raise InputError("winding character outside the presentation group")
-    out, e, one = {}, algebra._e, algebra._one
+    out, e, one = {}, algebra._e, algebra._one if elem.terms else None
     for (w, g), c in elem.terms.items():
         for u, v, tc in algebra._delta_word(w):
             if not u:

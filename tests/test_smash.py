@@ -800,8 +800,7 @@ def _report_triples(oracle) -> list:
 
 
 def test_the_sweep_reports_as_the_all_pairs_oracle_at_tail_e():
-    """_hopf_sweep forms no pair with 1#e, and on confluent rules only the
-    pairs with a generator on the left; each of its reports equals the
+    """_hopf_sweep forms no pair with 1#e; each of its reports equals the
     all-pairs oracle's at tail e, entry by entry, on the quantum linear spaces
     and their twins, the q12^2 control, A2 at bound 3, the non-confluent file
     and quantum-affine draws with one swap coefficient squared."""
@@ -820,16 +819,16 @@ def test_the_sweep_reports_as_the_all_pairs_oracle_at_tail_e():
 
 @pytest.mark.parametrize(
     "build, all_pairs, formed",
-    [(_q12_squared_control, 27, 10), (lambda: a2_algebra(3), 45, 12),
+    [(_q12_squared_control, 27, 10), (lambda: a2_algebra(3), 45, 20),
      (_nonconfluent_presentation, 39, 15)],
     ids=["q12-squared-control", "a2-z2z2-bound3", "nonconfluent-file"],
 )
-def test_the_sweep_forms_no_unit_pair_and_on_confluent_rules_generator_pairs_only(
+def test_the_sweep_forms_every_pair_but_those_with_the_unit(
         monkeypatch, build, all_pairs, formed):
     """The Delta(m1) * Delta(m2) the sweep forms, against those of the
     all-pairs oracle at tail e, up to the first failing pair: none has the
-    empty word as a factor, and on confluent rules each has a generator on
-    the left."""
+    empty word as a factor, and every other pair is formed, in order, on
+    confluent rules and on others."""
     algebra = build()
     products = []
     tensor_mul = TensorElement.__mul__
@@ -844,12 +843,12 @@ def test_the_sweep_forms_no_unit_pair_and_on_confluent_rules_generator_pairs_onl
     products.clear()
     _sweep(algebra)
     monkeypatch.undo()
-    words, top = algebra.normal_words(), 1 if algebra.confluence.ok else algebra.degree_bound
+    words = algebra.normal_words()
     deltas = [(w, algebra.comultiply(algebra.monomial(w, algebra._e))) for w in words]
     pairs = [tuple(next(w for w, d in deltas if d == factor) for factor in pair)
              for pair in products]
     assert all(w1 and w2 for w1, w2 in pairs)
-    in_order = [(w1, w2) for w1 in words if 0 < len(w1) <= top
+    in_order = [(w1, w2) for w1 in words if w1
                 for w2 in words if w2 and len(w1) + len(w2) <= algebra.degree_bound]
     assert len(pairs) == formed and pairs == in_order[:formed]
 
@@ -901,6 +900,22 @@ def test_a_unit_that_is_not_the_interned_one_is_multiplied_as_any_scalar(build):
             assert maps(fresh, built, fresh.generator(0)) == expected
             given = SmashElement(fresh, {(w, g): _fresh(root)})
             assert maps(fresh, given, SmashElement(fresh, {((0,), e): _fresh(one(n))})) == expected
+
+
+def test_maps_of_zero_need_no_unit_on_an_order_over_the_power_table_budget():
+    """The unit of Q(zeta_10001) has no power table to come from; the maps read
+    it only once there is a term to multiply, so on zero they return zero."""
+    group = AbelianGroup((10001,))
+    algebra = PresentedAlgebra(group, (group.element((1,)),), (group.character((1,)),))
+    z = algebra.zero()
+    delta = algebra.comultiply(z)
+    results = [z * z, algebra.antipode(z), delta * delta, delta.fold_with(0), delta.fold_with(1),
+               delta.coproduct_on_leg(1), z.scale(zero(10001)),
+               winding_endomorphism(algebra, group.character((1,)), z)]
+    assert [r.terms for r in results] == [{}] * len(results)
+    assert "_one" not in vars(algebra)
+    with pytest.raises(InputError, match="cyclotomic order 10001 needs a power table"):
+        algebra.one_element()
 
 
 # -- the graded squared-antipode identity: a per-word oracle ---------------------
