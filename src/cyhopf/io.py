@@ -12,9 +12,10 @@ Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
 rank and positive-root count of a Cartan matrix (cartan.MAX_RANK,
 ROOT_WORK_BUDGET; the longest-word descent refuses a matrix of infinite type
 when it passes that count), the Lie dimension and the entries of
-action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length and
-normal words (rewriting.MAX_WORD_LENGTH, NORMAL_WORD_BUDGET), and the pair
-family's cost (smash.PAIR_COST_BUDGET).
+action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length, normal
+words and the confluence check's work (rewriting.MAX_WORD_LENGTH,
+NORMAL_WORD_BUDGET, REWRITE_BUDGET), and the cost of the Delta check
+(smash.PAIR_COST_BUDGET).
 
 Each parser first checks that the top-level keys its kind needs are present
 (a datum's group, cartan, g and chi, in that order; a presentation's group,

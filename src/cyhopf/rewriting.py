@@ -5,18 +5,19 @@ left-hand side to a combination of words with coefficients in Q(zeta_order);
 every right-hand word must be smaller in the graded-lex order with
 x_1 < ... < x_t, so rewriting terminates.  A RewritingSystem computes normal
 forms (memoized), enumerates the normal words up to its degree bound, and
-checks local confluence by the diamond lemma on every ambiguity that fits the
-bound; a non-confluent system is accepted, and its report says so.  Normal
-forms rewrite the first redex (_first_redex): the leftmost occurrence of a
-left-hand side and, of those at that position, the graded-lex least.  A
-non-confluent system's normal forms, and so its NonConfluent reports, depend on
-that order.  The unit of Q(zeta_order) is resolved once per system, on first use
-(_one), so a system whose field has no power table is refused only where a
-normal form is built.  smash.PresentedAlgebra extends it with a group, a grading
-and an action; the rules' Gamma-homogeneity and chi-equivariance are checked
-there.
-MAX_WORD_LENGTH and NORMAL_WORD_BUDGET refuse oversized work before it starts:
-each raises InputError.
+checks local confluence by the diamond lemma on every ambiguity, each at its
+own length, whatever the degree bound: an ambiguity is shorter than two
+left-hand sides, so there are finitely many.  A non-confluent system is
+accepted, and its report says so.  Normal forms rewrite the first redex
+(_first_redex): the leftmost occurrence of a left-hand side and, of those at
+that position, the graded-lex least.  A non-confluent system's normal forms,
+and so its NonConfluent reports, depend on that order.  The unit of
+Q(zeta_order) is resolved once per system, on first use (_one), so a system
+whose field has no power table is refused only where a normal form is built.
+smash.PresentedAlgebra extends it with a group, a grading and an action; the
+rules' Gamma-homogeneity and chi-equivariance are checked there.
+MAX_WORD_LENGTH, NORMAL_WORD_BUDGET and REWRITE_BUDGET refuse oversized work
+before it completes: each raises InputError.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import groupby
 
-from .cyclotomic import CycloNumber, one
+from .cyclotomic import CycloNumber, euler_phi, one
 from .errors import IndexOutOfRange, InputError, Record, is_decimal
 
 Word = tuple[int, ...]
 MAX_WORD_LENGTH = 1000
 NORMAL_WORD_BUDGET = 500
+# Limit on the work of the confluence check: one unit per word it rewrites, and
+# phi(N) per term product it forms, N the order, phi(N) the rational parts of a
+# coefficient.  The largest check of any test input, bundled file or benchmark
+# input costs 71160 (six commuting generators over Z_593); a bundled file's, 12.
+REWRITE_BUDGET = 100_000
 
 
 def graded_lex_key(word: Word) -> tuple[int, Word]:
@@ -119,12 +125,14 @@ class RewritingSystem:
         head, tail = word[:pos], word[pos + len(lhs):]
         return [(head + rhs_word + tail, rc) for rhs_word, rc in self.rules[lhs]]
 
-    def _normal_combination(self, word: Word) -> tuple[tuple[Word, CycloNumber], ...]:
+    def _normal_combination(self, word: Word, spend=None) -> tuple[tuple[Word, CycloNumber], ...]:
         """Normal form of a word as a combination of normal words.
 
         Rewrites the leftmost redex and memoizes every intermediate word.  Works
         on an explicit stack, so long rewrite chains cannot hit the
-        interpreter's recursion limit."""
+        interpreter's recursion limit.  spend, if given, is called with the
+        number of term products each rewritten word forms, before it forms
+        them, and may raise to stop the work."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
@@ -144,6 +152,8 @@ class RewritingSystem:
             if pending:
                 stack.extend(pending)
                 continue
+            if spend is not None:
+                spend(sum(len(cache[cw]) for cw, _rc in children))
             acc: dict[Word, CycloNumber] = {}
             for cw, rc in children:
                 for nw, nc in cache[cw]:
@@ -197,13 +207,11 @@ class OverlapResult(Record):
 class ConfluenceReport(Record):
     """Equal by its fields."""
 
-    _compared = ("checked", "skipped_over_bound", "divergent")
+    _compared = ("checked", "divergent")
     __hash__ = None
 
-    def __init__(self, checked: int, skipped_over_bound: int,
-                 divergent: list[OverlapResult]) -> None:
+    def __init__(self, checked: int, divergent: list[OverlapResult]) -> None:
         self.checked = checked
-        self.skipped_over_bound = skipped_over_bound
         self.divergent = divergent
 
     @property
@@ -212,15 +220,15 @@ class ConfluenceReport(Record):
 
     def to_json(self) -> dict:
         return {"locally_confluent": self.ok, "overlaps_checked": self.checked,
-                "overlaps_skipped_over_bound": self.skipped_over_bound,
                 "divergent": [d.to_json() for d in self.divergent]}
 
 
 def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
     """Diamond-lemma check: rewrite every overlap/inclusion ambiguity of rule
-    left-hand sides both ways to normal form, up to the degree bound.  An
-    ambiguity of two rules whose right-hand sides are both 0 rewrites to 0
-    both ways, so it is checked and resolved at any length."""
+    left-hand sides both ways to normal form, at its own length, whatever the
+    degree bound; within REWRITE_BUDGET, charged one unit per word rewritten
+    and phi(N) per term product.  An ambiguity of two rules whose right-hand
+    sides are both 0 rewrites to 0 both ways at once."""
     lhss = sorted(system.rules, key=graded_lex_key)
     ambiguities: set[tuple[Word, tuple[int, Word], tuple[int, Word]]] = set()
     for u in lhss:
@@ -235,29 +243,31 @@ def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
                 for p in range(len(u) - len(v) + 1):
                     if u[p:p + len(v)] == v:
                         ambiguities.add((u, (0, u), (p, v)))
-    checked = 0
-    skipped = 0
+    spent, phi = 0, euler_phi(system.order)
+
+    def spend(products: int) -> None:
+        nonlocal spent
+        spent += 1 + products * phi
+        if spent > REWRITE_BUDGET:
+            raise InputError(f"resolving the rule overlaps costs over {REWRITE_BUDGET} "
+                             f"rewrite steps and term products times phi({system.order})")
+
     divergent = []
     for word, first, second in sorted(
         ambiguities, key=lambda a: (graded_lex_key(a[0]), a[1][0], a[2][0])
     ):
-        if not system.rules[first[1]] and not system.rules[second[1]]:
-            checked += 1
-            continue
-        if len(word) > system.degree_bound:
-            skipped += 1
-            continue
-        checked += 1
         branches = []  # the normal form after rewriting at each of the two redexes
         for pos, lhs in (first, second):
             acc: dict[Word, CycloNumber] = {}
             for rewritten, rc in system._rewrite_at(word, pos, lhs):
-                for nw, nc in system._normal_combination(rewritten):
+                normal = system._normal_combination(rewritten, spend)
+                spend(len(normal))
+                for nw, nc in normal:
                     _accumulate(acc, nw, rc * nc)
             branches.append(acc)
         if branches[0] != branches[1]:  # both hold nonzero coefficients only
             divergent.append(OverlapResult(word, *map(_render_combination, branches)))
-    return ConfluenceReport(checked=checked, skipped_over_bound=skipped, divergent=divergent)
+    return ConfluenceReport(checked=len(ambiguities), divergent=divergent)
 
 
 def _render_combination(comb: dict) -> str:

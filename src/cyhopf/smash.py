@@ -5,9 +5,8 @@ g_i in Gamma (coaction) and an action character chi_i (so g(x_i) =
 chi_i(g) x_i), together with a rewriting system over words in the x_i
 (PresentedAlgebra is a rewriting.RewritingSystem).  Rules must strictly decrease
 the graded-lex order with x_1 < ... < x_t, be Gamma-homogeneous, and be
-chi-equivariant; local confluence is checked (not assumed) up to the degree
-bound, and a non-confluent system is accepted but flagged on every downstream
-report.
+chi-equivariant; local confluence is checked (not assumed) on every overlap,
+and a non-confluent system is accepted but flagged on every downstream report.
 
 Elements of the smash product (SmashElement) and of its tensor powers
 (TensorElement) are exact linear combinations of PBW normal monomials x^w * g,
@@ -37,20 +36,16 @@ presentation over such an N.  The Hopf structure is defined on generators --
 Delta(x_i) = x_i (x) 1 + g_i (x) x_i,  Delta(g) = g (x) g,
 S(x_i) = -g_i^{-1} x_i,  S(g) = g^{-1} -- and extended as an algebra map
 (anti-algebra map for S) through per-word templates cached on the algebra.
-The Hopf-axiom check decides a presentation whose overlaps fit the degree bound
-and resolve on its generators and rules, by Delta-descent of the rules and
-forming no pair products; it sweeps every other one over the normal words up to
-the bound at tail e, forming every pair without the unit 1#e (see
-_hopf_sweep), and Gamma-equivariance covers the other tails (see
-verify_hopf_axioms).  The graded squared-antipode identity holds by
-construction and is decided without a sweep (see verify_double_antipode).
+The Hopf-axiom check decides a confluent presentation on its generators and
+rules, by Delta-descent of the rules, and reports a non-confluent one as
+undecided (see verify_hopf_axioms).  The graded squared-antipode identity holds
+by construction and is decided without a sweep (see verify_double_antipode).
 PAIR_COST_BUDGET refuses oversized work before it starts, as the rewriting
-layer's limits do; it binds only the rule path's Delta check and the sweep.
+layer's limits do; it binds the Delta check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from math import prod
 
@@ -70,13 +65,10 @@ from .rewriting import (RewritingSystem, Word, _accumulate, confluence_notes, fo
 from .rewriting import check_local_confluence  # noqa: F401  (re-exported for the benchmark tracer)
 
 DEFAULT_DEGREE_BOUND = 4
-# Limit on the sweep's pair cost, sum |Delta(m1)| * |Delta(m2)| over every pair
-# up to the bound, the unformed pairs with 1#e included (see _hopf_sweep), and
-# on the terms of the Delta templates the rule path builds, each times phi(N),
-# the rational parts of a coefficient (13-50 us a unit for phi(N) up to 100 on a
-# 2-core host).  The rule path forms no pairs, so no pair cost is charged there.
-# The largest sweep any fixed test input, bundled file or benchmark input runs
-# has 53 normal words costing 13386 (Z4 at bound 6).
+# Limit on the terms of the Delta templates the Delta check builds, each times
+# phi(N), the rational parts of a coefficient (13-50 us a unit for phi(N) up to
+# 100 on a 2-core host).  The largest check any test input, bundled file or
+# benchmark input runs costs 92400 (x1^11 -> 0 over Z_781); a bundled file's, 44.
 PAIR_COST_BUDGET = 100_000
 
 
@@ -85,8 +77,8 @@ def format_monomial(word: Word, g: GroupElement) -> str:
 
 
 class CheckEntry(Record):
-    """One check's status, "pass" or "fail", and its counterexample if any;
-    equal by its fields."""
+    """One check's status, "pass", "fail" or "undecided", and its
+    counterexample if any; equal by its fields."""
 
     _compared = ("check", "status", "counterexample")
     __hash__ = None
@@ -438,26 +430,9 @@ class SmashElement(_Combination):
 
 
 class TensorElement(_Combination):
-    """Element of a tensor power of the smash product.  Only arity-2 tensors
-    multiply, legwise: (a (x) b)(a' (x) b') = aa' (x) bb'."""
+    """Element of a tensor power of the smash product."""
 
     __slots__ = ()
-
-    def __mul__(self, other: TensorElement) -> TensorElement:
-        if self.arity != 2 or other.arity != 2:
-            raise InternalError("tensor product needs two arity-2 tensors")
-        mul, out = self.algebra._mul_mono, {}
-        one = self.algebra._one if self.terms and other.terms else None
-        for ((a1, h1), (b1, k1)), c1 in self.terms.items():
-            for ((a2, h2), (b2, k2)), c2 in other.terms.items():
-                c12 = c2 if c1 is one else c1 if c2 is one else c1 * c2
-                left, right = mul(a1, h1, a2, h2), mul(b1, k1, b2, k2)
-                for lw, lg, lc in left:
-                    cl = c12 if lc is one else lc if c12 is one else c12 * lc
-                    for rw, rg, rc in right:
-                        _accumulate(out, ((lw, lg), (rw, rg)),
-                                    cl if rc is one else rc if cl is one else cl * rc)
-        return self._like(out)
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
@@ -513,85 +488,47 @@ def quantum_affine_presentation(group: AbelianGroup, degrees: tuple[GroupElement
     return PresentedAlgebra(group, tuple(degrees), tuple(actions), rules, degree_bound)
 
 
-# -- verification sweeps ---------------------------------------------------------
+# -- verification ------------------------------------------------------------------
 
 
 def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
-    """The Hopf axioms of the engine's Delta, eps and S: coassociativity,
-    counit, both antipode axioms, and Delta(m1 m2) = Delta(m1) Delta(m2).
+    """The Hopf axioms of the presented algebra A = F / I, F free on the x_i
+    and I the ideal of the r = lhs - rhs: coassociativity, counit, both
+    antipode axioms, and Delta(m1 m2) = Delta(m1) Delta(m2), decided on
+    generators and rules in every degree.
 
-    Rule path, if every overlap and rule lhs fits the bound and every overlap
-    resolves: the rules decrease the graded-lex order, so by Newman's lemma
-    normal words are a basis of A = F / I in every degree, I the ideal of the
-    r = lhs - rhs in the free F.  Delta, eps and the anti-multiplicative S
-    descend from F if they vanish on each r (Kassel, Quantum Groups, Ch. III).
-    Delta-descent decides: _rules_respected checks that the Delta template of
-    each lhs is the sum of c times the Delta templates of its rhs words, and
-    eps and S then descend too.  For eps, 1 (x) 1 counts the rhs constant twice
-    in Delta(lhs), once in Delta(rhs) (graded-lex induction), so it is 0; for
-    S, a pointed bialgebra with invertible group-likes is Hopf (Montgomery,
-    Hopf Algebras and Their Actions on Rings, 5.2.11).  The tests keep the eps
-    and S checks as an oracle for this reduction.
-    Delta is then an algebra map on A, and comultiply computes it on the
-    normal-word basis, so comultiply(m1 * m2) = comultiply(m1) * comultiply(m2)
-    is an identity: the rule path forms no pair products and charges no pair
-    cost.  The other families compare algebra maps or hold on a subalgebra
+    A non-confluent system is undecided in every family, and a note names its
+    first overlap that does not resolve: its normal words need not be a basis
+    of A, so a check on them speaks about the engine's maps, not about A.
+
+    A confluent system (every overlap resolves, at its own length): the rules
+    decrease the graded-lex order, so by the diamond lemma (Bergman 1978) the
+    normal words are a basis of A in every degree.  Delta, eps and the
+    anti-multiplicative S descend from F if they vanish on each r (Kassel,
+    Quantum Groups, Ch. III).  Delta-descent decides: _descent_failure checks
+    that the Delta template of each lhs is the sum of c times the Delta
+    templates of its rhs words, and eps and S then descend too.  For eps,
+    1 (x) 1 counts the rhs constant twice in Delta(lhs), once in Delta(rhs)
+    (graded-lex induction), so it is 0; for S, a pointed bialgebra with
+    invertible group-likes is Hopf (Montgomery, Hopf Algebras and Their Actions
+    on Rings, 5.2.11).  The tests keep the eps and S checks as an oracle for
+    this reduction.  Delta is then an algebra map on A, and comultiply computes
+    it on the normal-word basis, so comultiply(m1 * m2) = comultiply(m1) *
+    comultiply(m2) is an identity and coproduct-multiplicative passes.  Where
+    Delta does not descend it is no map on A, and that family fails, naming
+    the first such rule and the leading term of its Delta image.  The other
+    families compare algebra maps or hold on a subalgebra
     (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), so they are checked on the
-    words of degree <= 1 only.
-    _rules_respected counts Delta template terms times phi(N) per template
-    before it is built; past PAIR_COST_BUDGET, or if the path does not run or a
-    family fails, the sweep runs, so every failing report is the sweep's.
+    words of degree <= 1 only, at tail e.
 
-    The sweep forms every pair but those with 1#e, which hold by the engine's
-    templates (see _hopf_sweep).
-
-    Tails reduce to e by Gamma-equivariance of the engine's own maps, true for
-    non-confluent systems too: comultiply(x^w # g) is comultiply(x^w # e) with
-    both tails times g; antipode(x^w # g) = (1 # g^{-1}) antipode(x^w # e);
-    products change scalars only by chi_u(h), multiplicative in h; the rules are
-    chi-equivariant, so normal forms of x^w keep chi_w.  So each identity at
-    tail g is the one at e times a unit scalar, and, e being first in
-    AbelianGroup.elements(), the first counterexample is a full sweep's.
+    Tails reduce to e by Gamma-equivariance of the engine's own maps:
+    comultiply(x^w # g) is comultiply(x^w # e) with both tails times g;
+    antipode(x^w # g) = (1 # g^{-1}) antipode(x^w # e); products change scalars
+    only by chi_u(h), multiplicative in h; the rules are chi-equivariant, so
+    normal forms of x^w keep chi_w.  So each identity at tail g is the one at e
+    times a unit scalar.
     """
-    words = algebra.normal_words()  # NORMAL_WORD_BUDGET binds both paths
-    if _rules_respected(algebra):
-        e = algebra._e
-        monomials = [(w, algebra.monomial(w, e)) for w in words if len(w) <= 1]
-        entries = _monomial_families(algebra, [(w, m, algebra.comultiply(m)) for w, m in monomials])
-        if all(entry.status == "pass" for entry in entries):
-            entries.append(_entry("coproduct-multiplicative", None))
-            notes = (f"degree bound {algebra.degree_bound}",
-                     "decided on generators and rules: holds in every degree")
-            return CheckReport(entries, notes=confluence_notes(algebra) + notes)
-    return _hopf_sweep(algebra, words)
-
-
-def _rules_respected(algebra: PresentedAlgebra) -> bool:
-    """Whether verify_hopf_axioms' rule path runs and Delta descends."""
-    conf, unit, bound = algebra.confluence, algebra._one, algebra.degree_bound
-    if not conf.ok or conf.skipped_over_bound or max(map(len, algebra.rules), default=0) > bound:
-        return False
-    words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
-    cost, phi = 0, euler_phi(algebra.order)
-    for prefix in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=graded_lex_key):
-        cost += 2 * len(algebra._delta_word(prefix[:-1])) * phi
-        if cost > PAIR_COST_BUDGET:
-            return False
-    for lhs, rhs in algebra.rules.items():
-        image: dict = {}  # Delta template of lhs - rhs
-        for w, c in ((lhs, unit), *((w, -c) for w, c in rhs)):
-            for a, b, tc in algebra._delta_word(w):
-                _accumulate(image, (a, b), tc if c is unit else c if tc is unit else c * tc)
-        if image:
-            return False
-    return True
-
-
-def _monomial_families(algebra: PresentedAlgebra,
-                       swept: list[tuple[Word, SmashElement, TensorElement]]) -> list[CheckEntry]:
-    """Coassociativity, counit and both antipode axioms: each family's first
-    counterexample among the (w, x^w # e, Delta(x^w # e)) in swept.  It forms
-    no pair products, so PAIR_COST_BUDGET does not bind it."""
+    words = algebra.normal_words()  # NORMAL_WORD_BUDGET refuses the inputs verify-s2 does
     e, one_element = algebra._e, algebra.one_element()
     families = {  # eps(m) 1 is the right-hand side of both antipode axioms
         "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
@@ -599,53 +536,50 @@ def _monomial_families(algebra: PresentedAlgebra,
         "antipode-left": lambda m, d: d.fold_with(0) == one_element.scale(algebra.counit(m)),
         "antipode-right": lambda m, d: d.fold_with(1) == one_element.scale(algebra.counit(m)),
     }
-    return [_entry(name, next((format_monomial(w, e) for w, m, d in swept if not holds(m, d)),
-                              None))
-            for name, holds in families.items()]
+    notes = confluence_notes(algebra) + (f"degree bound {algebra.degree_bound}",)
+    divergent = algebra.confluence.divergent
+    if divergent:
+        entries = [CheckEntry(name, "undecided") for name in (*families, "coproduct-multiplicative")]
+        return CheckReport(entries, notes + (f"undecided: overlap {format_word(divergent[0].word)} "
+                                             f"does not resolve, so normal words need not be a basis",))
+    failure = _descent_failure(algebra)
+    checked = [(w, m, algebra.comultiply(m)) for w in words if len(w) <= 1
+               for m in (algebra.monomial(w, e),)]
+    entries = [_entry(name, next((format_monomial(w, e) for w, m, d in checked if not holds(m, d)),
+                                 None))
+               for name, holds in families.items()]
+    entries.append(_entry("coproduct-multiplicative", failure))
+    verdict = "holds in every degree" if all(entry.status == "pass" for entry in entries) else "fails"
+    return CheckReport(entries, notes + (f"decided on generators and rules: {verdict}",))
 
 
-def _hopf_sweep(algebra: PresentedAlgebra, words: list[Word]) -> CheckReport:
-    """Each family's first counterexample among the x^w # e, w in words (every
-    normal word up to the bound), and among their pairs with |w1| + |w2| <=
-    bound, within PAIR_COST_BUDGET: the one path that forms pair products and
-    charges their cost.  The cost is that of every pair up to the bound, the
-    unformed ones included, so the budget refuses the inputs an all-pairs sweep
-    would.
-
-    Pairs with 1#e are not formed: on normal words, (1#e) m = m and
-    Delta(1#e) = 1 (x) 1 by the engine's own templates, and the legwise product
-    of 1 (x) 1 with a tensor of normal monomials is that tensor, whether or not
-    the rules are confluent.  Those pairs never fail, so the first
-    counterexample is an all-pairs sweep's."""
-    bound, e = algebra.degree_bound, algebra._e
-    sweep = []
-    delta_terms = Counter()  # degree -> number of Delta terms over the words swept so far
-    # sum of |Delta(m1)| * |Delta(m2)| over the pairs among those words, times
-    # phi(N), the rule path's unit: a coefficient has phi(N) rational parts
+def _descent_failure(algebra: PresentedAlgebra) -> str | None:
+    """None if Delta descends through every rule; else the first rule in
+    graded-lex order through which it does not, and the leading term of
+    Delta(lhs) - sum c Delta(rhs) in A (x) A, by total degree, then by the
+    graded-lex order of the left leg, then of the right leg.  The Delta
+    templates it builds are charged their terms times phi(N), within
+    PAIR_COST_BUDGET, before they are built."""
+    unit = algebra._one
+    words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
     cost, phi = 0, euler_phi(algebra.order)
-    for w in words:
-        elem = algebra.monomial(w, e)
-        delta = algebra.comultiply(elem)
-        sweep.append((w, elem, delta))
-        size = len(delta.terms)
-        delta_terms[len(w)] += size
-        # pairs of w with the earlier words and with itself, in both orders
-        partners = sum(n for degree, n in delta_terms.items() if len(w) + degree <= bound)
-        cost += size * (2 * partners - (size if 2 * len(w) <= bound else 0)) * phi
+    for prefix in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=graded_lex_key):
+        cost += 2 * len(algebra._delta_word(prefix[:-1])) * phi
         if cost > PAIR_COST_BUDGET:
-            raise InputError(f"pair check costs over {PAIR_COST_BUDGET} coproduct term "
-                             f"products times phi({algebra.order}) at degree bound {bound}; "
-                             f"lower the degree bound")
-
-    entries = _monomial_families(algebra, sweep)
-    pair_failure = next((f"{format_monomial(w1, e)} , {format_monomial(w2, e)}"
-                         for w1, m1, d1 in sweep if w1
-                         for w2, m2, d2 in sweep if w2 and len(w1) + len(w2) <= bound
-                         and algebra.comultiply(m1 * m2) != d1 * d2),
-                        None)
-    entries.append(_entry("coproduct-multiplicative", pair_failure))
-    notes = (f"degree bound {bound}", "group tails reduced to e by Gamma-equivariance")
-    return CheckReport(entries, notes=confluence_notes(algebra) + notes)
+            raise InputError(f"the Delta check costs over {PAIR_COST_BUDGET} coproduct template "
+                             f"terms times phi({algebra.order})")
+    for lhs in sorted(algebra.rules, key=graded_lex_key):
+        image: dict = {}  # Delta template of lhs - rhs
+        for w, c in ((lhs, unit), *((w, -c) for w, c in algebra.rules[lhs])):
+            for a, b, tc in algebra._delta_word(w):
+                _accumulate(image, (a, b), tc if c is unit else c if tc is unit else c * tc)
+        if image:
+            u, v = max(image, key=lambda k: (len(k[0]) + len(k[1]), graded_lex_key(k[0]),
+                                             graded_lex_key(k[1])))
+            c = image[u, v]
+            term = f"{format_monomial(u, algebra._degree_of(v))} (x) {format_monomial(v, algebra._e)}"
+            return f"rule {format_word(lhs)}, leading term {term if c.is_one() else f'({c})*{term}'}"
+    return None
 
 
 def verify_double_antipode(algebra: PresentedAlgebra) -> CheckReport:

@@ -158,9 +158,8 @@ RECORDS = [
     (OverlapResult((0, 1), "a", "b"), OverlapResult((0, 1), "a", "b"),
      [OverlapResult((1, 0), "a", "b"), OverlapResult((0, 1), "c", "b"),
       OverlapResult((0, 1), "a", "c")]),
-    (ConfluenceReport(1, 0, []), ConfluenceReport(1, 0, []),
-     [ConfluenceReport(2, 0, []), ConfluenceReport(1, 1, []),
-      ConfluenceReport(1, 0, [OverlapResult((), "a", "b")])]),
+    (ConfluenceReport(1, []), ConfluenceReport(1, []),
+     [ConfluenceReport(2, []), ConfluenceReport(1, [OverlapResult((), "a", "b")])]),
     (CheckEntry("c", "fail", "x"), CheckEntry("c", "fail", "x"),
      [CheckEntry("d", "fail", "x"), CheckEntry("c", "pass", "x"), CheckEntry("c", "fail")]),
     (CheckReport([CheckEntry("c", "pass")], ("n",)), CheckReport([CheckEntry("c", "pass")], ("n",)),
@@ -246,9 +245,9 @@ def test_reports_compare_by_value():
     assert CheckEntry("c", "fail", "x") == CheckEntry("c", "fail", "x") != CheckEntry("c", "pass")
     assert CheckReport([CheckEntry("c", "pass")]) == CheckReport([CheckEntry("c", "pass")], ())
     assert OverlapResult((0, 1), "a", "b") == OverlapResult((0, 1), "a", "b")
-    assert ConfluenceReport(1, 0, []) != ConfluenceReport(1, 1, [])
+    assert ConfluenceReport(1, []) != ConfluenceReport(2, [])
     for obj in (CheckEntry("c", "pass"), CheckReport([]), OverlapResult((), "a", "b"),
-                ConfluenceReport(0, 0, [])):
+                ConfluenceReport(0, [])):
         with pytest.raises(TypeError):
             hash(obj)
 
@@ -277,8 +276,8 @@ def test_keyword_construction_as_the_parsers_use_it():
     assert positional.notes == ()
     algebra = LieAlgebraData(dimension=2, brackets=(((0, 0), (1, 0)), ((-1, 0), (0, 0))))
     assert algebra.brackets[0][1] == (Fraction(1), Fraction(0))
-    confluence = ConfluenceReport(checked=3, skipped_over_bound=1, divergent=[])
-    assert (confluence.ok, confluence.checked, confluence.skipped_over_bound) == (True, 3, 1)
+    confluence = ConfluenceReport(checked=3, divergent=[])
+    assert (confluence.ok, confluence.checked) == (True, 3)
     assert CheckEntry("c", "pass").counterexample is None
     assert LinkingParameter(i=0, j=1, value=one(1)).j == 1
 

@@ -160,13 +160,15 @@ def edited(filename: str, path: tuple, value, **extra) -> dict:
 DATUM_A2, DATUM_A1A1 = "datum_a2_z2z2.json", "datum_a1a1_z3z3.json"
 PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
 # The quantum plane's rule coefficient q12^-1 = zeta_3 replaced by q12^-2 = zeta_3^2:
-# the negative control, which no rule check passes, so the sweep decides it.
+# the negative control, through which Delta does not descend.
 ZETA3_SQUARED = {"order": 3, "coeffs": [["-1", "1"], ["-1", "1"]]}
-# One free generator at bound 87: 3916 pairs of 88 normal words, 2672670 cost units.
+# One free generator at bound 87: 88 normal words, whose 3916 pairs once cost 2672670
+# units.
 ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"exp": [0]}],
                      degree_bound=87)
 # One generator over Z_101 with chi(g) = zeta_101 and its rule over the bound: the
-# swept Delta(x^k) hold dense q-binomials, phi(101) = 100 rational parts each.
+# Delta(x^k) templates hold dense q-binomials, phi(101) = 100 rational parts each,
+# and the Delta check stops at the cost budget.
 LARGE_FIELD = dict(PRES_Z2, group={"invariant_factors": [101]}, generators=1,
                    degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
                    rules=[{"lhs": "x1^37", "rhs": []}], degree_bound=36)
@@ -183,8 +185,8 @@ COMMUTING_Z593 = dict(
     rules=[{"lhs": f"x{j}*x{i}", "rhs": [{"word": f"x{i}*x{j}", "coeff": "1"}]}
            for i in range(1, 7) for j in range(i + 1, 7)])
 # x1^11 -> 0 over Z_781 with q = chi(g) of order 11, bound 21: the Delta check
-# costs 11 * 12 * 720 = 95040 units and fits the budget; it used to charge the S
-# templates too (100100 units), and the sweep refuses the input for pair cost.
+# costs 11 * 12 * 700 = 92400 units and fits the budget; it used to charge the S
+# templates too (100100 units), and a pair sweep refused the input for pair cost.
 NILPOTENT_Z781 = dict(PRES_Z2, group={"invariant_factors": [781]}, generators=1,
                       degrees=[{"exp": [1]}], actions=[{"exp": [71]}],
                       rules=[{"lhs": "x1^11", "rhs": []}], degree_bound=21)
@@ -236,8 +238,6 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("confluence", edited(PRES_A2, ("rules",), [{"lhs": "x1^5000", "rhs": []}])),
         ("confluence", edited(PRES_A2, ("rules",),
                               [{"lhs": f"x1^{n}", "rhs": []} for n in range(900, 1000)])),
-        ("verify-hopf", edited(PRES_A1A1, ("rules", 0, "rhs", 0, "coeff"), ZETA3_SQUARED,
-                               degree_bound=13)),
         ("verify-s2", edited(PRES_A1A1, ("degree_bound",), 31)),
         ("lie-check", edited("lie_sl2_sign.json", ("action",), {
             "group": {"invariant_factors": [10000000000]},
@@ -246,7 +246,6 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
             "group": {"invariant_factors": [24504480]},
             "matrices": [[[random.Random(i).randint(-3, 3) for _ in range(16)]
                           for i in range(16)]]}}),
-        ("verify-hopf", dict(ONE_GENERATOR, rules=[{"lhs": "x1^88", "rhs": []}])),
         ("verify-hopf", LARGE_FIELD),
         ("check-cy", {"group": {"invariant_factors": [2] * 129}, "g": [{"exp": [1] + [0] * 128}],
                       "chi": [{"exp": [1] * 129}], "cartan": [[2]]}),
@@ -280,9 +279,9 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
          "g-not-list", "lambda-not-list", "pair-string", "rule-word-not-string",
          "xi-exp-string", "lie-dim-over-cap", "invariant-factor-float", "element-exp-float",
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
-         "long-rule-word", "rule-letters-over-cap", "pairs-over-budget",
+         "long-rule-word", "rule-letters-over-cap",
          "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
-         "pair-cost-over-budget", "pair-cost-in-large-field", "witness-rank-over-limit",
+         "pair-cost-in-large-field", "witness-rank-over-limit",
          "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
          "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
          "actions-not-list", "cartan-entry-padded", "lie-dim-non-ascii-digit",
@@ -567,8 +566,8 @@ def test_nakayama_refuses_a_rewritten_generator(tmp_path, capsys, obj):
          "nilpotent-over-z781"],
 )
 def test_confluent_input_over_pair_budget_gets_a_verdict(tmp_path, capsys, obj):
-    """The sweep refuses these for pair cost; the rule path decides them in
-    every degree, and forms no pairs, so even the degree <= 1 pairs of the
+    """A pair sweep refused these for pair cost; the rule path decides them
+    in every degree, and forms no pairs, so even the degree <= 1 pairs of the
     last one, over the budget, cost nothing."""
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(obj))
@@ -578,6 +577,27 @@ def test_confluent_input_over_pair_budget_gets_a_verdict(tmp_path, capsys, obj):
     report = json.loads(out)["report"]
     assert report["passed"] and len(report["entries"]) == 5
     assert report["notes"][-1].startswith("decided on generators and rules")
+
+
+@pytest.mark.parametrize(
+    "obj, rule",
+    [(dict(ONE_GENERATOR, rules=[{"lhs": "x1^88", "rhs": []}]), "x1^88"),
+     (edited(PRES_A1A1, ("rules", 0, "rhs", 0, "coeff"), ZETA3_SQUARED, degree_bound=13),
+      "x2*x1")],
+    ids=["one-free-generator-x1^88-bound-87", "q12-squared-control-bound-13"],
+)
+def test_input_once_refused_for_pair_cost_fails_on_its_rule(tmp_path, capsys, obj, rule):
+    """A pair sweep refused these for pair cost (exit 1).  They are confluent,
+    and Delta does not descend through one rule, so they now exit 0 with
+    coproduct-multiplicative failing at that rule, in every degree."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, "verify-hopf", str(path), "--json")
+    report = json.loads(out)["report"]
+    assert code == 0 and not report["passed"]
+    assert [e["status"] for e in report["entries"]] == ["pass"] * 4 + ["fail"]
+    assert report["entries"][-1]["counterexample"].startswith(f"rule {rule}, leading term ")
+    assert report["notes"][-1] == "decided on generators and rules: fails"
 
 
 @pytest.mark.parametrize("order", [50, 100, 200, 499])

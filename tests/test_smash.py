@@ -423,7 +423,7 @@ def _element_pools(algebra: PresentedAlgebra, rng: random.Random) -> list[list]:
                        SmashElement(algebra, {key: one(1)}), algebra.monomial(*key)]
         da, db = algebra.comultiply(a), algebra.comultiply(b)
         arity2 += [da, da + db - db, da.scale(-1) + da.scale(2), da.scale(2),
-                   algebra.comultiply(a * b), da * db,
+                   algebra.comultiply(a * b), tensor_product(algebra, da, db),
                    TensorElement(algebra, {**da.terms, **{k: zero(1) for k in db.terms}}, 2)]
         arity3 += [da.coproduct_on_leg(0), da.coproduct_on_leg(1), db.coproduct_on_leg(0)]
     return [smash_pool, arity2, arity3]
@@ -456,9 +456,9 @@ def test_term_dict_equality_agrees_with_subtraction(build):
 
 
 def test_the_arity_two_methods_refuse_the_arity_three_tensor_of_a_coproduct_on_a_leg():
-    """counit_on_leg, fold_with and the tensor product take arity-2 tensors
-    only: the arity-3 tensor coproduct_on_leg builds is an internal error for
-    each, not folded silently onto one leg."""
+    """counit_on_leg and fold_with take arity-2 tensors only: the arity-3
+    tensor coproduct_on_leg builds is an internal error for each, not folded
+    silently onto one leg."""
     algebra = qa_algebra(3)
     delta = algebra.comultiply(algebra.generator(0))
     triple = delta.coproduct_on_leg(0)
@@ -468,9 +468,6 @@ def test_the_arity_two_methods_refuse_the_arity_three_tensor_of_a_coproduct_on_a
             triple.counit_on_leg(leg)
         with pytest.raises(InternalError, match="arity-2"):
             triple.fold_with(leg)
-    for a, b in ((triple, delta), (delta, triple)):
-        with pytest.raises(InternalError, match="arity-2"):
-            _ = a * b
 
 
 # -- axiom sweeps ------------------------------------------------------------------
@@ -512,14 +509,28 @@ def test_corrupted_rule_fails_with_counterexample():
     assert failures["coproduct-multiplicative"].counterexample
 
 
+def tensor_product(algebra: PresentedAlgebra, s: TensorElement, t: TensorElement) -> TensorElement:
+    """The legwise product (a (x) b)(a' (x) b') = aa' (x) bb' of two arity-2
+    tensors, from the engine's product on each leg."""
+    out: dict = {}
+    for (a1, b1), c1 in s.terms.items():
+        for (a2, b2), c2 in t.terms.items():
+            left = algebra.monomial(*a1) * algebra.monomial(*a2)
+            right = algebra.monomial(*b1) * algebra.monomial(*b2)
+            for ka, ca in left.terms.items():
+                for kb, cb in right.terms.items():
+                    rewriting._accumulate(out, (ka, kb), c1 * c2 * ca * cb)
+    return TensorElement(algebra, out, 2)
+
+
 def _full_tail_hopf_sweep(algebra: PresentedAlgebra, tails=None) -> list[tuple[str, str | None]]:
     """First counterexample of each Hopf family over every normal monomial
     x^w # g, g in tails (default: every group element), and over every pair of
-    them, the pairs with 1#e included.
+    them up to the bound, the pairs with 1#e included.
 
-    A test-only oracle for the tail reduction in verify_hopf_axioms and, at
-    tails [e], for the pairs _hopf_sweep forms: it uses nothing of the engine
-    but comultiply, *, antipode and counit.
+    A test-only oracle for verify_hopf_axioms, which checks no pairs, and for
+    its reduction to tail e: it uses nothing of the engine but comultiply, *,
+    antipode and counit.
     """
     alg = algebra
     tails = list(alg.group.elements()) if tails is None else tails
@@ -560,7 +571,8 @@ def _full_tail_hopf_sweep(algebra: PresentedAlgebra, tails=None) -> list[tuple[s
             for w2, label2, m2 in monos:
                 if len(w1) + len(w2) > alg.degree_bound:
                     continue
-                if alg.comultiply(m1 * m2) != alg.comultiply(m1) * alg.comultiply(m2):
+                product = tensor_product(alg, alg.comultiply(m1), alg.comultiply(m2))
+                if alg.comultiply(m1 * m2) != product:
                     return f"{label1} , {label2}"
         return None
 
@@ -580,11 +592,11 @@ def _full_tail_hopf_sweep(algebra: PresentedAlgebra, tails=None) -> list[tuple[s
     ]
 
 
-def _nonconfluent_presentation() -> PresentedAlgebra:
+def _nonconfluent_presentation(bound=4) -> PresentedAlgebra:
     from cyhopf.io import load_json_file, parse_presentation
 
     path = Path(__file__).resolve().parent.parent / "data" / "presentation_nonconfluent.json"
-    return parse_presentation(load_json_file(str(path)), degree_bound=4)[0]
+    return parse_presentation(load_json_file(str(path)), degree_bound=bound)[0]
 
 
 def _q12_squared_control() -> PresentedAlgebra:
@@ -594,41 +606,65 @@ def _q12_squared_control() -> PresentedAlgebra:
     return PresentedAlgebra(datum.group, datum.g, datum.chi, rules, 4)
 
 
-def _sweep(algebra: PresentedAlgebra) -> smash.CheckReport:
-    """The tail-e sweep over every normal word, whichever path would decide."""
-    return smash._hopf_sweep(algebra, algebra.normal_words())
-
-
 RULE_NOTE = "decided on generators and rules: holds in every degree"
-SWEEP_NOTE = "group tails reduced to e by Gamma-equivariance"
-
-
-@pytest.mark.parametrize(
-    "build, path",
-    [(_nonconfluent_presentation, "sweep"), (_q12_squared_control, "sweep"),
-     (lambda: qa_algebra(3, 3), "rules"), (lambda: a2_algebra(3), "sweep"),
-     # the self-overlap x1^5 of x1^3 -> 0 is over the bound, but resolves to 0 both ways
-     (lambda: _one_generator({(0, 0, 0): ()}, chi=1, n=3), "rules")],
-    ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3",
-         "x1^3-to-0-z3-bound4"],
-)
-def test_tail_reduced_sweep_matches_full_tail_oracle(build, path):
-    algebra = build()
-    oracle = _full_tail_hopf_sweep(algebra)
-    report = verify_hopf_axioms(algebra)
-    assert [(e.check, e.counterexample) for e in report.entries] == oracle
-    assert [(e.check, e.counterexample) for e in _sweep(build()).entries] == oracle
-    assert report.notes[-1] == {"rules": RULE_NOTE, "sweep": SWEEP_NOTE}[path]
+FAIL_NOTE = "decided on generators and rules: fails"
+FAMILIES = ["coassociativity", "counit", "antipode-left", "antipode-right",
+            "coproduct-multiplicative"]
 
 
 def _triples(report) -> list:
     return [(e.check, e.status, e.counterexample) for e in report.entries]
 
 
+def _report_triples(oracle) -> list:
+    return [(check, "fail" if c else "pass", c) for check, c in oracle]
+
+
+def _tail_e_oracle(algebra: PresentedAlgebra) -> list[tuple[str, str | None]]:
+    """The all-pairs oracle at tail e, at the algebra's bound, or at 2 max|lhs|
+    when a rule is longer than the bound, so that its pairs reach every rule."""
+    longest = max(map(len, algebra.rules), default=0)
+    if longest > algebra.degree_bound:
+        algebra = PresentedAlgebra(algebra.group, algebra.degrees, algebra.actions,
+                                   algebra.rules, 2 * longest)
+    return _full_tail_hopf_sweep(algebra, [algebra._e])
+
+
+def _agrees_with_oracle(report, oracle) -> bool:
+    """The same verdict as the oracle's, and the same entries where both pass."""
+    fails = any(c for _check, c in oracle)
+    return report.passed is not fails and (fails or _triples(report) == _report_triples(oracle))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_nonconfluent_presentation, _q12_squared_control, lambda: qa_algebra(3, 3),
+     lambda: a2_algebra(3),
+     # the self-overlap x1^5 of x1^3 -> 0 is over the bound, but resolves to 0 both ways
+     lambda: _one_generator({(0, 0, 0): ()}, chi=1, n=3)],
+    ids=["nonconfluent-bound4", "q12-squared-z3z3-bound4", "qa-z3z3-bound3", "a2-z2z2-bound3",
+         "x1^3-to-0-z3-bound4"],
+)
+def test_tail_reduced_sweep_matches_full_tail_oracle(build):
+    """The all-pairs oracle at tail e reports as over every tail, the reduction
+    verify_hopf_axioms makes by Gamma-equivariance, confluent or not; on
+    confluent rules verify_hopf_axioms agrees with it, and the non-confluent
+    file is undecided."""
+    algebra = build()
+    oracle = _full_tail_hopf_sweep(algebra)
+    assert _full_tail_hopf_sweep(algebra, [algebra._e]) == oracle
+    report = verify_hopf_axioms(algebra)
+    if algebra.confluence.ok:
+        assert _agrees_with_oracle(report, oracle)
+        assert report.notes[-1] == (RULE_NOTE if report.passed else FAIL_NOTE)
+    else:
+        assert {e.status for e in report.entries} == {"undecided"}
+
+
 def test_rule_path_agrees_with_sweep(seeded_family):
-    """On confluent presentations the rule path decides, and the tail-e sweep
-    agrees with it entry by entry: the C4 family, the two bundled confluent
-    presentations and 40 random quantum-affine draws."""
+    """On confluent presentations the rule path decides, and the all-pairs
+    oracle at tail e agrees with it entry by entry: the C4 family, the two
+    bundled confluent presentations and 40 random quantum-affine draws."""
     from cyhopf.io import load_json_file, parse_presentation
 
     data_dir = Path(__file__).resolve().parent.parent / "data"
@@ -641,7 +677,7 @@ def test_rule_path_agrees_with_sweep(seeded_family):
     for algebra in algebras:
         report = verify_hopf_axioms(algebra)
         assert report.notes[-1] == RULE_NOTE
-        assert _triples(report) == _triples(_sweep(algebra))
+        assert _agrees_with_oracle(report, _tail_e_oracle(algebra))
 
 
 def quantum_linear_space_twins(rng: random.Random) -> tuple[PresentedAlgebra, PresentedAlgebra]:
@@ -678,47 +714,28 @@ def quantum_linear_space_twins(rng: random.Random) -> tuple[PresentedAlgebra, Pr
 
 
 def test_rule_path_sees_delta_descent_on_quantum_linear_spaces():
-    """Quantum linear spaces take the rule path; their twins with one
-    nilpotency exponent raised, on which only Delta fails to descend, never
-    do, and both paths' reports agree with the sweep entry by entry."""
+    """Quantum linear spaces pass on the rule path; their twins with one
+    nilpotency exponent raised, on which only Delta fails to descend, fail
+    coproduct-multiplicative there, at the raised rule.  The all-pairs oracle
+    at tail e agrees with both."""
     rng = random.Random(9090)
-    draws = [quantum_linear_space_twins(rng) for _ in range(80)]
-    on_rules = {"valid": 0, "corrupted": 0}
-    for pair in draws:
-        for kind, algebra in zip(on_rules, pair):
-            report = verify_hopf_axioms(algebra)
-            assert _triples(report) == _triples(_sweep(algebra))
-            on_rules[kind] += report.notes[-1] == RULE_NOTE
-    assert on_rules["valid"] >= 30
-    assert on_rules["corrupted"] == 0
-
-
-def test_rule_path_forms_no_pair_products(monkeypatch):
-    """On the rule path no TensorElement is multiplied: comultiply(m1 * m2)
-    is never compared with comultiply(m1) * comultiply(m2)."""
-    from cyhopf.io import load_json_file, parse_presentation
-
-    data_dir = Path(__file__).resolve().parent.parent / "data"
-    algebras = [qa_algebra(3)] + [
-        parse_presentation(load_json_file(str(data_dir / name)))[0]
-        for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json")]
-
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("the rule path formed a pair product")
-
-    monkeypatch.setattr(TensorElement, "__mul__", refuse)
-    for algebra in algebras:
-        report = verify_hopf_axioms(algebra)
-        assert report.passed and report.notes[-1] == RULE_NOTE
-        assert report.entries[-1].check == "coproduct-multiplicative"
+    for valid, twin in (quantum_linear_space_twins(rng) for _ in range(80)):
+        assert verify_hopf_axioms(valid).notes[-1] == RULE_NOTE
+        report = verify_hopf_axioms(twin)
+        ((raised,),) = [set(twin.rules) - set(valid.rules)]
+        assert report.notes[-1] == FAIL_NOTE
+        assert [(e.check, e.status) for e in report.entries if e.status != "pass"] == [
+            ("coproduct-multiplicative", "fail")]
+        assert report.entries[-1].counterexample.startswith(f"rule {format_word(raised)}, ")
+        for algebra in (valid, twin):
+            assert _agrees_with_oracle(verify_hopf_axioms(algebra), _tail_e_oracle(algebra))
 
 
 def test_antipode_axioms_see_a_sign_flipped_antipode(monkeypatch):
     """With S(x_i) = +g_i^{-1} x_i, fold_with must still apply the (mutated)
-    antipode: on both bundled confluent presentations the rule path fails,
-    and the sweep reports both antipode axioms failing at x1#e.  The Delta
-    check does not read S, so it still passes and only the antipode families
-    catch it."""
+    antipode: on both bundled confluent presentations both antipode axioms
+    fail at x1#e.  The Delta check does not read S, so it still passes and
+    only the antipode families catch it."""
     from cyhopf.io import load_json_file, parse_presentation
 
     data_dir = Path(__file__).resolve().parent.parent / "data"
@@ -732,10 +749,11 @@ def test_antipode_axioms_see_a_sign_flipped_antipode(monkeypatch):
     for name in ("presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"):
         algebra = parse_presentation(load_json_file(str(data_dir / name)))[0]
         report = verify_hopf_axioms(algebra)
-        assert report.notes[-1] == SWEEP_NOTE
+        assert report.notes[-1] == FAIL_NOTE
         entries = {e.check: (e.status, e.counterexample) for e in report.entries}
         assert entries["antipode-left"] == entries["antipode-right"] == ("fail", "x1#e")
         assert entries["coassociativity"] == entries["counit"] == ("pass", None)
+        assert entries["coproduct-multiplicative"] == ("pass", None)
 
 
 def _one_generator(rules, chi=0, n=2, bound=4) -> PresentedAlgebra:
@@ -756,32 +774,71 @@ def _nonconfluent_rules_respected() -> PresentedAlgebra:
     return PresentedAlgebra(group, (g, g), (chi, chi), {(1, 1): (((0, 0), -root_of_unity(1, 4)),)}, 6)
 
 
+UNDECIDED = [("undecided", None)] * 5
+
+
 @pytest.mark.parametrize(
-    "build, counterexamples",
+    "build, entries",
     [
-        (_q12_squared_control, [None, None, None, None, "x2#e , x1#e"]),
+        (_q12_squared_control,
+         [("pass", None)] * 4 + [("fail", "rule x2*x1, leading term (-z3 + 1)*x2#y1 (x) x1#e")]),
         # x1^2 -> 1 with q = 1: Delta and eps do not descend
-        (lambda: _one_generator({(0, 0): (((), one(1)),)}), [None] * 4 + ["x1#e , x1#e"]),
-        # x1^3 -> 0 with q = 1: only Delta does not descend, and no product of
-        # two generators shows it
-        (lambda: _one_generator({(0, 0, 0): ()}, bound=5), [None] * 4 + ["x1#e , x1^2#e"]),
-        (lambda: _a2_rules({(1, 0, 0): (((0, 0, 1), one(1)),)}, 2), [None] * 5),
-        (lambda: a2_algebra(3), [None] * 5),
-        (_nonconfluent_presentation,
-         ["x2*x1*x2*x1#e", None, "x1^2*x2^2#e", "x1^2*x2^2#e", "x2#e , x1^2#e"]),
-        (_nonconfluent_rules_respected,
-         ["x2*x1*x2*x1*x2#e", None, "x2*x1*x2*x1*x2#e", None, "x2#e , x2*x1*x2#e"]),
+        (lambda: _one_generator({(0, 0): (((), one(1)),)}),
+         [("pass", None)] * 4 + [("fail", "rule x1^2, leading term (2)*x1#y1 (x) x1#e")]),
+        # x1^3 -> 0 with q = 1: only Delta does not descend
+        (lambda: _one_generator({(0, 0, 0): ()}, bound=5),
+         [("pass", None)] * 4 + [("fail", "rule x1^3, leading term (3)*x1^2#y1 (x) x1#e")]),
+        (lambda: _a2_rules({(1, 0, 0): (((0, 0, 1), one(1)),)}, 2), [("pass", None)] * 5),
+        (lambda: a2_algebra(3), [("pass", None)] * 5),
+        (_nonconfluent_presentation, UNDECIDED),
+        (_nonconfluent_rules_respected, UNDECIDED),
     ],
     ids=["q12-squared-control", "x1^2-to-1", "x1^3-to-0-q-one", "lhs-over-bound",
          "overlap-over-bound", "nonconfluent-file", "nonconfluent-rules-respected"],
 )
-def test_sweep_path_inputs_report_as_before(build, counterexamples):
-    """Inputs the rule path cannot decide, or on which one of its checks
-    fails, get the sweep's report, with its first counterexamples."""
+def test_sweep_path_inputs_report_as_before(build, entries):
+    """Inputs the library's sweep used to decide keep their verdict: the
+    confluent ones, with a rule left side or an overlap over the bound or a
+    rule through which Delta does not descend, are decided on rules, and a
+    failing one names that rule and the leading term of its Delta image; the
+    non-confluent ones, which failed, are undecided and do not pass."""
     report = verify_hopf_axioms(build())
-    assert report.to_json() == _sweep(build()).to_json()
-    assert report.notes[-1] == SWEEP_NOTE
-    assert [e.counterexample for e in report.entries] == counterexamples
+    assert [(e.status, e.counterexample) for e in report.entries] == entries
+    assert report.notes[-1].startswith(
+        {"pass": RULE_NOTE, "fail": FAIL_NOTE, "undecided": "undecided: overlap "}[entries[-1][0]])
+
+
+def test_a_rule_over_the_bound_is_decided_by_delta_descent():
+    """x1^5 -> 0 over Z3 with chi(g) = zeta_3 at bound 2: Delta does not
+    descend through x1^5, whose every normal word and pair up to the bound
+    hold, so coproduct-multiplicative fails there, and the all-pairs oracle
+    at bound 10 sees it too."""
+    algebra = _one_generator({(0,) * 5: ()}, chi=1, n=3, bound=2)
+    report = verify_hopf_axioms(algebra)
+    assert not any(c for _check, c in _full_tail_hopf_sweep(algebra, [algebra._e]))
+    assert report.notes[-1] == FAIL_NOTE
+    assert [(e.check, e.status) for e in report.entries if e.status != "pass"] == [
+        ("coproduct-multiplicative", "fail")]
+    assert report.entries[-1].counterexample == "rule x1^5, leading term (z3 + 1)*x1^4#y1 (x) x1#e"
+    assert _agrees_with_oracle(report, _tail_e_oracle(algebra))
+
+
+def test_every_overlap_is_checked_at_its_own_length():
+    """The non-confluent file's overlap x2^2*x1^2 has length 4: at bound 3 it is
+    checked, does not resolve, and every Hopf family is undecided.  A2 at
+    bound 3, whose overlap x2^2*x1^2 resolves, is decided on rules."""
+    algebra = _nonconfluent_presentation(bound=3)
+    assert not algebra.confluence.ok and algebra.confluence.checked == 1
+    report = verify_hopf_axioms(algebra)
+    assert [(e.check, e.status, e.counterexample) for e in report.entries] == [
+        (name, "undecided", None) for name in FAMILIES]
+    assert not report.passed
+    assert report.notes[0].startswith("NonConfluent at bound 3")
+    assert report.notes[-1].startswith("undecided: overlap x2^2*x1^2 does not resolve")
+    a2 = a2_algebra(3)
+    assert a2.confluence.ok and a2.confluence.checked == 1
+    report = verify_hopf_axioms(a2)
+    assert report.passed and report.notes[-1] == RULE_NOTE
 
 
 def _corrupted_quantum_affine(rng: random.Random) -> PresentedAlgebra:
@@ -795,62 +852,70 @@ def _corrupted_quantum_affine(rng: random.Random) -> PresentedAlgebra:
     return PresentedAlgebra(d.group, d.g, d.chi, rules, 4)
 
 
-def _report_triples(oracle) -> list:
-    return [(check, "fail" if c else "pass", c) for check, c in oracle]
-
-
 def test_the_sweep_reports_as_the_all_pairs_oracle_at_tail_e():
-    """_hopf_sweep forms no pair with 1#e; each of its reports equals the
-    all-pairs oracle's at tail e, entry by entry, on the quantum linear spaces
-    and their twins, the q12^2 control, A2 at bound 3, the non-confluent file
-    and quantum-affine draws with one swap coefficient squared."""
-    rng = random.Random(9090)
-    algebras = [a for _ in range(80) for a in quantum_linear_space_twins(rng)]
-    algebras += [_q12_squared_control(), a2_algebra(3), _nonconfluent_presentation()]
+    """verify_hopf_axioms, which forms no pairs, has the verdict of the
+    all-pairs oracle at tail e, and its entries where both pass, on the inputs
+    the library's sweep used to decide: the q12^2 control, A2 at bound 3 and
+    quantum-affine draws with one swap coefficient squared.  The non-confluent
+    file, which the oracle sees fail, is undecided."""
     rng = random.Random(5151)
+    algebras = [_q12_squared_control(), a2_algebra(3)]
     algebras += [_corrupted_quantum_affine(rng) for _ in range(28)]
     failing = 0
     for algebra in algebras:
-        oracle = _full_tail_hopf_sweep(algebra, [algebra._e])
-        assert _triples(_sweep(algebra)) == _report_triples(oracle)
+        oracle = _tail_e_oracle(algebra)
+        assert _agrees_with_oracle(verify_hopf_axioms(algebra), oracle)
         failing += any(c for _check, c in oracle)
-    assert (len(algebras), failing) == (191, 97)
+    assert (len(algebras), failing) == (30, 19)
+    algebra = _nonconfluent_presentation()
+    assert any(c for _check, c in _tail_e_oracle(algebra))
+    assert {e.status for e in verify_hopf_axioms(algebra).entries} == {"undecided"}
 
 
-@pytest.mark.parametrize(
-    "build, all_pairs, formed",
-    [(_q12_squared_control, 27, 10), (lambda: a2_algebra(3), 45, 20),
-     (_nonconfluent_presentation, 39, 15)],
-    ids=["q12-squared-control", "a2-z2z2-bound3", "nonconfluent-file"],
-)
-def test_the_sweep_forms_every_pair_but_those_with_the_unit(
-        monkeypatch, build, all_pairs, formed):
-    """The Delta(m1) * Delta(m2) the sweep forms, against those of the
-    all-pairs oracle at tail e, up to the first failing pair: none has the
-    empty word as a factor, and every other pair is formed, in order, on
-    confluent rules and on others."""
-    algebra = build()
-    products = []
-    tensor_mul = TensorElement.__mul__
+def galois_conjugate(algebra: PresentedAlgebra, u: int) -> PresentedAlgebra:
+    """The presentation with zeta_N -> zeta_N^u, gcd(u, N) = 1, applied to its
+    action characters and its rule coefficients."""
+    n, group = algebra.order, algebra.group
 
-    def counting(self, other):
-        products.append((self, other))
-        return tensor_mul(self, other)
+    def sigma(c: CycloNumber) -> CycloNumber:
+        return sum((q * root_of_unity(u * k, n) for k, q in enumerate(c.coeffs)), zero(n))
 
-    monkeypatch.setattr(TensorElement, "__mul__", counting)
-    _full_tail_hopf_sweep(algebra, [algebra._e])
-    assert len(products) == all_pairs
-    products.clear()
-    _sweep(algebra)
-    monkeypatch.undo()
-    words = algebra.normal_words()
-    deltas = [(w, algebra.comultiply(algebra.monomial(w, algebra._e))) for w in words]
-    pairs = [tuple(next(w for w, d in deltas if d == factor) for factor in pair)
-             for pair in products]
-    assert all(w1 and w2 for w1, w2 in pairs)
-    in_order = [(w1, w2) for w1 in words if w1
-                for w2 in words if w2 and len(w1) + len(w2) <= algebra.degree_bound]
-    assert len(pairs) == formed and pairs == in_order[:formed]
+    actions = tuple(group.character([u * a for a in chi.exp]) for chi in algebra.actions)
+    rules = {lhs: tuple((w, sigma(c)) for w, c in rhs) for lhs, rhs in algebra.rules.items()}
+    return PresentedAlgebra(group, algebra.degrees, actions, rules, algebra.degree_bound)
+
+
+def _galois_inputs(name: str) -> list[PresentedAlgebra]:
+    if name == "twins":
+        rng = random.Random(9090)
+        return [a for _ in range(80) for a in quantum_linear_space_twins(rng)]
+    return [{"q12-squared-control": _q12_squared_control,
+             "nonconfluent-file": _nonconfluent_presentation}[name]()]
+
+
+@pytest.mark.parametrize("name", ["twins", "q12-squared-control", "nonconfluent-file"])
+def test_galois_conjugation_keeps_every_verify_hopf_status(name):
+    """zeta_N -> zeta_N^u on the characters and the rule coefficients maps the
+    presented algebra to a Galois conjugate, so every verify-hopf status stays,
+    and a failing rule is named with the same left side and leading monomials."""
+    conjugated = 0
+    for algebra in _galois_inputs(name):
+        report = verify_hopf_axioms(algebra)
+        for u in range(2, algebra.order):
+            if math.gcd(u, algebra.order) != 1:
+                continue
+            image = verify_hopf_axioms(galois_conjugate(algebra, u))
+            assert [(e.check, e.status) for e in image.entries] == [
+                (e.check, e.status) for e in report.entries]
+            for mine, theirs in zip(report.entries, image.entries):
+                if mine.counterexample:
+                    rule, term = mine.counterexample.split(", leading term ")
+                    assert theirs.counterexample.startswith(f"{rule}, leading term ")
+                    # the coefficient, "(c)*" when it is not 1, is conjugated; the monomials stay
+                    assert (theirs.counterexample.partition(")*")[2] or theirs.counterexample
+                            ).endswith(term.partition(")*")[2] or term)
+            conjugated += 1
+    assert conjugated >= (40 if name == "twins" else 1)
 
 
 def _fresh(c: CycloNumber) -> CycloNumber:
@@ -879,7 +944,7 @@ def test_a_unit_that_is_not_the_interned_one_is_multiplied_as_any_scalar(build):
     reports = []
     for algebra in (canonical, fresh):
         auto, nakayama = nakayama_automorphism(algebra, xi)
-        reports.append([verify_hopf_axioms(algebra).to_json(), _sweep(algebra).to_json(),
+        reports.append([verify_hopf_axioms(algebra).to_json(),
                         verify_double_antipode(algebra).to_json(), nakayama.to_json(),
                         [str(c) for c in auto.scalars]])
     assert reports[0] == reports[1]
@@ -888,7 +953,6 @@ def test_a_unit_that_is_not_the_interned_one_is_multiplied_as_any_scalar(build):
         delta = algebra.comultiply(elem)
         return [elem.terms, (elem * other).terms, (other * elem).terms,
                 algebra.antipode(elem).terms, delta.terms,
-                (delta * algebra.comultiply(other)).terms,
                 delta.fold_with(0).terms, delta.fold_with(1).terms,
                 winding_endomorphism(algebra, xi, elem).terms]
 
@@ -909,7 +973,7 @@ def test_maps_of_zero_need_no_unit_on_an_order_over_the_power_table_budget():
     algebra = PresentedAlgebra(group, (group.element((1,)),), (group.character((1,)),))
     z = algebra.zero()
     delta = algebra.comultiply(z)
-    results = [z * z, algebra.antipode(z), delta * delta, delta.fold_with(0), delta.fold_with(1),
+    results = [z * z, algebra.antipode(z), delta.fold_with(0), delta.fold_with(1),
                delta.coproduct_on_leg(1), z.scale(zero(10001)),
                winding_endomorphism(algebra, group.character((1,)), z)]
     assert [r.terms for r in results] == [{}] * len(results)
@@ -1049,28 +1113,29 @@ def descends(algebra: PresentedAlgebra, template) -> bool:
 
 
 def test_delta_descent_implies_counit_and_antipode_descent():
-    """The rule path decides on Delta-descent alone; eps- and S-descent follow
-    from it (see verify_hopf_axioms).  On every draw that meets the rule
-    path's preconditions, _rules_respected is Delta-descent, and where Delta
-    descends, the eps and S template checks, kept here as the oracle, pass."""
+    """verify_hopf_axioms decides on Delta-descent alone; eps- and S-descent
+    follow from it.  On every confluent draw, _descent_failure is None exactly
+    when Delta descends, and where it does, the eps and S template checks, kept
+    here as the oracle, pass."""
     rng = random.Random(2121)
     draws = [random_homogeneous_presentation(rng) for _ in range(400)]
     for _ in range(80):
         draws.extend(quantum_linear_space_twins(rng))
     met = delta = eps_or_s_fails = 0
     for algebra in draws:
-        conf = algebra.confluence
-        if (not conf.ok or conf.skipped_over_bound
-                or max(map(len, algebra.rules), default=0) > algebra.degree_bound):
+        if not algebra.confluence.ok:
             continue
         met += 1
         has_delta = descends(algebra, algebra._delta_word)
-        assert smash._rules_respected(algebra) is has_delta
+        assert (smash._descent_failure(algebra) is None) is has_delta
 
         def counit(w, unit=one(algebra.order)):  # the counit's template
             return () if w else (((), (), unit),)
 
-        has_eps_and_s = descends(algebra, counit) and descends(algebra, algebra._antipode_word)
+        # the S templates are products, which the bound limits: build them at the rules' length
+        wide = PresentedAlgebra(algebra.group, algebra.degrees, algebra.actions, algebra.rules,
+                                max([algebra.degree_bound, *map(len, algebra.rules)]))
+        has_eps_and_s = descends(algebra, counit) and descends(wide, wide._antipode_word)
         assert has_eps_and_s or not has_delta
         delta += has_delta
         eps_or_s_fails += not has_eps_and_s
@@ -1332,36 +1397,47 @@ def test_divergent_overlap_detected_and_flagged():
     assert any("NonConfluent at bound 4" in note for note in hopf.notes)
 
 
-def test_pair_cost_budget_is_the_sum_over_checked_pairs(monkeypatch):
-    """The budget bounds phi(N) times the sum of |Delta(m1)| * |Delta(m2)| over
-    the pairs with |w1| + |w2| <= bound: that sum passes, one less is refused."""
-    for make in (lambda: a2_algebra(5), lambda: qa_algebra(3, 4)):
+def test_the_confluence_check_resolves_each_overlap_within_the_rewrite_budget(monkeypatch):
+    """Each overlap is resolved at its own length, one unit per word rewritten
+    and phi(N) per term product: A2's overlap x2^2*x1^2 costs 8 units over Z2,
+    the non-confluent file's 12 over Z4.  That cost passes, one less is
+    refused with an InputError, whatever the degree bound."""
+    for make, cost in ((a2_algebra, 8), (_nonconfluent_presentation, 12)):
+        for bound in (1, 4):
+            monkeypatch.setattr(rewriting, "REWRITE_BUDGET", cost)
+            assert make(bound).confluence.checked == 1
+            monkeypatch.setattr(rewriting, "REWRITE_BUDGET", cost - 1)
+            with pytest.raises(InputError, match="resolving the rule overlaps costs over"):
+                make(bound)
+
+
+def test_the_delta_check_budget_is_the_sum_over_the_templates_it_builds(monkeypatch):
+    """PAIR_COST_BUDGET bounds phi(N) times twice the terms of the Delta
+    template of w[:-1], summed over the prefixes w of the rule words: that sum
+    passes, one less is refused with an InputError, where a sweep used to
+    run.  x1^5 -> 0 over Z3 is charged at bound 2 too."""
+    builds = [lambda: a2_algebra(5), _q12_squared_control,
+              lambda: _one_generator({(0,) * 5: ()}, chi=1, n=3, bound=2)]
+    for make in builds:
         algebra = make()
-        e = algebra.group.identity()
-        sizes = [(len(w), len(algebra.comultiply(algebra.monomial(w, e)).terms))
-                 for w in algebra.normal_words()]
-        cost = euler_phi(algebra.order) * sum(s1 * s2 for d1, s1 in sizes for d2, s2 in sizes
-                                              if d1 + d2 <= algebra.degree_bound)
+        words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
+        prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+        cost = euler_phi(algebra.order) * sum(2 * len(algebra._delta_word(p[:-1])) for p in prefixes)
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost)
-        assert _sweep(make()).passed
+        verify_hopf_axioms(make())
         monkeypatch.setattr(smash, "PAIR_COST_BUDGET", cost - 1)
-        with pytest.raises(InputError, match="pair check costs over"):
-            _sweep(make())
+        with pytest.raises(InputError, match="the Delta check costs over"):
+            verify_hopf_axioms(make())
 
 
 def test_nonconfluent_presentation_pins_first_counterexamples():
-    from cyhopf.io import load_json_file, parse_presentation
-
-    path = Path(__file__).resolve().parent.parent / "data" / "presentation_nonconfluent.json"
-    algebra, _xi = parse_presentation(load_json_file(str(path)), degree_bound=4)
-    report = verify_hopf_axioms(algebra)
-    assert [(e.check, e.counterexample) for e in report.entries] == [
-        ("coassociativity", "x2*x1*x2*x1#e"),
-        ("counit", None),
-        ("antipode-left", "x1^2*x2^2#e"),
-        ("antipode-right", "x1^2*x2^2#e"),
-        ("coproduct-multiplicative", "x2#e , x1^2#e"),
-    ]
+    """The non-confluent file has no counterexample: every family is undecided,
+    and the last note names its first overlap that does not resolve."""
+    report = verify_hopf_axioms(_nonconfluent_presentation())
+    assert [(e.check, e.status, e.counterexample) for e in report.entries] == [
+        (name, "undecided", None) for name in FAMILIES]
+    assert report.notes[-1] == ("undecided: overlap x2^2*x1^2 does not resolve, "
+                                "so normal words need not be a basis")
 
 
 def test_rendering_of_monomials():
