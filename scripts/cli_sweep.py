@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run every CLI verb on every bundled data file, as text, as JSON and at
-degree bound 3, through cli.main in one process, and print one JSON object
+"""Run every CLI verb on every bundled data file, as text, as JSON and with
+the max tie-break, through cli.main in one process, and print one JSON object
 that maps each call ("verb file flags") to [exit code, sha256 of stdout,
 stderr].  tests/cli_sweep.json is this output; a change that alters any
 report, error line or exit code of these calls shows as a diff against it.
@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from cyhopf.cli import VERBS, main as cli_main  # noqa: E402
 
-FLAGS = ((), ("--json",), ("--degree-bound", "3"))
+FLAGS = ((), ("--json",), ("--tie-break", "max"))
 
 
 def calls() -> list[tuple[str, str, tuple[str, ...]]]:

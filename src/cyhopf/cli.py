@@ -1,17 +1,14 @@
 """Command-line front door.
 
-Grammar: cyhopf VERB INPUT [--json] [--degree-bound N] [--seed S]
-[--tie-break {min,max}] [-h|--help].  The verb comes first.  The options may
-stand before or after INPUT, as `--opt value` or `--opt=value`, under any
-unique prefix of their name (`--deg 3`); a repeated option keeps its last
-value, a value may begin with `-` (`--seed -5`), and `--` ends the options.
-`--degree-bound` and `--seed` are read by errors.read_int, as every integer in
-an input file is.  `-h`/`--help` prints the usage and the verb table to stdout
-and raises SystemExit(0).  The line is read left to right, as argparse read
-it: a bad verb or option value is refused where it stands, while a missing
-argument, an unknown option or an extra positional is refused at the end.
-Then a `--degree-bound` below 1 is refused, on every verb and before the
-input file is read.
+Grammar: cyhopf VERB INPUT [--json] [--tie-break {min,max}] [-h|--help].  The
+verb comes first.  The options may stand before or after INPUT, as
+`--tie-break max` or `--tie-break=max`, under any unique prefix of their name
+(`--t max`); a repeated option keeps its last value, and `--` ends the options.
+`-h`/`--help` prints the usage and the verb table to stdout and raises
+SystemExit(0).  The line is read left to right, as argparse read it: a bad verb
+or option value is refused where it stands, while a missing argument, an
+unknown option or an extra positional is refused at the end.  Any other
+option, `--degree-bound` and `--seed` included, is unknown.
 
 Verbs: check-cy, hdet, nakayama, roots, verify-hopf, verify-s2, confluence,
 lie-check.  Exit codes: 0 computed (a negative verdict is still data), 1
@@ -29,7 +26,7 @@ import json
 import os
 import sys
 
-from .errors import InputError, InternalError, read_int
+from .errors import InputError, InternalError
 from .io import (
     SCHEMA,
     cy_report_to_json,
@@ -50,8 +47,8 @@ VERBS = {
     "verify-hopf": "Hopf axioms, decided on generators and rules (in every degree) when the "
                    "rewriting system is confluent, else undecided; other group tails follow "
                    "by Gamma-equivariance",
-    "verify-s2": "graded squared-antipode identity: reports an identity that holds on every "
-                 "presentation the engine accepts, not a check of the input",
+    "verify-s2": "graded squared-antipode identity, which holds by construction on every "
+                 "presentation the engine accepts: reports it without a check of the input",
     "confluence": "diamond-lemma overlap report for a presentation",
     "lie-check": "CY report for an enveloping-algebra smash product",
 }
@@ -59,13 +56,10 @@ TIE_BREAKS = ("min", "max")
 # long option -> (metavar, help line); an option without a metavar is a flag
 OPTIONS = {
     "--json": (None, "emit a single JSON report"),
-    "--degree-bound": ("N", "override the verification degree bound"),
-    "--seed": ("S", "seed recorded in the report (reserved for sampling front ends)"),
     "--tie-break": ("{min,max}", "simple-index tie-break for the longest-word descent"),
     "--help": (None, "show this help and exit (also -h)"),
 }
-USAGE = ("usage: cyhopf VERB INPUT [--json] [--degree-bound N] [--seed S] "
-         "[--tie-break {min,max}] [-h]")
+USAGE = "usage: cyhopf VERB INPUT [--json] [--tie-break {min,max}] [-h]"
 
 
 def _help() -> str:
@@ -96,30 +90,33 @@ def _choice(prog: str, argument: str, value: str, choices) -> str:
 
 
 def parse_args(argv: list[str]) -> dict:
-    """The command line as a dict of verb, input, json, degree_bound, seed and
-    tie_break; raises InputError for a malformed one (see the module docstring)."""
-    args = {"json": False, "degree_bound": None, "seed": None, "tie_break": "min"}
-    verb, positionals, unrecognized, input_at = None, [], [], None
+    """The command line as a dict of verb, input, json and tie_break; raises
+    InputError for a malformed one (see the module docstring)."""
+    args = {"json": False, "tie_break": "min"}
+    verb, input_path, input_at, extras = None, None, None, []  # extras in command-line order
     prog, known = "cyhopf", ("--help",)  # before the verb only help is known
     tokens = enumerate(argv)
     for i, token in tokens:
         if token == "--" and verb:
             # the rest are positionals; this "--" is one too unless it stands next to INPUT
-            if positionals and i != input_at + 1:
-                positionals.append(token)
-            positionals += [rest for _, rest in tokens]
+            rest = [rest for _, rest in tokens]
+            if input_path is None:
+                input_path = rest.pop(0) if rest else None
+            elif i != input_at + 1:
+                extras.append(token)
+            extras += rest
             break
         if token == "--" or not _is_option(token):
             if verb is None:
                 verb, prog, known = _choice(prog, "verb", token, VERBS), f"cyhopf {token}", OPTIONS
+            elif input_path is None:
+                input_path, input_at = token, i
             else:
-                if not positionals:
-                    input_at = i
-                positionals.append(token)
+                extras.append(token)
             continue
         if token[1] != "-":  # -h only; "-hh" repeats it, "-hx" and "-h=x" give it a value
             if token[1] != "h":
-                unrecognized.append(token)
+                extras.append(token)
                 continue
             name, has_value, value = "--help", token.rstrip("h") != "-", token[2:].lstrip("h")
             value = value.removeprefix("=")
@@ -127,7 +124,7 @@ def parse_args(argv: list[str]) -> dict:
             prefix, has_value, value = token.partition("=")
             matches = [name for name in known if name.startswith(prefix)]
             if not matches:
-                unrecognized.append(token)
+                extras.append(token)
                 continue
             if len(matches) > 1:  # only "--=..." matches more than one
                 raise InputError(f"{prog}: ambiguous option: {token}")
@@ -144,45 +141,34 @@ def parse_args(argv: list[str]) -> dict:
             _, value = next(tokens, (None, None))
             if value is None:
                 raise InputError(f"{prog}: argument {name}: expected one argument")
-        if name == "--tie-break":
-            args["tie_break"] = _choice(prog, name, value, TIE_BREAKS)
-        else:
-            try:
-                args[name[2:].replace("-", "_")] = read_int(name, value)
-            except InputError as exc:
-                raise InputError(f"{prog}: {exc}") from None
+        args["tie_break"] = _choice(prog, name, value, TIE_BREAKS)
     if verb is None:
         raise InputError("cyhopf: the following arguments are required: verb")
-    if not positionals:
+    if input_path is None:
         raise InputError(f"{prog}: the following arguments are required: input")
-    if unrecognized or positionals[1:]:
-        raise InputError("cyhopf: unrecognized arguments: "
-                         + " ".join(positionals[1:] + unrecognized))
-    if args["degree_bound"] is not None and args["degree_bound"] < 1:  # on every verb
-        raise InputError(f"--degree-bound must be >= 1, got {args['degree_bound']}")
-    return dict(args, verb=verb, input=positionals[0])
+    if extras:
+        raise InputError("cyhopf: unrecognized arguments: " + " ".join(extras))
+    return dict(args, verb=verb, input=input_path)
 
 
-def _envelope(args: dict, bound: int | None, report: dict) -> dict:
+def _envelope(args: dict, report: dict) -> dict:
+    """The cy-hopf/1 envelope; "degree_bound" and "seed" are always null, kept so
+    that the envelope keeps its keys."""
     return {
         "schema": SCHEMA,
         "command": args["verb"],
-        "degree_bound": bound,
+        "degree_bound": None,
         "tie_break": args["tie_break"],
-        "seed": args["seed"],
+        "seed": None,
         "report": report,
     }
 
 
-def _emit(args: dict, bound: int | None, report_json: dict, text: str) -> int:
+def _emit(args: dict, report_json: dict, text: str) -> int:
     if args["json"]:
-        print(json.dumps(_envelope(args, bound, report_json), indent=2))
+        print(json.dumps(_envelope(args, report_json), indent=2))
     else:
-        header = f"[cyhopf {args['verb']}]"
-        if bound is not None:
-            header += f" degree_bound={bound}"
-        header += f" tie_break={args['tie_break']}"
-        print(header)
+        print(f"[cyhopf {args['verb']}] tie_break={args['tie_break']}")
         print(text)
     return 0
 
@@ -204,7 +190,7 @@ def run(args: dict) -> int:
         from .datum import check_cy, quantum_affine_report
         build = check_cy if args["verb"] == "check-cy" else quantum_affine_report
         report = build(datum, args["tie_break"])
-        return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
+        return _emit(args, cy_report_to_json(report), render_cy_report_text(report))
 
     if args["verb"] == "roots":
         cartan = parse_cartan_only(load_json_file(args["input"]))
@@ -229,27 +215,25 @@ def run(args: dict) -> int:
                 "betas: " + ", ".join(str(b) for b in betas),
             ]
         )
-        return _emit(args, None, report, text)
+        return _emit(args, report, text)
 
     if args["verb"] == "lie-check":
         algebra, action = parse_lie(load_json_file(args["input"]))
         from .lie import check_cy_lie_smash
         report = check_cy_lie_smash(algebra, action)
-        return _emit(args, None, cy_report_to_json(report), render_cy_report_text(report))
+        return _emit(args, cy_report_to_json(report), render_cy_report_text(report))
 
     # remaining verbs consume a presentation file
-    algebra, xi = parse_presentation(load_json_file(args["input"]),
-                                     degree_bound=args["degree_bound"])
+    algebra, xi = parse_presentation(load_json_file(args["input"]))
     from .smash import nakayama_automorphism, verify_double_antipode, verify_hopf_axioms
-    bound = algebra.degree_bound
 
     if args["verb"] == "verify-hopf":
         report = verify_hopf_axioms(algebra)
-        return _emit(args, bound, report.to_json(), _check_report_text(report))
+        return _emit(args, report.to_json(), _check_report_text(report))
 
     if args["verb"] == "verify-s2":
         report = verify_double_antipode(algebra)
-        return _emit(args, bound, report.to_json(), _check_report_text(report))
+        return _emit(args, report.to_json(), _check_report_text(report))
 
     if args["verb"] == "confluence":
         report = algebra.confluence
@@ -261,7 +245,7 @@ def run(args: dict) -> int:
             text_lines.append(
                 f"divergent at {d.to_json()['word']}: {d.first}  vs  {d.second}"
             )
-        return _emit(args, bound, report.to_json(), "\n".join(text_lines))
+        return _emit(args, report.to_json(), "\n".join(text_lines))
 
     if args["verb"] == "nakayama":
         if xi is None:
@@ -280,7 +264,7 @@ def run(args: dict) -> int:
                 _check_report_text(report),
             ]
         )
-        return _emit(args, bound, payload, text)
+        return _emit(args, payload, text)
 
     raise InternalError(f"unhandled verb {args['verb']}")  # unreachable
 

@@ -63,7 +63,8 @@ class InvalidPresentation(InputError):
 
 
 class DegreeBoundExceeded(InputError):
-    """Requested computation leaves the configured degree bound."""
+    """A product a library caller forms leaves the algebra's degree bound; no
+    verb forms one."""
 
 
 class Frozen:

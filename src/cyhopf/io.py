@@ -12,17 +12,17 @@ Lists must be JSON lists.  Sizes that drive the work have fixed caps: the
 rank and positive-root count of a Cartan matrix (cartan.MAX_RANK,
 ROOT_WORK_BUDGET; the longest-word descent refuses a matrix of infinite type
 when it passes that count), the Lie dimension and the entries of
-action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length, normal
-words and the confluence check's work (rewriting.MAX_WORD_LENGTH,
-NORMAL_WORD_BUDGET, REWRITE_BUDGET), and the cost of the Delta check
-(smash.PAIR_COST_BUDGET).
+action-matrix powers (lie.MAX_DIMENSION, POWER_BIT_CAP), word length and the
+confluence check's work (rewriting.MAX_WORD_LENGTH, REWRITE_BUDGET), and the
+cost of the Delta check (smash.PAIR_COST_BUDGET).  A key no parser reads is
+ignored: so is a presentation's "degree_bound", which no verb reads.
 
 Each parser first checks that the top-level keys its kind needs are present
 (a datum's group, cartan, g and chi, in that order; a presentation's group,
-generators, degrees and actions, after its degree bound is validated; a Lie
-file's dim; a Cartan file's cartan), and only then imports the layers it
-builds.  So a file of another kind is refused before any layer loads, and a
-missing top-level key is reported before a malformed value of another key.
+generators, degrees and actions; a Lie file's dim; a Cartan file's cartan),
+and only then imports the layers it builds.  So a file of another kind is
+refused before any layer loads, and a missing top-level key is reported
+before a malformed value of another key.
 """
 
 from __future__ import annotations
@@ -120,37 +120,16 @@ def parse_datum(obj: dict) -> CartanDatum:
     return CartanDatum(group=group, g=g, chi=chi, cartan=cartan, linking=tuple(linking))
 
 
-def _degree_bound(obj: dict, override: int | None) -> int | None:
-    """The validated bound from the flag, else the file; None when neither gives one."""
-    if override is not None:
-        name, raw = "--degree-bound", override
-    elif "degree_bound" in obj:
-        name, raw = "degree_bound", obj["degree_bound"]
-    else:
-        return None
-    bound = read_int(name, raw)
-    if bound < 1:
-        raise InputError(f"{name} must be >= 1, got {bound}")
-    return bound
-
-
-def parse_presentation(
-    obj: dict, degree_bound: int | None = None
-) -> tuple[PresentedAlgebra, Character | None]:
+def parse_presentation(obj: dict) -> tuple[PresentedAlgebra, Character | None]:
     """Build a PresentedAlgebra from a presentation file; returns the algebra
-    and the optional winding character under the "xi" key.
-
-    The degree bound is degree_bound if given, else the file's "degree_bound",
-    else the default."""
-    bound = _degree_bound(obj, degree_bound)
+    and the optional winding character under the "xi" key.  The algebra has the
+    library's default degree bound, which no verb reads."""
     _require("presentation", obj, ("group", "generators", "degrees", "actions"))
     # smash first: it is the largest module, and compiled from source before the
     # layers it imports are loaded it keeps a call's peak memory 0.7 MB lower
-    from .smash import DEFAULT_DEGREE_BOUND, PresentedAlgebra
+    from .smash import PresentedAlgebra
     from .groups import AbelianGroup, character_from_json, element_from_json
     from .rewriting import MAX_WORD_LENGTH, parse_word
-    if bound is None:
-        bound = DEFAULT_DEGREE_BOUND
     group = AbelianGroup.from_json(obj["group"])
     t = read_int("generators", obj["generators"])
     degrees = tuple(element_from_json(group, e) for e in _list("degrees", obj["degrees"]))
@@ -173,7 +152,7 @@ def parse_presentation(
         rules[lhs] = rhs
     if sum(map(len, rules)) > MAX_WORD_LENGTH:  # overlap enumeration is quadratic in it
         raise InputError(f"rule left-hand sides longer than {MAX_WORD_LENGTH} letters in all")
-    algebra = PresentedAlgebra(group, degrees, actions, rules, bound)
+    algebra = PresentedAlgebra(group, degrees, actions, rules)
     xi = character_from_json(group, obj["xi"]) if "xi" in obj else None
     return algebra, xi
 

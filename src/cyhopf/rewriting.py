@@ -4,20 +4,21 @@ A word is a tuple of 0-based generator indices.  A rule rewrites its
 left-hand side to a combination of words with coefficients in Q(zeta_order);
 every right-hand word must be smaller in the graded-lex order with
 x_1 < ... < x_t, so rewriting terminates.  A RewritingSystem computes normal
-forms (memoized), enumerates the normal words up to its degree bound, and
-checks local confluence by the diamond lemma on every ambiguity, each at its
-own length, whatever the degree bound: an ambiguity is shorter than two
-left-hand sides, so there are finitely many.  A non-confluent system is
-accepted, and its report says so.  Normal forms rewrite the first redex
-(_first_redex): the leftmost occurrence of a left-hand side and, of those at
-that position, the graded-lex least.  A non-confluent system's normal forms,
-and so its NonConfluent reports, depend on that order.  The unit of
-Q(zeta_order) is resolved once per system, on first use (_one), so a system
-whose field has no power table is refused only where a normal form is built.
-smash.PresentedAlgebra extends it with a group, a grading and an action; the
+forms (memoized), enumerates the normal words up to its degree bound for a
+library caller (no verb reads the bound), and checks local confluence by the
+diamond lemma on every ambiguity, each at its own length: an ambiguity is
+shorter than two left-hand sides, so there are finitely many.  A
+non-confluent system is accepted, and its report says so.  Normal forms
+rewrite the first redex (_first_redex): the leftmost occurrence of a
+left-hand side and, of those at that position, the graded-lex least.  A
+non-confluent system's normal forms, and so its NonConfluent reports, depend
+on that order.  The unit of Q(zeta_order) is resolved once per system, on
+first use (_one), so a system whose field has no power table is refused only
+where a normal form is built.  smash.PresentedAlgebra extends it with a group, a grading and an action; the
 rules' Gamma-homogeneity and chi-equivariance are checked there.
-MAX_WORD_LENGTH, NORMAL_WORD_BUDGET and REWRITE_BUDGET refuse oversized work
-before it completes: each raises InputError.
+MAX_WORD_LENGTH and REWRITE_BUDGET refuse oversized work before it completes,
+and NORMAL_WORD_BUDGET refuses a list of normal words that no verb asks for:
+each raises InputError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import IndexOutOfRange, InputError, Record, is_decimal
 
 Word = tuple[int, ...]
 MAX_WORD_LENGTH = 1000
+# Limit on the normal words that normal_words lists; no verb lists them.
 NORMAL_WORD_BUDGET = 500
 # Limit on the work of the confluence check: one unit per word it rewrites, and
 # phi(N) per term product it forms, N the order, phi(N) the rational parts of a
@@ -166,7 +168,8 @@ class RewritingSystem:
 
     @cached_property
     def _all_normal_words(self) -> tuple[Word, ...]:
-        """Normal words up to the degree bound, by degree, within NORMAL_WORD_BUDGET."""
+        """Normal words up to the degree bound, by degree, within NORMAL_WORD_BUDGET;
+        only the tests and the benchmark list them, no verb does."""
         layer: list[Word] = [()]
         words = [()]
         for degree in range(1, self.degree_bound + 1):
@@ -182,7 +185,8 @@ class RewritingSystem:
         return tuple(words)
 
     def normal_words(self, max_degree: int | None = None) -> list[Word]:
-        """Normal words of degree at most max_degree, clamped to the degree bound."""
+        """Normal words of degree at most max_degree, clamped to the degree bound;
+        for library callers, no verb lists them."""
         bound = self.degree_bound if max_degree is None else min(max_degree, self.degree_bound)
         return [w for w in self._all_normal_words if len(w) <= bound]
 
@@ -225,10 +229,10 @@ class ConfluenceReport(Record):
 
 def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
     """Diamond-lemma check: rewrite every overlap/inclusion ambiguity of rule
-    left-hand sides both ways to normal form, at its own length, whatever the
-    degree bound; within REWRITE_BUDGET, charged one unit per word rewritten
-    and phi(N) per term product.  An ambiguity of two rules whose right-hand
-    sides are both 0 rewrites to 0 both ways at once."""
+    left-hand sides both ways to normal form, at its own length; within
+    REWRITE_BUDGET, charged one unit per word rewritten and phi(N) per term
+    product.  An ambiguity of two rules whose right-hand sides are both 0
+    rewrites to 0 both ways at once."""
     lhss = sorted(system.rules, key=graded_lex_key)
     ambiguities: set[tuple[Word, tuple[int, Word], tuple[int, Word]]] = set()
     for u in lhss:
@@ -277,9 +281,8 @@ def _render_combination(comb: dict) -> str:
 
 def confluence_notes(system: RewritingSystem) -> tuple[str, ...]:
     if system.confluence.ok:
-        return (f"rewriting system locally confluent up to degree {system.degree_bound}",)
+        return ("rewriting system locally confluent",)
     return (
-        f"NonConfluent at bound {system.degree_bound}: "
-        f"{len(system.confluence.divergent)} unresolved overlap(s); "
+        f"NonConfluent: {len(system.confluence.divergent)} unresolved overlap(s); "
         f"normal forms and downstream verdicts may depend on rewrite order",
     )

@@ -1,4 +1,4 @@
-"""Degree-bounded exact engine for smash products R # k[Gamma].
+"""Exact engine for smash products R # k[Gamma].
 
 R is presented by generators x_1..x_t, each carrying a grading degree
 g_i in Gamma (coaction) and an action character chi_i (so g(x_i) =
@@ -41,7 +41,10 @@ rules, by Delta-descent of the rules, and reports a non-confluent one as
 undecided (see verify_hopf_axioms).  The graded squared-antipode identity holds
 by construction and is decided without a sweep (see verify_double_antipode).
 PAIR_COST_BUDGET refuses oversized work before it starts, as the rewriting
-layer's limits do; it binds the Delta check.
+layer's limits do; it binds the Delta check.  No verb reads the degree bound:
+the checks form only products of degree <= 1, and the Delta templates are
+built without it.  It limits the products a library caller forms
+(DegreeBoundExceeded) and the normal words it lists.
 """
 
 from __future__ import annotations
@@ -119,7 +122,9 @@ class CheckReport(Record):
 
 
 class PresentedAlgebra(RewritingSystem):
-    """Immutable presentation of R # k[Gamma] over its rewriting system."""
+    """Immutable presentation of R # k[Gamma] over its rewriting system.  Its
+    degree_bound limits the products and normal-word lists of library callers;
+    no verb reads it."""
 
     def __init__(
         self,
@@ -187,6 +192,8 @@ class PresentedAlgebra(RewritingSystem):
                 raise IndexOutOfRange(f"generator x{i + 1} outside 1..{self.t}")
 
     def _check_degree(self, what: str, degree: int) -> None:
+        """Refuse a library caller's product past the degree bound; no verb
+        forms one."""
         if degree > self.degree_bound:
             raise DegreeBoundExceeded(f"{what} degree {degree} exceeds bound {self.degree_bound}")
 
@@ -519,7 +526,8 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     the first such rule and the leading term of its Delta image.  The other
     families compare algebra maps or hold on a subalgebra
     (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), so they are checked on the
-    words of degree <= 1 only, at tail e.
+    normal words of degree <= 1 only, the empty word and each generator that
+    no rule rewrites, at tail e.  So no check reads the degree bound.
 
     Tails reduce to e by Gamma-equivariance of the engine's own maps:
     comultiply(x^w # g) is comultiply(x^w # e) with both tails times g;
@@ -528,7 +536,6 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     normal forms of x^w keep chi_w.  So each identity at tail g is the one at e
     times a unit scalar.
     """
-    words = algebra.normal_words()  # NORMAL_WORD_BUDGET refuses the inputs verify-s2 does
     e, one_element = algebra._e, algebra.one_element()
     families = {  # eps(m) 1 is the right-hand side of both antipode axioms
         "coassociativity": lambda m, d: d.coproduct_on_leg(0) == d.coproduct_on_leg(1),
@@ -536,15 +543,15 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
         "antipode-left": lambda m, d: d.fold_with(0) == one_element.scale(algebra.counit(m)),
         "antipode-right": lambda m, d: d.fold_with(1) == one_element.scale(algebra.counit(m)),
     }
-    notes = confluence_notes(algebra) + (f"degree bound {algebra.degree_bound}",)
+    notes = confluence_notes(algebra)
     divergent = algebra.confluence.divergent
     if divergent:
         entries = [CheckEntry(name, "undecided") for name in (*families, "coproduct-multiplicative")]
         return CheckReport(entries, notes + (f"undecided: overlap {format_word(divergent[0].word)} "
                                              f"does not resolve, so normal words need not be a basis",))
     failure = _descent_failure(algebra)
-    checked = [(w, m, algebra.comultiply(m)) for w in words if len(w) <= 1
-               for m in (algebra.monomial(w, e),)]
+    words = [(), *((i,) for i in range(algebra.t) if algebra.is_normal((i,)))]
+    checked = [(w, m, algebra.comultiply(m)) for w in words for m in (algebra.monomial(w, e),)]
     entries = [_entry(name, next((format_monomial(w, e) for w, m, d in checked if not holds(m, d)),
                                  None))
                for name, holds in families.items()]
@@ -597,15 +604,12 @@ def verify_double_antipode(algebra: PresentedAlgebra) -> CheckReport:
     chi_w(d) sum_j sum_k c_j c_jk x^{u_jk} # e, coefficient by coefficient.
     This holds for every word, on every presentation the engine accepts,
     confluent or not, so a sweep would compute one element two ways; the tests
-    keep that per-word sweep as an oracle against the engine.  The normal words
-    are still enumerated, so NORMAL_WORD_BUDGET refuses the same inputs as
-    verify_hopf_axioms.
+    keep that per-word sweep as an oracle against the engine.  It enumerates
+    no words either: the report reads only the confluence check.
     """
-    algebra.normal_words()
     entry = _entry("double-antipode-graded-identity", None)
-    notes = (f"degree bound {algebra.degree_bound}",
-             "holds in every degree by Gamma-equivariance of S")
-    return CheckReport([entry], notes=confluence_notes(algebra) + notes)
+    notes = confluence_notes(algebra) + ("holds in every degree by Gamma-equivariance of S",)
+    return CheckReport([entry], notes=notes)
 
 
 class DiagonalAutomorphism:

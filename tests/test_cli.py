@@ -162,34 +162,35 @@ PRES_A2, PRES_A1A1 = "presentation_a2_z2z2.json", "presentation_a1a1_z3z3.json"
 # The quantum plane's rule coefficient q12^-1 = zeta_3 replaced by q12^-2 = zeta_3^2:
 # the negative control, through which Delta does not descend.
 ZETA3_SQUARED = {"order": 3, "coeffs": [["-1", "1"], ["-1", "1"]]}
-# One free generator at bound 87: 88 normal words, whose 3916 pairs once cost 2672670
-# units.
+# One free generator, once checked at bound 87: 88 normal words, whose 3916 pairs
+# cost 2672670 units.  The "degree_bound" key is kept as files held it; no verb reads it.
 ONE_GENERATOR = dict(PRES_Z2, generators=1, degrees=[{"exp": [0]}], actions=[{"exp": [0]}],
                      degree_bound=87)
-# One generator over Z_101 with chi(g) = zeta_101 and its rule over the bound: the
+# One generator over Z_101 with chi(g) = zeta_101 and the rule x1^37 -> 0: the
 # Delta(x^k) templates hold dense q-binomials, phi(101) = 100 rational parts each,
 # and the Delta check stops at the cost budget.
 LARGE_FIELD = dict(PRES_Z2, group={"invariant_factors": [101]}, generators=1,
                    degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
-                   rules=[{"lhs": "x1^37", "rhs": []}], degree_bound=36)
+                   rules=[{"lhs": "x1^37", "rhs": []}])
 # Type A32 over (Z3)^32 with q_ij = zeta_3^{a_ij}: a valid datum whose 528 positive
 # roots pass the root layer's budget, 500 at rank 32.
 A32_DATUM = {"group": {"invariant_factors": [3] * 32},
              "g": [{"exp": [int(i == j) for j in range(32)]} for i in range(32)],
              "chi": [{"exp": [a % 3 for a in row]} for row in type_a(32)], "cartan": type_a(32)}
-# Six commuting generators of degree gamma over Z_593, trivial action, bound 3: the
-# rule check costs 78144 units, the degree <= 1 pairs alone 169 * 592 = 100048.
+# Six commuting generators of degree gamma over Z_593, trivial action: the rule
+# check costs 78144 units, the degree <= 1 pairs alone 169 * 592 = 100048.
 COMMUTING_Z593 = dict(
     PRES_Z2, group={"invariant_factors": [593]}, generators=6,
-    degrees=[{"exp": [1]}] * 6, actions=[{"exp": [0]}] * 6, degree_bound=3,
+    degrees=[{"exp": [1]}] * 6, actions=[{"exp": [0]}] * 6,
     rules=[{"lhs": f"x{j}*x{i}", "rhs": [{"word": f"x{i}*x{j}", "coeff": "1"}]}
            for i in range(1, 7) for j in range(i + 1, 7)])
-# x1^11 -> 0 over Z_781 with q = chi(g) of order 11, bound 21: the Delta check
-# costs 11 * 12 * 700 = 92400 units and fits the budget; it used to charge the S
-# templates too (100100 units), and a pair sweep refused the input for pair cost.
+# x1^11 -> 0 over Z_781 with q = chi(g) of order 11: the Delta check costs
+# 11 * 12 * 700 = 92400 units and fits the budget; it used to charge the S
+# templates too (100100 units), and a pair sweep at bound 21 refused the input for
+# pair cost.
 NILPOTENT_Z781 = dict(PRES_Z2, group={"invariant_factors": [781]}, generators=1,
                       degrees=[{"exp": [1]}], actions=[{"exp": [71]}],
-                      rules=[{"lhs": "x1^11", "rhs": []}], degree_bound=21)
+                      rules=[{"lhs": "x1^11", "rhs": []}])
 
 
 def nilpotent(order: int, lhs: str) -> dict:
@@ -197,7 +198,7 @@ def nilpotent(order: int, lhs: str) -> dict:
     with chi(g) = zeta_order: a valid presentation when lhs reads as x1^order."""
     return dict(PRES_Z2, group={"invariant_factors": [order]}, generators=1,
                 degrees=[{"exp": [1]}], actions=[{"exp": [1]}],
-                rules=[{"lhs": lhs, "rhs": []}], degree_bound=order + 2)
+                rules=[{"lhs": lhs, "rhs": []}])
 
 
 # A Cartan entry of 5000 nines, as raw JSON text: json.load refuses an integer
@@ -215,8 +216,6 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [
             {"pair": [1, 2], "value": {"order": 1, "coeffs": [["1", "0"]]}}]})),
         ("check-cy", dict(A1A1_Z2Z2, **{"lambda": [{"pair": [1, 2], "value": "1/0"}]})),
-        ("verify-hopf", dict(PRES_Z2, degree_bound=2.9)),
-        ("verify-hopf", dict(PRES_Z2, degree_bound=True)),
         ("verify-hopf", dict(PRES_Z2, generators=2.0)),
         ("check-cy", {"group": {"invariant_factors": [10001]}, "g": [{"exp": [1]}],
                       "chi": [{"exp": [1]}], "cartan": [[2]]}),
@@ -238,7 +237,6 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         ("confluence", edited(PRES_A2, ("rules",), [{"lhs": "x1^5000", "rhs": []}])),
         ("confluence", edited(PRES_A2, ("rules",),
                               [{"lhs": f"x1^{n}", "rhs": []} for n in range(900, 1000)])),
-        ("verify-s2", edited(PRES_A1A1, ("degree_bound",), 31)),
         ("lie-check", edited("lie_sl2_sign.json", ("action",), {
             "group": {"invariant_factors": [10000000000]},
             "matrices": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]})),
@@ -259,7 +257,6 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
         # strings that int() reads but that are not a sign followed by ASCII digits
         ("roots", {"cartan": [[2, " -1 "], [-1, 2]]}),
         ("lie-check", edited("lie_sl2_sign.json", ("dim",), "\u0663")),
-        ("verify-s2", edited(PRES_A1A1, ("degree_bound",), "1_0")),
         # lambda_12 != 0 on a pair that is not linkable; both exited 0 before the check
         ("check-cy", edited(DATUM_A1A1, ("chi", 1, "exp"), [2, 1])),
         ("check-cy", {"group": {"invariant_factors": [2]}, "g": [{"exp": [1]}, {"exp": [1]}],
@@ -274,18 +271,18 @@ HUGE_CARTAN_ENTRY = json.dumps(edited(DATUM_A2, ("cartan", 0, 1), "N")).replace(
           for token in ("x\uff11", "x+1", "x 1")],
     ],
     ids=["cartan-entry-not-int", "generators-not-int", "zero-denominator", "zero-rational",
-         "degree-bound-float", "degree-bound-bool", "generators-float",
+         "generators-float",
          "order-over-power-table-budget", "element-exp-string", "invariant-factor-string",
          "g-not-list", "lambda-not-list", "pair-string", "rule-word-not-string",
          "xi-exp-string", "lie-dim-over-cap", "invariant-factor-float", "element-exp-float",
          "element-exp-bool", "cartan-entry-float", "huge-prime-order", "word-over-length-cap",
          "long-rule-word", "rule-letters-over-cap",
-         "normal-words-over-budget", "lie-order-unbounded", "lie-power-over-bit-cap",
+         "lie-order-unbounded", "lie-power-over-bit-cap",
          "pair-cost-in-large-field", "witness-rank-over-limit",
          "roots-over-work-budget", "check-cy-roots-over-work-budget", "cartan-rank-over-limit",
          "roots-int-over-digit-limit", "check-cy-int-over-digit-limit", "degrees-not-list",
          "actions-not-list", "cartan-entry-padded", "lie-dim-non-ascii-digit",
-         "degree-bound-underscore", "linked-characters-not-inverse",
+         "linked-characters-not-inverse",
          "linked-group-likes-inverse", "rational-fullwidth-digit", "rational-padded",
          "rational-underscore", "rational-exponent", "rational-decimal-point",
          "word-power-underscore", "word-power-non-ascii-digit", "word-index-fullwidth-digit",
@@ -430,17 +427,17 @@ GRAMMAR = [
      ["roots", CARTAN, "--json", "--tie-break", "max"]),
     ("unique-prefixes", ["roots", CARTAN, "--js", "--t", "max"],
      ["roots", CARTAN, "--json", "--tie-break", "max"]),
-    ("prefix-equals-value", ["verify-s2", PRES, "--j", "--deg=3"],
-     ["verify-s2", PRES, "--json", "--degree-bound", "3"]),
-    ("prefix-then-value", ["verify-s2", PRES, "--deg", "3", "--json"],
-     ["verify-s2", PRES, "--json", "--degree-bound", "3"]),
+    ("prefix-equals-value", ["verify-s2", PRES, "--j", "--tie=max"],
+     ["verify-s2", PRES, "--json", "--tie-break", "max"]),
+    ("prefix-then-value", ["verify-s2", PRES, "--tie", "max", "--json"],
+     ["verify-s2", PRES, "--json", "--tie-break", "max"]),
     ("last-repeat-wins", ["roots", CARTAN, "--tie-break", "min", "--json", "--tie-break", "max",
                           "--json"],
      ["roots", CARTAN, "--json", "--tie-break", "max"]),
-    ("negative-value", ["roots", CARTAN, "--json", "--seed", "-5"],
-     ["roots", CARTAN, "--json", "--seed=-5"]),
-    ("signed-value", ["roots", CARTAN, "--json", "--seed", "+5"],
-     ["roots", CARTAN, "--json", "--seed", "5"]),
+    # a token that reads as a negative number is a positional, as in argparse
+    ("negative-value", ["roots", "-5", "--json", "--tie-break", "max"],
+     ["roots", "--json", "--tie-break", "max", "--", "-5"]),
+    ("signed-value", ["roots", "--t=max", "-.5"], ["roots", "--tie-break", "max", "--", "-.5"]),
     ("double-dash-ends-options", ["roots", "--json", "--", CARTAN], ["roots", CARTAN, "--json"]),
     ("double-dash-after-input", ["roots", CARTAN, "--"], ["roots", CARTAN]),
 ]
@@ -448,16 +445,16 @@ GRAMMAR = [
 
 @pytest.mark.parametrize("argv, plain", [row[1:] for row in GRAMMAR],
                          ids=[row[0] for row in GRAMMAR])
-def test_an_accepted_spelling_prints_what_the_plain_one_does(capsys, argv, plain):
-    """Each accepted form exits 0 with the stdout of its plain spelling."""
+def test_an_accepted_spelling_prints_what_the_plain_one_does(tmp_path, monkeypatch, capsys,
+                                                             argv, plain):
+    """Each accepted form exits 0 with the stdout of its plain spelling.  The
+    files -5 and -.5 in the working directory are copies of the Cartan file."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("-5", "-.5"):
+        (tmp_path / name).write_text(Path(CARTAN).read_text())
     expected = run_cli(capsys, *plain)
     assert expected[0] == 0
     assert run_cli(capsys, *argv) == expected
-
-
-def test_seed_keeps_a_negative_value(capsys):
-    code, out = run_cli(capsys, "roots", CARTAN, "--json", "--seed", "-5")
-    assert code == 0 and json.loads(out)["seed"] == -5
 
 
 @pytest.mark.parametrize(
@@ -466,10 +463,10 @@ def test_seed_keeps_a_negative_value(capsys):
      ["verify-s2", str(DATA / PRES_A2), "--degree-bound", "x"],
      ["roots", str(DATA / "cartan_a2.json"), "--tie-break", "middle"],
      ["roots", str(DATA / "cartan_a2.json"), "--no-such-flag"],
-     ["roots", CARTAN, "--seed"], ["roots", CARTAN, "--json=1"], ["roots", CARTAN, "extra"],
+     ["roots", CARTAN, "--tie-break"], ["roots", CARTAN, "--json=1"], ["roots", CARTAN, "extra"],
      ["--json", "roots", CARTAN], ["roots", CARTAN, "--json", "--"],
      ["roots", "--", CARTAN, "--json"], ["roots", CARTAN, "-hx"], ["roots", CARTAN, "-j"],
-     # strings int() reads but a file may not hold (errors.read_int)
+     # the options no verb read, --degree-bound and --seed, are unknown, whatever their value
      ["verify-s2", PRES, "--degree-bound", "\u0663"],
      ["verify-s2", PRES, "--degree-bound", "1_0"], ["verify-s2", PRES, "--degree-bound", " 3"],
      ["roots", CARTAN, "--seed", "\u0663"]],
@@ -500,39 +497,53 @@ def test_help_exits_zero(capsys, argv):
     assert "usage: cyhopf" in capsys.readouterr().out
 
 
-# One accepted bundled file per verb that reads no degree bound.
-UNBOUNDED_VERBS = [("check-cy", DATUM_A2), ("hdet", DATUM_A1A1), ("roots", "cartan_a2.json"),
-                   ("lie-check", "lie_sl2_sign.json")]
+# One accepted bundled file per verb.
+ACCEPTED = [("check-cy", DATUM_A2), ("hdet", DATUM_A1A1), ("roots", "cartan_a2.json"),
+            ("lie-check", "lie_sl2_sign.json"),
+            *[(verb, PRES_A2) for verb in ("nakayama", "verify-hopf", "verify-s2", "confluence")]]
 
 
-@pytest.mark.parametrize("verb, filename", UNBOUNDED_VERBS, ids=[v for v, _ in UNBOUNDED_VERBS])
-def test_every_verb_refuses_a_degree_bound_below_one(capsys, verb, filename):
-    """These verbs read no bound, yet exited 0 on --degree-bound 0 or -5 with
-    "degree_bound": null; they refuse it as the presentation verbs do.  A
-    bound of 1 or more leaves their report as it was."""
+@pytest.mark.parametrize("verb, filename", ACCEPTED, ids=[v for v, _ in ACCEPTED])
+def test_every_verb_refuses_the_retired_options(capsys, verb, filename):
+    """--degree-bound and --seed, which no verb read, are unknown options: every
+    verb refuses them, under any spelling, with one line and exit 1 that names
+    them in the order they stand, as argparse does."""
     path = str(DATA / filename)
-    for value in ("0", "-5"):
-        assert main([verb, path, "--degree-bound", value]) == 1
+    for flags in (["--degree-bound", "3"], ["--deg=3"], ["--seed", "1"]):
+        assert main([verb, path, *flags]) == 1
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == f"error: --degree-bound must be >= 1, got {value}\n"
-    code, plain = run_cli(capsys, verb, path, "--json")
-    assert code == 0 and json.loads(plain)["degree_bound"] is None
-    assert run_cli(capsys, verb, path, "--json", "--degree-bound", "1") == (0, plain)
-    assert main(["verify-s2", PRES, "--degree-bound", "0"]) == 1
-    assert capsys.readouterr().err == "error: --degree-bound must be >= 1, got 0\n"
+        assert captured.err == f"error: cyhopf: unrecognized arguments: {' '.join(flags)}\n"
 
 
-@pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])
-def test_huge_degree_bound_fails_fast(tmp_path, capsys, verb):
-    in_file = tmp_path / "pres.json"
-    in_file.write_text(json.dumps(edited(PRES_A1A1, ("degree_bound",), 1000)))
-    for argv in ([verb, str(DATA / PRES_A2), "--degree-bound", "1000"], [verb, str(in_file)]):
-        start = time.perf_counter()
-        assert main(argv) == 1
-        assert time.perf_counter() - start < 5
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+@pytest.mark.parametrize("value", [0, 2.9, True, "1_0", 31, 1000])
+def test_a_presentations_degree_bound_key_changes_no_report(tmp_path, capsys, monkeypatch,
+                                                            value):
+    """No verb reads a presentation's "degree_bound": a file that holds one, even
+    one that is not an integer, gets the report of the file without it.  31 and
+    1000 once listed more normal words than the word budget allows, and exited 1;
+    the CY_HOPF_DEGREE_BOUND variable, which once set a bound, is ignored too."""
+    monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", "zero")
+    path = tmp_path / "pres.json"
+    for filename in (PRES_A1A1, PRES_A2):
+        path.write_text(json.dumps(edited(filename, ("degree_bound",), value)))
+        for verb in ("nakayama", "verify-hopf", "verify-s2", "confluence"):
+            for flags in ([], ["--json"]):
+                expected = run_cli(capsys, verb, str(DATA / filename), *flags)
+                assert expected[0] == 0
+                assert run_cli(capsys, verb, str(path), *flags) == expected
+
+
+def test_a_presentation_over_the_word_budget_gets_a_verdict(tmp_path, capsys):
+    """Five free generators have 781 normal words up to the default degree 4,
+    over NORMAL_WORD_BUDGET; verify-hopf and verify-s2 exited 1 on them, and
+    now list no words and pass."""
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(dict(PRES_Z2, generators=5, degrees=[{"exp": [1]}] * 5,
+                                    actions=[{"exp": [1]}] * 5)))
+    for verb in ("verify-hopf", "verify-s2"):
+        code, out = run_cli(capsys, verb, str(path), "--json")
+        assert code == 0 and json.loads(out)["report"]["passed"]
 
 
 # Two generators of degree 1 and action 1 over Z3, and a rule whose left-hand
@@ -602,14 +613,13 @@ def test_input_once_refused_for_pair_cost_fails_on_its_rule(tmp_path, capsys, ob
 
 @pytest.mark.parametrize("order", [50, 100, 200, 499])
 def test_rule_path_work_is_bounded(tmp_path, capsys, order):
-    """x1^L -> 0 over Z_L at bound 2L - 1 fits the word budget, but its
-    templates hold dense q-binomial coefficients: the rule path stops at the
-    cost budget, and the answer comes at once either way."""
+    """x1^L -> 0 over Z_L: its templates hold dense q-binomial coefficients, so
+    the rule path stops at the cost budget, and the answer comes at once either
+    way."""
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(dict(
         PRES_Z2, group={"invariant_factors": [order]}, generators=1, degrees=[{"exp": [1]}],
-        actions=[{"exp": [1]}], rules=[{"lhs": f"x1^{order}", "rhs": []}],
-        degree_bound=2 * order - 1)))
+        actions=[{"exp": [1]}], rules=[{"lhs": f"x1^{order}", "rhs": []}])))
     start = time.perf_counter()
     code = main(["verify-hopf", str(path)])
     assert time.perf_counter() - start < 5
@@ -625,27 +635,6 @@ def test_unexpected_exception_is_exit_two(monkeypatch, capsys):
     assert main(["verify-s2", str(DATA / "presentation_a2_z2z2.json")]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: RuntimeError: boom"]
-
-
-def test_degree_bound_flag_and_env(tmp_path, capsys, monkeypatch):
-    """The bound is --degree-bound, else the file's "degree_bound", else the
-    default 4.  The environment sets none: the CY_HOPF_DEGREE_BOUND variable
-    that once did is ignored, even when it is not a number."""
-    code, out = run_cli(
-        capsys, "verify-s2", str(DATA / "presentation_a1a1_z3z3.json"),
-        "--degree-bound", "3", "--json",
-    )
-    assert code == 0 and json.loads(out)["degree_bound"] == 3
-    pres = json.loads((DATA / "presentation_a1a1_z3z3.json").read_text())
-    del pres["degree_bound"]
-    stripped = tmp_path / "pres.json"
-    stripped.write_text(json.dumps(pres))
-    for value in ("2", "zero"):
-        monkeypatch.setenv("CY_HOPF_DEGREE_BOUND", value)
-        code, out = run_cli(capsys, "verify-s2", str(stripped), "--json")
-        assert code == 0 and json.loads(out)["degree_bound"] == 4
-        code, out = run_cli(capsys, "verify-s2", str(stripped), "--json", "--degree-bound", "2")
-        assert code == 0 and json.loads(out)["degree_bound"] == 2
 
 
 def test_tie_break_flag_changes_word(capsys):

@@ -1,6 +1,6 @@
 """The CLI sweep of scripts/cli_sweep.py against tests/cli_sweep.json: exit
 code, stdout and stderr of every verb on every bundled file, as text, as JSON
-and at degree bound 3.  The calls run forward and then reversed in one
+and with the max tie-break.  The calls run forward and then reversed in one
 process, so a report that changes, or a call that leans on state an earlier
 call left, fails here."""
 

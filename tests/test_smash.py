@@ -592,11 +592,20 @@ def _full_tail_hopf_sweep(algebra: PresentedAlgebra, tails=None) -> list[tuple[s
     ]
 
 
-def _nonconfluent_presentation(bound=4) -> PresentedAlgebra:
+def _at_bound(algebra: PresentedAlgebra, bound: int) -> PresentedAlgebra:
+    """The same presentation with the library degree bound set to bound."""
+    return PresentedAlgebra(algebra.group, algebra.degrees, algebra.actions, algebra.rules, bound)
+
+
+def _bundled_presentation(name: str, bound=4) -> PresentedAlgebra:
     from cyhopf.io import load_json_file, parse_presentation
 
-    path = Path(__file__).resolve().parent.parent / "data" / "presentation_nonconfluent.json"
-    return parse_presentation(load_json_file(str(path)), degree_bound=bound)[0]
+    path = Path(__file__).resolve().parent.parent / "data" / f"presentation_{name}.json"
+    return _at_bound(parse_presentation(load_json_file(str(path)))[0], bound)
+
+
+def _nonconfluent_presentation(bound=4) -> PresentedAlgebra:
+    return _bundled_presentation("nonconfluent", bound)
 
 
 def _q12_squared_control() -> PresentedAlgebra:
@@ -833,7 +842,7 @@ def test_every_overlap_is_checked_at_its_own_length():
     assert [(e.check, e.status, e.counterexample) for e in report.entries] == [
         (name, "undecided", None) for name in FAMILIES]
     assert not report.passed
-    assert report.notes[0].startswith("NonConfluent at bound 3")
+    assert report.notes[0].startswith("NonConfluent: 1 unresolved overlap(s)")
     assert report.notes[-1].startswith("undecided: overlap x2^2*x1^2 does not resolve")
     a2 = a2_algebra(3)
     assert a2.confluence.ok and a2.confluence.checked == 1
@@ -870,6 +879,32 @@ def test_the_sweep_reports_as_the_all_pairs_oracle_at_tail_e():
     algebra = _nonconfluent_presentation()
     assert any(c for _check, c in _tail_e_oracle(algebra))
     assert {e.status for e in verify_hopf_axioms(algebra).entries} == {"undecided"}
+
+
+def test_no_verdict_depends_on_the_library_degree_bound():
+    """No verb reads the degree bound: verify_hopf_axioms, verify_double_antipode,
+    nakayama_automorphism (report and scalars) and the confluence report are
+    the same at library bounds 1, 2, 4 and 8, on the bundled presentations, the
+    q12^2 control, quantum-affine draws and the twin pairs."""
+    rng = random.Random(3232)
+    draws = [random_a1t_datum(rng) for _ in range(20)]
+    algebras = [_bundled_presentation(name) for name in ("a1a1_z3z3", "a2_z2z2", "nonconfluent")]
+    algebras += [_q12_squared_control()]
+    algebras += [quantum_affine_presentation(d.group, d.g, d.chi) for d in draws]
+    algebras += _galois_inputs("twins")
+    failing = 0
+    for algebra in algebras:
+        xi = math.prod(algebra.actions, start=algebra.group.trivial_character())
+        reports = []
+        for bound in (1, 2, 4, 8):
+            at_bound = _at_bound(algebra, bound)
+            auto, nakayama = nakayama_automorphism(at_bound, xi)
+            reports.append([verify_hopf_axioms(at_bound).to_json(),
+                            verify_double_antipode(at_bound).to_json(), nakayama.to_json(),
+                            [c.to_json() for c in auto.scalars], at_bound.confluence.to_json()])
+        assert reports[1:] == reports[:-1]
+        failing += not reports[0][0]["passed"]
+    assert (len(algebras), failing) == (184, 82)
 
 
 def galois_conjugate(algebra: PresentedAlgebra, u: int) -> PresentedAlgebra:
@@ -1202,22 +1237,22 @@ def test_double_antipode_oracle_holds_on_every_accepted_presentation(seeded_fami
 
 
 def test_double_antipode_computes_no_products(monkeypatch):
-    """verify_double_antipode reads the normal words and the confluence report
-    only: with the antipode, the coproduct and monomial products disabled it
-    still gives its report."""
+    """verify_double_antipode reads the confluence report only: with the
+    antipode, the coproduct, monomial products and the normal-word list
+    disabled it still gives its report."""
     algebras = [_nonconfluent_presentation(), qa_algebra(3, 4)]
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("verify_double_antipode computed a product")
+        raise AssertionError("verify_double_antipode computed a product or listed words")
 
-    for name in ("antipode", "comultiply", "_mul_mono"):
+    for name in ("antipode", "comultiply", "_mul_mono", "normal_words"):
         monkeypatch.setattr(PresentedAlgebra, name, refuse)
     for algebra in algebras:
         report = verify_double_antipode(algebra)
         assert report.to_json() == {
             "passed": True,
             "entries": [{"check": "double-antipode-graded-identity", "status": "pass"}],
-            "notes": [*rewriting.confluence_notes(algebra), "degree bound 4",
+            "notes": [*rewriting.confluence_notes(algebra),
                       "holds in every degree by Gamma-equivariance of S"],
         }
 
@@ -1394,7 +1429,7 @@ def test_divergent_overlap_detected_and_flagged():
     assert not report.ok
     assert report.divergent[0].to_json()["word"] == "x2^2*x1^2"
     hopf = verify_hopf_axioms(algebra)
-    assert any("NonConfluent at bound 4" in note for note in hopf.notes)
+    assert any(note.startswith("NonConfluent: ") for note in hopf.notes)
 
 
 def test_the_confluence_check_resolves_each_overlap_within_the_rewrite_budget(monkeypatch):
