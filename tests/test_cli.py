@@ -516,6 +516,39 @@ def test_every_verb_refuses_the_retired_options(capsys, verb, filename):
         assert captured.err == f"error: cyhopf: unrecognized arguments: {' '.join(flags)}\n"
 
 
+def test_a_negative_seed_is_refused_and_the_envelope_seed_is_null(capsys):
+    """--seed -5 was once kept as the envelope's seed; --seed is retired, so the
+    negative value is refused with the flag, in either spelling, and the
+    envelope's "seed" reads null."""
+    for flags in (["--seed", "-5"], ["--seed=-5"]):
+        assert main(["roots", CARTAN, "--json", *flags]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: cyhopf: unrecognized arguments: {' '.join(flags)}\n"
+    code, out = run_cli(capsys, "roots", CARTAN, "--json")
+    assert code == 0 and json.loads(out)["seed"] is None
+
+
+@pytest.mark.parametrize("verb", ["verify-hopf", "verify-s2"])
+def test_huge_degree_bound_fails_fast(tmp_path, capsys, verb):
+    """--degree-bound 1000 is an unknown option and fails at once with one error
+    line.  A file's "degree_bound": 1000, which once failed on the word budget, is
+    not read: the file gets its report at once."""
+    start = time.perf_counter()
+    assert main([verb, str(DATA / PRES_A2), "--degree-bound", "1000"]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: cyhopf: unrecognized arguments: --degree-bound 1000\n"
+    in_file = tmp_path / "pres.json"
+    in_file.write_text(json.dumps(edited(PRES_A1A1, ("degree_bound",), 1000)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, verb, str(in_file))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == run_cli(capsys, verb, str(DATA / PRES_A1A1))
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", [0, 2.9, True, "1_0", 31, 1000])
 def test_a_presentations_degree_bound_key_changes_no_report(tmp_path, capsys, monkeypatch,
                                                             value):
