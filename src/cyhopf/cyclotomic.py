@@ -11,8 +11,10 @@ coercion is explicit in the code, never silent precision loss.  Each order m
 keeps one list of the canonical signed roots of unity +-zeta_m^k, each built
 on first use, so a product, power, negation or inverse of signed roots is an
 index into that list; other inverses come from extended Euclid against Phi_m
-over the integers.  Each order also keeps the tuple of its m roots zeta_m^k
-(roots_of_unity), the same objects, and its zero.
+over the integers.  A product with 1 returns the other operand (lifted to the
+common order), whatever object holds the 1: the test is by value, on the
+signed-root index every product already reads.  Each order also keeps the
+tuple of its m roots zeta_m^k (roots_of_unity), the same objects, and its zero.
 """
 
 from __future__ import annotations
@@ -261,18 +263,23 @@ class CycloNumber:
             a, b = self, other
         else:
             a, b = self._pair(other)
+        # a product with 1 returns the other operand, tested by value: (1, 0) is
+        # the signed-root index of 1, whichever object holds it
         sa = a._signed
         if sa is False:
             sa = a.signed_root_power()
-        if sa is not None:
-            sb = b._signed
-            if sb is False:
-                sb = b.signed_root_power()
-            if sb is not None:
-                m = a.order
-                k = (sa[1] + sb[1]) % m
-                got = _SIGNED_ROOTS[m][1][k if sa[0] == sb[0] else m + k]
-                return got if got is not None else _signed_root(sa[0] * sb[0], k, m)
+        if sa == (1, 0):
+            return b
+        sb = b._signed
+        if sb is False:
+            sb = b.signed_root_power()
+        if sb == (1, 0):
+            return a
+        if sa is not None and sb is not None:
+            m = a.order
+            k = (sa[1] + sb[1]) % m
+            got = _SIGNED_ROOTS[m][1][k if sa[0] == sb[0] else m + k]
+            return got if got is not None else _signed_root(sa[0] * sb[0], k, m)
         phi = len(a.num)
         conv = [0] * (2 * phi - 1)
         nonzero_b = [(j, y) for j, y in enumerate(b.num) if y]

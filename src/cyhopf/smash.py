@@ -11,23 +11,21 @@ and a non-confluent system is accepted but flagged on every downstream report.
 Elements of the smash product (SmashElement) and of its tensor powers
 (TensorElement) are exact linear combinations of PBW normal monomials x^w * g,
 sharing one implementation of their linear operations.  Monomials are built
-only by PresentedAlgebra.monomial, and two monomials are multiplied only in
-_mul_mono, which moves the left tail past the right word by the smash relation
-g x_i = chi_i(g) x_i g.  _products is the one sum of such products: the
-product of elements, the antipode templates and the antipode axioms' S(a) b
-and a S(b) all go through it.  Every chi-value, there and in the Hopf
-templates, comes from _char_value, which keeps one row of exponents of
-chi_i(g) per group element.  Scalars enter the session field Q(zeta_N) only
-through PresentedAlgebra.scalar.
+only by PresentedAlgebra.monomial and multiplied only in _products, which
+moves each left tail past the right word by the smash relation
+g x_i = chi_i(g) x_i g: the product of elements, the antipode templates and
+the antipode axioms' S(a) b and a S(b) all go through it.  Every chi-value,
+there and in the Hopf templates, comes from _char_value, which keeps one row
+of exponents of chi_i(g) per group element.  Scalars enter the session field
+Q(zeta_N) only through PresentedAlgebra.scalar; a product of scalars with 1
+returns the other operand (CycloNumber.__mul__).
 Each algebra keeps the constants its maps read on every call, once: the group
 identity e (_e), taken at construction and tested for with `is`, since group
-elements are interned; the unit of Q(zeta_N) (_one, from the rewriting layer);
-and the N roots zeta_N^k (_roots, the order's one tuple,
-cyclotomic.roots_of_unity), so that nothing an algebra builds grows with N.
-The maps form no product with _one or _e as an operand.  That test is by
-identity and only a fast path: a scalar equal to 1 that is not the interned
-_one is multiplied like any other.  They read _one only once there is a term
-to multiply, so on an empty input they return 0 as they would without it.
+elements are interned, so that the maps form no group product with e; the
+unit of Q(zeta_N) (_one, from the rewriting layer); and the N roots zeta_N^k
+(_roots, the order's one tuple, cyclotomic.roots_of_unity), so that nothing an
+algebra builds grows with N.  The maps read _one only once there is a term to
+multiply, so on an empty input they return 0 without it.
 The unit and the roots are resolved on first use, not at construction: an N
 whose power table is over budget is then refused only by the structure maps
 and the checks built on them, and building an algebra, checking its
@@ -250,38 +248,32 @@ class PresentedAlgebra(RewritingSystem):
 
     def monomial(self, word: Word, g: GroupElement, coeff=None) -> SmashElement:
         """coeff (default 1) times x^w # g, in normal form."""
-        c = self._one if coeff is None else self.scalar(coeff)
+        c = self.scalar(coeff) if coeff is not None else self._one
         word = tuple(word)
         self._check_indices(word)
         if g.group != self.group:
             raise GroupMismatch(f"group-like {g} of {g.group} outside {self.group}")
         self._check_degree("word", len(word))
-        one = self._one if c else None
-        terms = {(nw, g): nc if c is one else nc * c
-                 for nw, nc in self._normal_combination(word)} if c else {}
+        terms = {(nw, g): nc * c for nw, nc in self._normal_combination(word)} if c else {}
         return SmashElement._of(self, terms)
 
     # -- monomial multiplication ----------------------------------------------------
 
-    def _mul_mono(self, w1: Word, g1: GroupElement, w2: Word,
-                  g2: GroupElement) -> list[tuple[Word, GroupElement, CycloNumber]]:
-        """(x^{w1} # g1) (x^{w2} # g2) as a normal combination."""
-        degree = len(w1) + len(w2)
-        if degree > self.degree_bound:
-            self._check_degree("product", degree)
-        scalar, e, one = self._char_value(w2, g1), self._e, self._one
-        tail = g2 if g1 is e else g1 if g2 is e else g1 * g2
-        return [(nw, tail, nc if scalar is one else scalar if nc is one else scalar * nc)
-                for nw, nc in self._normal_combination(w1 + w2)]
-
     def _products(self, pairs) -> dict[tuple[Word, GroupElement], CycloNumber]:
         """The sum of c (x^{w1} # g1) (x^{w2} # g2) over the (w1, g1, w2, g2, c)
-        in pairs, as a zero-free dict (nw, tail) -> coefficient."""
+        in pairs, as a zero-free dict (nw, tail) -> coefficient.  Each product
+        moves g1 past x^{w2}, so is c chi_{w2}(g1) times the normal form of
+        x^{w1 w2}, at tail g1 g2."""
         out: dict = {}
+        e, bound, chi = self._e, self.degree_bound, self._char_value
         for w1, g1, w2, g2, c in pairs:
-            one = self._one  # read per pair, so an empty sum reads no unit
-            for nw, tail, nc in self._mul_mono(w1, g1, w2, g2):
-                _accumulate(out, (nw, tail), nc if c is one else c if nc is one else c * nc)
+            degree = len(w1) + len(w2)
+            if degree > bound:
+                self._check_degree("product", degree)
+            scalar = c * chi(w2, g1)
+            tail = g2 if g1 is e else g1 if g2 is e else g1 * g2
+            for nw, nc in self._normal_combination(w1 + w2):
+                _accumulate(out, (nw, tail), scalar * nc)
         return out
 
     # -- Hopf structure maps -------------------------------------------------------------
@@ -295,17 +287,16 @@ class PresentedAlgebra(RewritingSystem):
         if not word:
             result = (((), (), self._one),)
         else:
-            head, last, one = word[:-1], word[-1], self._one
+            head, last = word[:-1], word[-1]
             acc: dict[tuple[Word, Word], CycloNumber] = {}
             for u, v, c in self._delta_word(head):
                 # times (x_last (x) 1): left leg (x^u # deg v) x_last
-                chi = self._char_value((last,), self._degree_of(v))
-                lc = c if chi is one else chi if c is one else chi * c
+                lc = self._char_value((last,), self._degree_of(v)) * c
                 for nw, nc in self._normal_combination(u + (last,)):
-                    _accumulate(acc, (nw, v), lc if nc is one else nc if lc is one else nc * lc)
+                    _accumulate(acc, (nw, v), nc * lc)
                 # times (g_last (x) x_last): the left tail deg(v) grows implicitly
                 for nw, nc in self._normal_combination(v + (last,)):
-                    _accumulate(acc, (u, nw), c if nc is one else nc if c is one else nc * c)
+                    _accumulate(acc, (u, nw), nc * c)
             result = tuple((u, v, c) for (u, v), c in acc.items())
         self._delta_cache[word] = result
         return result
@@ -336,16 +327,15 @@ class PresentedAlgebra(RewritingSystem):
         template, e = self._antipode_word(w), self._e
         if g is e:
             return template
-        g_inv, one, chi = g.inverse(), self._one, self._char_value
-        return [(sw, g_inv if sg is e else g_inv * sg,
-                 sc if (c := chi(sw, g_inv)) is one else c if sc is one else sc * c)
+        g_inv, chi = g.inverse(), self._char_value
+        return [(sw, g_inv if sg is e else g_inv * sg, sc * chi(sw, g_inv))
                 for sw, sg, sc in template]
 
     def antipode(self, elem: SmashElement) -> SmashElement:
-        terms, one = {}, self._one if elem.terms else None
+        terms = {}
         for (w, g), c in elem.terms.items():
             for sw, tail, sc in self._antipode_mono(w, g):
-                _accumulate(terms, (sw, tail), sc if c is one else c if sc is one else c * sc)
+                _accumulate(terms, (sw, tail), c * sc)
         return SmashElement._of(self, terms)
 
     def counit(self, elem: SmashElement) -> CycloNumber:
@@ -392,11 +382,7 @@ class _Combination:
 
     def scale(self, c):
         c = self.algebra.scalar(c)  # c * v is zero only when c is
-        if not (c and self.terms):
-            return self._like({})
-        one = self.algebra._one
-        return self._like({k: v if c is one else c if v is one else v * c
-                           for k, v in self.terms.items()})
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -443,7 +429,7 @@ class TensorElement(_Combination):
 
     def coproduct_on_leg(self, leg: int) -> TensorElement:
         alg = self.algebra
-        e, one, degree_of = alg._e, alg._one if self.terms else None, alg._degree_of
+        e, degree_of = alg._e, alg._degree_of
         out: dict = {}
         for key, c in self.terms.items():
             w, g = key[leg]
@@ -451,7 +437,7 @@ class TensorElement(_Combination):
                 dv = degree_of(v)
                 left_tail = dv if g is e else g if dv is e else dv * g
                 expanded = key[:leg] + ((u, left_tail), (v, g)) + key[leg + 1:]
-                _accumulate(out, expanded, tc if c is one else c if tc is one else c * tc)
+                _accumulate(out, expanded, c * tc)
         return self._of(alg, out, self.arity + 1)
 
     def counit_on_leg(self, leg: int) -> SmashElement:
@@ -470,10 +456,9 @@ class TensorElement(_Combination):
         if self.arity != 2:
             raise InternalError("fold_with needs an arity-2 tensor")
         alg, pairs = self.algebra, []
-        one = alg._one if self.terms else None
         for (a, b), c in self.terms.items():
             for sw, sg, sc in alg._antipode_mono(*(a, b)[antipode_leg]):
-                cs = sc if c is one else c if sc is one else c * sc
+                cs = c * sc
                 pairs.append((sw, sg, *b, cs) if antipode_leg == 0 else (*a, sw, sg, cs))
         return SmashElement._of(alg, alg._products(pairs))
 
@@ -567,7 +552,6 @@ def _descent_failure(algebra: PresentedAlgebra) -> str | None:
     graded-lex order of the left leg, then of the right leg.  The Delta
     templates it builds are charged their terms times phi(N), within
     PAIR_COST_BUDGET, before they are built."""
-    unit = algebra._one
     words = {w for lhs, rhs in algebra.rules.items() for w in (lhs, *(rw for rw, _c in rhs))}
     cost, phi = 0, euler_phi(algebra.order)
     for prefix in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=graded_lex_key):
@@ -577,9 +561,9 @@ def _descent_failure(algebra: PresentedAlgebra) -> str | None:
                              f"terms times phi({algebra.order})")
     for lhs in sorted(algebra.rules, key=graded_lex_key):
         image: dict = {}  # Delta template of lhs - rhs
-        for w, c in ((lhs, unit), *((w, -c) for w, c in algebra.rules[lhs])):
+        for w, c in ((lhs, algebra._one), *((w, -c) for w, c in algebra.rules[lhs])):
             for a, b, tc in algebra._delta_word(w):
-                _accumulate(image, (a, b), tc if c is unit else c if tc is unit else c * tc)
+                _accumulate(image, (a, b), c * tc)
         if image:
             u, v = max(image, key=lambda k: (len(k[0]) + len(k[1]), graded_lex_key(k[0]),
                                              graded_lex_key(k[1])))
@@ -635,14 +619,12 @@ def winding_endomorphism(algebra: PresentedAlgebra, xi: Character, elem: SmashEl
     on the generators: only the terms of Delta(x^w # g) with u = () count."""
     if xi.group != algebra.group:
         raise InputError("winding character outside the presentation group")
-    out, e, one = {}, algebra._e, algebra._one if elem.terms else None
+    out, e = {}, algebra._e
     for (w, g), c in elem.terms.items():
         for u, v, tc in algebra._delta_word(w):
             if not u:
                 dv = algebra._degree_of(v)
-                x = xi(g if dv is e else dv if g is e else dv * g)
-                ct = tc if c is one else c if tc is one else c * tc
-                _accumulate(out, (v, g), ct if x is one else x if ct is one else ct * x)
+                _accumulate(out, (v, g), c * tc * xi(g if dv is e else dv if g is e else dv * g))
     return SmashElement._of(algebra, out)
 
 

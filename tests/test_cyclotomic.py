@@ -173,6 +173,13 @@ def test_field_axioms(a, b, c):
 def test_additive_inverse_and_units(a):
     assert (a - a).is_zero()
     assert a * one(a.order) == a
+    # a product with 1 returns the other operand, whatever object holds the 1
+    units = [one(a.order), CycloNumber(a.order, [1] + [0] * (euler_phi(a.order) - 1)),
+             CycloNumber.from_rational(1, a.order)]
+    for u in units:
+        assert a * u is (u if a.is_one() else a)
+        assert u * a is a
+    assert one(1) * a is a  # lifting a to its own order returns a
     if not a.is_zero():
         assert (a * a.inverse()).is_one()
 

@@ -963,12 +963,13 @@ def _fresh(c: CycloNumber) -> CycloNumber:
 @pytest.mark.parametrize(
     "build", [lambda: qa_algebra(3), _q12_squared_control, lambda: a2_algebra(3)],
     ids=["qa-z3z3-rules", "q12-squared-sweep", "a2-z2z2-sweep"])
-def test_a_unit_that_is_not_the_interned_one_is_multiplied_as_any_scalar(build):
-    """The engine skips a product by the interned unit, tested with `is`; a
-    scalar equal to a root of unity, 1 included, that is not the interned
-    object is multiplied.  Rule coefficients, monomial coefficients and term
-    coefficients given as new CycloNumbers give the reports and the term
-    dicts of the canonical objects."""
+def test_a_unit_that_is_not_the_interned_one_is_skipped_by_value(build):
+    """A product with 1 returns the other operand, tested by value, so a scalar
+    equal to 1 that is not the interned object is skipped as the interned one
+    is, and one equal to another root of unity is multiplied.  Rule
+    coefficients, monomial coefficients and term coefficients given as new
+    CycloNumbers give the reports and the term dicts of the canonical
+    objects."""
     canonical = build()
     n, e = canonical.order, canonical._e
     rules = {lhs: tuple((w, _fresh(c)) for w, c in rhs) for lhs, rhs in canonical.rules.items()}
@@ -1245,7 +1246,7 @@ def test_double_antipode_computes_no_products(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("verify_double_antipode computed a product or listed words")
 
-    for name in ("antipode", "comultiply", "_mul_mono", "normal_words"):
+    for name in ("antipode", "comultiply", "_products", "normal_words"):
         monkeypatch.setattr(PresentedAlgebra, name, refuse)
     for algebra in algebras:
         report = verify_double_antipode(algebra)
