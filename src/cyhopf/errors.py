@@ -62,11 +62,6 @@ class InvalidPresentation(InputError):
     scalar lies outside the presentation's field."""
 
 
-class DegreeBoundExceeded(InputError):
-    """A product a library caller forms leaves the algebra's degree bound; no
-    verb forms one."""
-
-
 class Frozen:
     """Base of an immutable class: its __init__ sets each field once with
     set_field, and assigning or deleting an attribute raises AttributeError."""

@@ -4,21 +4,22 @@ A word is a tuple of 0-based generator indices.  A rule rewrites its
 left-hand side to a combination of words with coefficients in Q(zeta_order);
 every right-hand word must be smaller in the graded-lex order with
 x_1 < ... < x_t, so rewriting terminates.  A RewritingSystem computes normal
-forms (memoized), enumerates the normal words up to its degree bound for a
-library caller (no verb reads the bound), and checks local confluence by the
-diamond lemma on every ambiguity, each at its own length: an ambiguity is
-shorter than two left-hand sides, so there are finitely many.  A
-non-confluent system is accepted, and its report says so.  Normal forms
-rewrite the first redex (_first_redex): the leftmost occurrence of a
-left-hand side and, of those at that position, the graded-lex least.  A
+forms (memoized), lists the normal words up to a degree for a library caller
+(its degree bound is only the default degree; no verb lists them), and checks
+local confluence by the diamond lemma on every ambiguity, each at its own
+length: an ambiguity is shorter than two left-hand sides, so there are
+finitely many.  A non-confluent system is accepted, and its report says so.
+Normal forms rewrite the first redex (_first_redex): the leftmost occurrence
+of a left-hand side and, of those at that position, the graded-lex least.  A
 non-confluent system's normal forms, and so its NonConfluent reports, depend
 on that order.  The unit of Q(zeta_order) is resolved once per system, on
 first use (_one), so a system whose field has no power table is refused only
-where a normal form is built.  smash.PresentedAlgebra extends it with a group, a grading and an action; the
-rules' Gamma-homogeneity and chi-equivariance are checked there.
+where a normal form is built.  smash.PresentedAlgebra extends it with a
+group, a grading and an action; the rules' Gamma-homogeneity and
+chi-equivariance are checked there.
 MAX_WORD_LENGTH and REWRITE_BUDGET refuse oversized work before it completes,
-and NORMAL_WORD_BUDGET refuses a list of normal words that no verb asks for:
-each raises InputError.
+and NORMAL_WORD_BUDGET refuses a list of normal words that no verb asks for,
+whatever degree the caller asks it to reach: each raises InputError.
 """
 
 from __future__ import annotations
@@ -166,29 +167,21 @@ class RewritingSystem:
     def is_normal(self, word: Word) -> bool:
         return self._first_redex(word) is None
 
-    @cached_property
-    def _all_normal_words(self) -> tuple[Word, ...]:
-        """Normal words up to the degree bound, by degree, within NORMAL_WORD_BUDGET;
-        only the tests and the benchmark list them, no verb does."""
+    def normal_words(self, max_degree: int | None = None) -> list[Word]:
+        """Normal words of degree at most max_degree, by degree, within
+        NORMAL_WORD_BUDGET; max_degree defaults to the degree bound.  For library
+        callers, no verb lists them."""
+        top = self.degree_bound if max_degree is None else max_degree
         layer: list[Word] = [()]
-        words = [()]
-        for degree in range(1, self.degree_bound + 1):
+        words: list[Word] = [()] if top >= 0 else []
+        for degree in range(1, top + 1):
             layer = [w + (i,) for w in layer for i in range(self.t) if self.is_normal(w + (i,))]
             if not layer:
                 break
             words.extend(layer)
             if len(words) > NORMAL_WORD_BUDGET:
-                raise InputError(
-                    f"more than {NORMAL_WORD_BUDGET} normal words up to degree {degree}; "
-                    f"lower the degree bound"
-                )
-        return tuple(words)
-
-    def normal_words(self, max_degree: int | None = None) -> list[Word]:
-        """Normal words of degree at most max_degree, clamped to the degree bound;
-        for library callers, no verb lists them."""
-        bound = self.degree_bound if max_degree is None else min(max_degree, self.degree_bound)
-        return [w for w in self._all_normal_words if len(w) <= bound]
+                raise InputError(f"more than {NORMAL_WORD_BUDGET} normal words up to degree {degree}")
+        return words
 
 
 # -- local confluence ----------------------------------------------------------

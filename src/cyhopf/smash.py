@@ -39,10 +39,9 @@ rules, by Delta-descent of the rules, and reports a non-confluent one as
 undecided (see verify_hopf_axioms).  The graded squared-antipode identity holds
 by construction and is decided without a sweep (see verify_double_antipode).
 PAIR_COST_BUDGET refuses oversized work before it starts, as the rewriting
-layer's limits do; it binds the Delta check.  No verb reads the degree bound:
-the checks form only products of degree <= 1, and the Delta templates are
-built without it.  It limits the products a library caller forms
-(DegreeBoundExceeded) and the normal words it lists.
+layer's limits do; it binds the Delta check.  No map reads the degree bound:
+products and monomials of any degree are formed, and the bound is only the
+default depth to which RewritingSystem.normal_words lists words.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from math import prod
 
 from .cyclotomic import CycloNumber, euler_phi, roots_of_unity, zero
 from .errors import (
-    DegreeBoundExceeded,
     GroupMismatch,
     IndexOutOfRange,
     InputError,
@@ -121,8 +119,7 @@ class CheckReport(Record):
 
 class PresentedAlgebra(RewritingSystem):
     """Immutable presentation of R # k[Gamma] over its rewriting system.  Its
-    degree_bound limits the products and normal-word lists of library callers;
-    no verb reads it."""
+    degree bound is the default depth of normal_words; no map reads it."""
 
     def __init__(
         self,
@@ -189,12 +186,6 @@ class PresentedAlgebra(RewritingSystem):
             if not 0 <= i < self.t:
                 raise IndexOutOfRange(f"generator x{i + 1} outside 1..{self.t}")
 
-    def _check_degree(self, what: str, degree: int) -> None:
-        """Refuse a library caller's product past the degree bound; no verb
-        forms one."""
-        if degree > self.degree_bound:
-            raise DegreeBoundExceeded(f"{what} degree {degree} exceeds bound {self.degree_bound}")
-
     def _degree_of(self, word: Word) -> GroupElement:
         cached = self._worddeg.get(word)
         if cached is not None:
@@ -253,7 +244,6 @@ class PresentedAlgebra(RewritingSystem):
         self._check_indices(word)
         if g.group != self.group:
             raise GroupMismatch(f"group-like {g} of {g.group} outside {self.group}")
-        self._check_degree("word", len(word))
         terms = {(nw, g): nc * c for nw, nc in self._normal_combination(word)} if c else {}
         return SmashElement._of(self, terms)
 
@@ -265,11 +255,8 @@ class PresentedAlgebra(RewritingSystem):
         moves g1 past x^{w2}, so is c chi_{w2}(g1) times the normal form of
         x^{w1 w2}, at tail g1 g2."""
         out: dict = {}
-        e, bound, chi = self._e, self.degree_bound, self._char_value
+        e, chi = self._e, self._char_value
         for w1, g1, w2, g2, c in pairs:
-            degree = len(w1) + len(w2)
-            if degree > bound:
-                self._check_degree("product", degree)
             scalar = c * chi(w2, g1)
             tail = g2 if g1 is e else g1 if g2 is e else g1 * g2
             for nw, nc in self._normal_combination(w1 + w2):
@@ -512,7 +499,7 @@ def verify_hopf_axioms(algebra: PresentedAlgebra) -> CheckReport:
     families compare algebra maps or hold on a subalgebra
     (S((ab)_1) (ab)_2 = S(b_1) S(a_1) a_2 b_2), so they are checked on the
     normal words of degree <= 1 only, the empty word and each generator that
-    no rule rewrites, at tail e.  So no check reads the degree bound.
+    no rule rewrites, at tail e.
 
     Tails reduce to e by Gamma-equivariance of the engine's own maps:
     comultiply(x^w # g) is comultiply(x^w # e) with both tails times g;

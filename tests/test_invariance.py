@@ -2,7 +2,8 @@
 
 Each transform maps a Cartan datum to an isomorphic or Galois-conjugate one,
 together with a map phi of group elements: a node permutation, an
-automorphism of Gamma scaling one factor by a unit, Galois conjugation of the
+automorphism of Gamma scaling one factor by a unit, swapping two factors of
+equal order or shearing one into another, Galois conjugation of the
 characters, and an extension of Gamma by a factor on which every chi_k is
 trivial.  check_cy's (cy_R, cy_smash, p, xi trivial, witness exists) must not
 change, and phi must map a squared-antipode witness to a witness of the image.
@@ -37,6 +38,18 @@ def permute_nodes(d: CartanDatum, rng: random.Random):
     return image, lambda x: x
 
 
+def _by_automorphism(d: CartanDatum, on_elements, on_characters):
+    """The image of d under the automorphism of Gamma that maps the exponents
+    of an element by on_elements and of a character by on_characters, and its
+    map phi of group elements."""
+
+    def phi(x):
+        return d.group.element(on_elements(x.exp))
+
+    chi = tuple(d.group.character(on_characters(c.exp)) for c in d.chi)
+    return CartanDatum(d.group, tuple(map(phi, d.g)), chi, d.cartan), phi
+
+
 def scale_a_factor(d: CartanDatum, rng: random.Random):
     """The automorphism of Gamma that multiplies factor i by a unit u mod n_i:
     elements by u, characters by u^-1, so chi(x) is unchanged."""
@@ -48,12 +61,47 @@ def scale_a_factor(d: CartanDatum, rng: random.Random):
     def scaled(vector, by):
         return tuple(a * by if k == i else a for k, a in enumerate(vector))
 
-    def phi(x):
-        return d.group.element(scaled(x.exp, u))
+    return _by_automorphism(d, lambda v: scaled(v, u), lambda v: scaled(v, u_inv))
 
-    image = CartanDatum(d.group, tuple(map(phi, d.g)),
-                        tuple(d.group.character(scaled(c.exp, u_inv)) for c in d.chi), d.cartan)
-    return image, phi
+
+def _equal_factors(d: CartanDatum, rng: random.Random):
+    """Two coordinates i != j of Gamma with n_i = n_j, or None if no two
+    invariant factors are equal."""
+    ns = d.group.invariant_factors
+    pairs = [(i, j) for i in range(len(ns)) for j in range(len(ns)) if i != j and ns[i] == ns[j]]
+    return rng.choice(pairs) if pairs else None
+
+
+def swap_equal_factors(d: CartanDatum, rng: random.Random):
+    """The automorphism of Gamma that swaps coordinates i and j, n_i = n_j, in
+    the elements and in the characters; the identity if no two invariant
+    factors are equal."""
+    pair = _equal_factors(d, rng)
+    if pair is None:
+        return d, lambda x: x
+    i, j = pair
+
+    def swapped(vector):
+        out = list(vector)
+        out[i], out[j] = vector[j], vector[i]
+        return tuple(out)
+
+    return _by_automorphism(d, swapped, swapped)
+
+
+def shear_equal_factors(d: CartanDatum, rng: random.Random):
+    """The automorphism of Gamma that adds coordinate i to coordinate j, n_i =
+    n_j, in the elements, and subtracts a_j from a_i in the characters, so
+    chi(x) is unchanged; the identity if no two invariant factors are equal."""
+    pair = _equal_factors(d, rng)
+    if pair is None:
+        return d, lambda x: x
+    i, j = pair
+
+    def added(vector, k, by):
+        return tuple(a + by if m == k else a for m, a in enumerate(vector))
+
+    return _by_automorphism(d, lambda x: added(x, j, x[i]), lambda a: added(a, i, -a[j]))
 
 
 def conjugate_characters(d: CartanDatum, rng: random.Random):
@@ -85,6 +133,8 @@ def is_witness(d: CartanDatum, x) -> bool:
 
 
 TRANSFORMS = {"permute-nodes": permute_nodes, "scale-a-factor": scale_a_factor,
+              "swap-equal-factors": swap_equal_factors,
+              "shear-equal-factors": shear_equal_factors,
               "conjugate-characters": conjugate_characters, "extend-the-group": extend_the_group}
 
 
